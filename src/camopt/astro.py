@@ -1,5 +1,6 @@
 """Equations of motion, adaptive RKF7(8) propagation generic over scalars
-and jets, segment linearization, node grids and closest-approach refinement.
+and jets, segment linearization, node grids and closest-approach refinement
+by a Newton iteration on the range rate.
 """
 
 from __future__ import annotations
@@ -9,14 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dajet import Jet, jet_space, variables, partial_invert, DomainError
+from . import CamoptError
+from .dajet import Jet, jet_space, variables, DomainError
 
 GM_EARTH = 398600.4418  # km^3/s^2
 R_EARTH = 6378.137  # km
 J2_EARTH = 1.08262668e-3
 
 
-class PropagationError(Exception):
+class PropagationError(CamoptError):
     pass
 
 
@@ -24,11 +26,11 @@ class StiffnessError(PropagationError):
     pass
 
 
-class ScenarioError(Exception):
+class ScenarioError(CamoptError):
     pass
 
 
-class DegenerateEncounterError(Exception):
+class DegenerateEncounterError(CamoptError):
     pass
 
 
@@ -298,65 +300,34 @@ def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
 # closest-approach refinement
 
 
-def _time_jets(y: np.ndarray, deriv, order: int = 2):
-    """Taylor expansion of the flow in a single time variable.
-
-    Returns a length-6 object array of jets in dt around the input state:
-    y + f dt + (df/dt) dt^2/2.
-    """
-    sp = jet_space(1, order)
-    t = Jet.variable(sp, 0)
-    f0 = deriv(0.0, y)
-    yl = np.array([Jet.constant(sp, y[i]) + f0[i] * t for i in range(6)], dtype=object)
-    out = np.array([Jet.constant(sp, y[i]) + f0[i] * t for i in range(6)], dtype=object)
-    if order >= 2:
-        f1 = deriv(0.0, yl)  # jets: f0 + (Jf f0) dt
-        for i in range(6):
-            fdot = f1[i].gradient()[0]
-            out[i] = out[i] + (0.5 * fdot) * (t * t)
-    return out
-
-
 def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn_p: Dynamics,
                dyn_s: Dynamics | None = None, tol: float = 1e-6,
                max_iter: int = 12) -> float:
     """Time offset from the nominal epoch to the true closest approach.
 
-    Solves dr(dt) . dv(dt) = 0 by expanding both flows in a time jet and
-    partially inverting the polynomial, iterating until the offset is
-    stationary.
+    Newton iteration on g(t) = dr . dv, whose derivative is
+    g'(t) = |dv|^2 + dr . da with the accelerations taken from the
+    ballistic equations of motion.  Both states are flown by each step, and
+    the iteration stops once a step is no larger than ``tol``.
     """
     dyn_s = dyn_s or dyn_p
-    xp = np.asarray(xp, float).copy()
-    xs = np.asarray(xs, float).copy()
-    dv0 = xp[3:] - xs[3:]
-    if np.linalg.norm(dv0) == 0.0:
+    xp = np.asarray(xp, float)
+    xs = np.asarray(xs, float)
+    if np.linalg.norm(xp[3:] - xs[3:]) == 0.0:
         raise DegenerateEncounterError("zero relative velocity at nominal epoch")
 
+    zero = np.zeros(3)
     dt_total = 0.0
     for _ in range(max_iter):
-        jp = _time_jets(xp, lambda t, y: eom(y, (0.0, 0.0, 0.0), dyn_p))
-        js = _time_jets(xs, lambda t, y: eom(y, (0.0, 0.0, 0.0), dyn_s))
-        dr = jp[:3] - js[:3]
-        dv = jp[3:] - js[3:]
-        g = dr[0] * dv[0] + dr[1] * dv[1] + dr[2] * dv[2]
-        gdot = g.gradient()[0]
+        dr, dv = xp[:3] - xs[:3], xp[3:] - xs[3:]
+        da = eom(xp, zero, dyn_p)[3:] - eom(xs, zero, dyn_s)[3:]
+        gdot = dv @ dv + dr @ da
         if gdot == 0.0:
             raise DegenerateEncounterError("stationary miss-distance equation")
-        inv = partial_invert(g, 0)
-        step = inv.eval([-g.const])
+        step = -(dr @ dv) / gdot
         dt_total += step
         if abs(step) <= tol:
             return dt_total
-        if step > 0:
-            xp = flow(xp, 0.0, step, (0, 0, 0), dyn_p)
-            xs = flow(xs, 0.0, step, (0, 0, 0), dyn_s)
-        else:
-            # integrate the time-reversed system for negative offsets
-            xp = _flow_back(xp, -step, dyn_p)
-            xs = _flow_back(xs, -step, dyn_s)
+        xp = flow(xp, 0.0, step, zero, dyn_p)
+        xs = flow(xs, 0.0, step, zero, dyn_s)
     return dt_total
-
-
-def _flow_back(y: np.ndarray, dt_back: float, dyn: Dynamics) -> np.ndarray:
-    return flow(y, dt_back, 0.0, np.zeros(3), dyn)

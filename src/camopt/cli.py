@@ -22,12 +22,12 @@ import time
 
 import numpy as np
 
+from . import CamoptError
 from .astro import flow, linearize_segment, Dynamics
 from .dajet import jet_space, variables
 from .risk import chan_poc, chan_uv, equivalent_bplane, ipoc
 from .scenario import (
     Config,
-    ScenarioFormatError,
     load_scenario,
     rtn_matrix,
     scaled_dynamics,
@@ -231,8 +231,7 @@ def _cmd_validate(args):
     x = scn.primary_at(times[0])
     err = float(np.linalg.norm(x[:3] - states[0, :3]))
     for i in range(len(times) - 1):
-        x = flow(x, times[i], times[i + 1], controls[i], scn.dynamics,
-                 scn.integ_tol)
+        x = flow(x, times[i], times[i + 1], controls[i], scn.dynamics)
         err = max(err, float(np.linalg.norm(x[:3] - states[i + 1, :3])))
     e_val = err * 1e6
     dts = np.diff(times)
@@ -462,8 +461,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScpError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (CamoptError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,11 +18,12 @@ import scipy.sparse as sp
 from scipy import special
 from scipy.optimize import brentq
 
+from . import CamoptError
 from .dajet import Jet, jet_space, variables
 from .socp import ConeDims, SocpProblem
 
 
-class AssemblyError(Exception):
+class AssemblyError(CamoptError):
     pass
 
 
@@ -75,22 +76,10 @@ def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarra
     return V @ zc
 
 
-@dataclass
-class KozHalfspace:
-    """Tangent cut of the keep-out ellipse/ellipsoid at an anchor point.
-
-    Feasible side: normal . (dr - anchor) >= 0.
-    """
-
-    normal: np.ndarray
-    anchor: np.ndarray
-    node: int
-
-
-def koz_halfspace(z: np.ndarray, P: np.ndarray, node: int = 0) -> KozHalfspace:
-    z = np.asarray(z, float)
-    n = 2.0 * np.linalg.solve(np.asarray(P, float), z)
-    return KozHalfspace(normal=n, anchor=z, node=node)
+def cut_normal(z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Outward normal 2 P^{-1} z of the keep-out surface z' P^{-1} z = d2 at
+    the boundary point z; the tangent cut keeps normal . (r - z) >= 0."""
+    return 2.0 * np.linalg.solve(P, z)
 
 
 # ---------------------------------------------------------------------
@@ -121,15 +110,13 @@ class LongTermItem:
 
 @dataclass
 class RiskLinearization:
-    """First-order model grad . r + residual <= bound over stacked node
+    """First-order model of the total probability over stacked node
     positions, with per-variable trust-region factors xi."""
 
     nodes: list
     grads: np.ndarray  # (n_items_nodes, 3)
-    residual: float
     value: float  # total probability at the reference
     xi: np.ndarray  # (n_items_nodes, 3)
-    ref_positions: np.ndarray
 
 
 def _chan_derivs(u: float, v: float) -> tuple[float, float, float]:
@@ -151,18 +138,14 @@ def _chan_derivs(u: float, v: float) -> tuple[float, float, float]:
     return P, dP, d2P
 
 
-def _risk_package(total: Jet, ref_stack: np.ndarray, nodes: list) -> RiskLinearization:
+def _risk_package(total: Jet, nodes: list) -> RiskLinearization:
     grad = total.gradient()
     H = total.hessian()
     gnorm = np.linalg.norm(grad)
     xi = np.sqrt((H ** 2).sum(axis=0)) / gnorm if gnorm > 0 else np.zeros(len(grad))
-    value = total.const
-    residual = value - grad @ ref_stack
     k = len(nodes)
     return RiskLinearization(nodes=nodes, grads=grad.reshape(k, 3),
-                             residual=residual, value=value,
-                             xi=xi.reshape(k, 3),
-                             ref_positions=ref_stack.reshape(k, 3))
+                             value=total.const, xi=xi.reshape(k, 3))
 
 
 def linearize_tpoc(items: list[ShortTermItem]) -> RiskLinearization:
@@ -187,9 +170,7 @@ def linearize_tpoc(items: list[ShortTermItem]) -> RiskLinearization:
         poc = v.compose_series(_chan_derivs(u, v.const))
         total = total * (1.0 - it.weight * poc)
     total = 1.0 - total
-    ref = np.concatenate([it.dr_ref for it in items])
-    lin = _risk_package(total, ref, [it.node for it in items])
-    return lin
+    return _risk_package(total, [it.node for it in items])
 
 
 def linearize_tipoc(items: list[LongTermItem]) -> RiskLinearization:
@@ -216,8 +197,7 @@ def linearize_tipoc(items: list[LongTermItem]) -> RiskLinearization:
         pic = d2.compose_series([f0, -0.5 * f0, 0.25 * f0])
         total = total * (1.0 - it.weight * pic)
     total = 1.0 - total
-    ref = np.concatenate([it.dr_ref for it in items])
-    return _risk_package(total, ref, list(range(n)))
+    return _risk_package(total, list(range(n)))
 
 
 # ---------------------------------------------------------------------
@@ -249,9 +229,6 @@ class ConicProblem:
         return SocpProblem(c=self.objective, A=sp.csc_matrix(self.eq_matrix),
                            b=self.eq_rhs, G=sp.csc_matrix(self.ineq_matrix),
                            h=self.ineq_rhs, dims=self.dims)
-
-    def dump(self) -> str:
-        return self.to_socp().dump()
 
 
 @dataclass

@@ -2,9 +2,7 @@
 
 Jets carry all partial derivatives of a quantity up to a truncation order
 with respect to a set of perturbation variables.  They are the substrate
-for automatic linearization of the dynamics and of the risk maps, and for
-solving the implicit closest-approach time equation by polynomial partial
-inversion.
+for automatic linearization of the dynamics and of the risk maps.
 
 Everything here is unit-agnostic: callers are expected to work in scaled
 variables.
@@ -18,8 +16,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from . import CamoptError
 
-class JetError(Exception):
+
+class JetError(CamoptError):
     pass
 
 
@@ -28,10 +28,6 @@ class DimensionError(JetError):
 
 
 class DomainError(JetError):
-    pass
-
-
-class NotInvertibleError(JetError):
     pass
 
 
@@ -146,15 +142,6 @@ class Jet:
                 H[a, b] = H[b, a] = self.coeffs[idx]
         return H
 
-    def eval(self, delta) -> float:
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != (self.space.n_vars,):
-            raise DimensionError(
-                f"evaluation point has shape {delta.shape}, expected ({self.space.n_vars},)"
-            )
-        mono = np.prod(delta[None, :] ** self.space.exponents, axis=1)
-        return float(self.coeffs @ mono)
-
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Jet"):
         if other.space is not self.space:
@@ -204,7 +191,7 @@ class Jet:
             for _ in range(p):
                 out = out * self
             return out
-        return self.power(float(p))
+        return NotImplemented
 
     # -- elementary functions ------------------------------------------
     def compose_series(self, derivs) -> "Jet":
@@ -237,16 +224,6 @@ class Jet:
             coef *= 0.5 - k
         return self.compose_series(derivs)
 
-    def power(self, p: float) -> "Jet":
-        a = self.const
-        if a <= 0.0:
-            raise DomainError("fractional power of jet with non-positive constant part")
-        derivs, coef = [], 1.0
-        for k in range(self.space.order + 1):
-            derivs.append(coef * a ** (p - k))
-            coef *= p - k
-        return self.compose_series(derivs)
-
     def exp(self) -> "Jet":
         e = math.exp(self.const)
         return self.compose_series([e] * (self.space.order + 1))
@@ -275,65 +252,3 @@ def variables(space: JetSpace, consts) -> list[Jet]:
     if consts.shape != (space.n_vars,):
         raise DimensionError("need one expansion point per variable")
     return [Jet.variable(space, v, consts[v]) for v in range(space.n_vars)]
-
-
-def compose(jet: Jet, args: list[Jet]) -> Jet:
-    """Substitute a jet for each variable of ``jet``.
-
-    All substituted jets must share a space; the result lives in that
-    space.  The constant parts of ``args`` are taken literally, i.e. the
-    caller passes the *perturbation* jets to substitute for delta-variables.
-    """
-    sp = jet.space
-    if len(args) != sp.n_vars:
-        raise DimensionError("need one substitution per variable")
-    out_space = args[0].space
-    # cache powers of each argument
-    pows = []
-    for a in args:
-        p = [Jet.constant(out_space, 1.0)]
-        for _ in range(sp.order):
-            p.append(p[-1] * a)
-        pows.append(p)
-    acc = Jet.constant(out_space, 0.0)
-    for idx in range(sp.size):
-        c = jet.coeffs[idx]
-        if c == 0.0:
-            continue
-        term = Jet.constant(out_space, c)
-        for v, e in enumerate(sp.exponents[idx]):
-            if e:
-                term = term * pows[v][e]
-        acc = acc + term
-    return acc
-
-
-def partial_invert(g: Jet, target_var: int) -> Jet:
-    """Solve g(dt, dx) = g0 + w for dt as a jet in (w, dx).
-
-    In the returned jet the slot of ``target_var`` stands for the centered
-    value w = g - g(0).  Composing the result with (g - g0, dx) reproduces
-    dt up to the truncation order.
-    """
-    sp = g.space
-    if sp.order < 1:
-        raise NotInvertibleError("order must be >= 1 to invert")
-    a = g.coeffs[sp.lin_index[target_var]]
-    if a == 0.0:
-        raise NotInvertibleError("map has zero first-order coefficient in the target variable")
-
-    w = Jet.variable(sp, target_var)  # stands for g - g0 in the inverse space
-    others = [Jet.variable(sp, v) for v in range(sp.n_vars)]
-
-    # nonlinear remainder N(dt, dx) = (g - g0) - a*dt
-    n_coeffs = g.coeffs.copy()
-    n_coeffs[0] = 0.0
-    n_coeffs[sp.lin_index[target_var]] -= a
-    N = Jet(sp, n_coeffs)
-
-    dt = w * (1.0 / a)
-    for _ in range(sp.order):
-        subs = list(others)
-        subs[target_var] = dt
-        dt = (w - compose(N, subs)) * (1.0 / a)
-    return dt

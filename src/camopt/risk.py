@@ -1,7 +1,7 @@
 """Collision risk metrics: B-plane projection, the short-term probability
 of collision via Chan's series and its numerical inversion, the
-instantaneous probability for long-term encounters, and combination rules
-for multiple conjunctions and mixture components.
+instantaneous probability for long-term encounters and its inversion, and
+the equivalent B-plane used to plot keep-out ellipses.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
+from . import CamoptError
 
-class RiskError(Exception):
+
+class RiskError(CamoptError):
     pass
 
 
@@ -129,15 +131,6 @@ def invert_chan(p_target: float, u: float, v_max: float = 1e6) -> float:
     return float(brentq(f, 0.0, v_hi, xtol=1e-14, rtol=1e-13))
 
 
-def poc_from_states(xp: np.ndarray, xs: np.ndarray, P3: np.ndarray,
-                    hbr: float) -> float:
-    """Full short-term pipeline from Cartesian states at closest approach."""
-    dr = np.asarray(xp[:3], float) - np.asarray(xs[:3], float)
-    dr2, P2 = bplane_project(dr, P3, xp[3:], xs[3:])
-    u, v = chan_uv(dr2, P2, hbr)
-    return chan_poc(u, v)
-
-
 # ---------------------------------------------------------------------
 # instantaneous probability for long-term encounters
 
@@ -174,40 +167,7 @@ def invert_ipoc(p_target: float, P3: np.ndarray, hbr: float) -> float:
 
 
 # ---------------------------------------------------------------------
-# combination rules
-
-
-def total_poc(probs) -> float:
-    """Complement of the joint probability of missing every conjunction."""
-    probs = np.asarray(probs, float)
-    if np.any((probs < 0) | (probs > 1)):
-        raise RiskError("probabilities must lie in [0, 1]")
-    return float(1.0 - np.prod(1.0 - probs))
-
-
-def total_poc_mixture(weights, probs) -> float:
-    """Nested combination over conjunctions and mixture components.
-
-    ``probs[s][c]`` is the probability of component c in conjunction s;
-    each enters through its weighted value.
-    """
-    weights = np.asarray(weights, float)
-    acc = 1.0
-    for row in probs:
-        row = np.asarray(row, float)
-        acc *= np.prod(1.0 - weights * row)
-    return float(1.0 - acc)
-
-
-def weighted_smd_limit(p_limit: float, gamma: float, u: float) -> float:
-    """Miss-distance limit for one mixture component.
-
-    The component's probability enters the total through its weight, so the
-    inversion acts on the de-weighted limit.
-    """
-    if gamma <= 0.0:
-        raise RiskError("component weight must be positive")
-    return invert_chan(min(p_limit / gamma, 1.0 - 1e-16), u)
+# equivalent B-plane
 
 
 def equivalent_bplane(points: np.ndarray, P2: np.ndarray,

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import CamoptError
 from .astro import Dynamics, GM_EARTH, flow
 
 
-class ScenarioFormatError(Exception):
+class ScenarioFormatError(CamoptError):
     """Raised for schema violations; message carries the JSON field path."""
 
 
@@ -48,14 +49,6 @@ def rtn_matrix(state: np.ndarray) -> np.ndarray:
     nhat = h / np.linalg.norm(h)
     that = np.cross(nhat, rhat)
     return np.column_stack([rhat, that, nhat])
-
-
-def rtn_to_eci(vec: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return rtn_matrix(state) @ np.asarray(vec, float)
-
-
-def eci_to_rtn(vec: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return rtn_matrix(state).T @ np.asarray(vec, float)
 
 
 def rotate_cov(cov: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -108,18 +101,6 @@ class Scaling:
         return cls(length=a_p, velocity=math.sqrt(mu / a_p),
                    time=math.sqrt(a_p ** 3 / mu), acceleration=mu / a_p ** 2)
 
-    def _factor(self, kind: str) -> float:
-        try:
-            return getattr(self, kind)
-        except AttributeError:
-            raise ScenarioFormatError(f"unknown scaling kind: {kind!r}")
-
-    def scale(self, value, kind: str):
-        return np.asarray(value, float) / self._factor(kind)
-
-    def unscale(self, value, kind: str):
-        return np.asarray(value, float) * self._factor(kind)
-
 
 # ---------------------------------------------------------------------
 # scenario data
@@ -152,7 +133,6 @@ class Scenario:
     n_mix: int
     conjunctions: list
     name: str = ""
-    integ_tol: float = 1e-12
 
     @property
     def sma(self) -> float:
@@ -170,11 +150,7 @@ class Scenario:
     def primary_at(self, t: float) -> np.ndarray:
         """Primary ballistic state at epoch t [s past t0]."""
         return flow(self.x_primary, self.state_epoch, t, np.zeros(3),
-                    self.dynamics, tol=self.integ_tol)
-
-    def secondary_at_tca(self, conj: Conjunction) -> np.ndarray:
-        xp = self.primary_at(conj.tca)
-        return xp - np.concatenate([conj.dr, conj.dv])
+                    self.dynamics)
 
 
 @dataclass
@@ -189,8 +165,6 @@ class Config:
     max_major: int = 30
     max_minor: int = 30
     limit_floor: float = 1e-9
-    alpha_cap: float = 10.0
-    active_eps: float = 1e-2  # activity test in the limit-adaptation NLP
     refine_mode: str = "smd"  # {"smd", "tpoc"}
     short_circuit: bool = False  # skip refinement if already within 2%
     short_circuit_margin: float = 0.02

@@ -10,11 +10,12 @@ nonlinear validation of the converged control profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import CamoptError
 from .astro import (
     DegenerateEncounterError,
     build_grid,
@@ -27,6 +28,7 @@ from .convexify import (
     ShortTermItem,
     LongTermItem,
     assemble,
+    cut_normal,
     linearize_tipoc,
     linearize_tpoc,
     project_onto_ellipsoid,
@@ -46,7 +48,7 @@ from .socp import SolverSettings, solve as socp_solve
 from .uncert import nonlinearity_index, split_direction, split_gaussian
 
 
-class ScpError(Exception):
+class ScpError(CamoptError):
     pass
 
 
@@ -643,7 +645,7 @@ def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
                 z = ch.anchor
             else:
                 z = _cheapest_exit(y_ref, ch.P2, ch.d2_limit, ch.M)
-            n2 = 2.0 * np.linalg.solve(ch.P2, z)
+            n2 = cut_normal(z, ch.P2)
             a3 = ch.basis.T @ n2
             rhs = float(n2 @ z) + float(a3 @ ch.xs[:3])
             rows.halfspaces.append((ch.node, a3, rhs))
@@ -658,7 +660,7 @@ def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
                 else:
                     z = _cheapest_exit(dr_ref, ch.P3[j], ch.d2_limit,
                                        resp3(j), side=ch.push)
-                a = 2.0 * np.linalg.solve(ch.P3[j], z)
+                a = cut_normal(z, ch.P3[j])
                 rhs = float(a @ z) + float(a @ ch.r_s[j])
                 rows.halfspaces.append((j, a, rhs))
     else:

@@ -14,15 +14,16 @@ by iterative refinement.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import CamoptError
 
-class SolverError(Exception):
+
+class SolverError(CamoptError):
     pass
 
 
@@ -59,38 +60,6 @@ class SocpProblem:
             raise SolverError("cone block dimensions inconsistent")
         if self.dims.total != self.G.shape[0]:
             raise SolverError("cone sizes do not cover the inequality rows")
-
-    # -- plain-text dump format for standalone cross-testing ----------
-    def dump(self) -> str:
-        buf = io.StringIO()
-        n, p, m = len(self.c), len(self.b), len(self.h)
-        buf.write(f"socp {n} {p} {m} {self.dims.nonneg}")
-        for q in self.dims.soc:
-            buf.write(f" {q}")
-        buf.write("\n")
-        np.savetxt(buf, self.c[None], header="c")
-        np.savetxt(buf, np.asarray(self.A.todense()), header="A")
-        np.savetxt(buf, self.b[None] if p else np.zeros((0, 0)), header="b")
-        np.savetxt(buf, np.asarray(self.G.todense()), header="G")
-        np.savetxt(buf, self.h[None], header="h")
-        return buf.getvalue()
-
-    @staticmethod
-    def load(text: str) -> "SocpProblem":
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        head = lines[0].split()
-        if head[0] != "socp":
-            raise SolverError("not a conic problem dump")
-        n, p, m, l = (int(v) for v in head[1:5])
-        soc = tuple(int(v) for v in head[5:])
-        vals = np.array([float(v) for ln in lines[1:] for v in ln.split()])
-        c, vals = vals[:n], vals[n:]
-        A, vals = vals[:p * n].reshape(p, n), vals[p * n:]
-        b, vals = vals[:p], vals[p:]
-        G, vals = vals[:m * n].reshape(m, n), vals[m * n:]
-        h = vals[:m]
-        return SocpProblem(c=c, A=sp.csc_matrix(A), b=b, G=sp.csc_matrix(G),
-                           h=h, dims=ConeDims(nonneg=l, soc=soc))
 
 
 @dataclass(frozen=True)

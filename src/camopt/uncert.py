@@ -1,5 +1,5 @@
-"""Covariance handling: linear propagation, Gaussian mixture splitting and
-the nonlinearity-driven choice of the splitting direction.
+"""Covariance handling: Gaussian mixture splitting and the
+nonlinearity-driven choice of the splitting direction.
 """
 
 from __future__ import annotations
@@ -9,11 +9,12 @@ from importlib import resources
 
 import numpy as np
 
+from . import CamoptError
 from .astro import Dynamics, eom, propagate
 from .dajet import jet_space, variables
 
 
-class UncertaintyError(Exception):
+class UncertaintyError(CamoptError):
     pass
 
 
@@ -68,11 +69,6 @@ class GaussianMixture:
             d = m - mu
             P += w * (C + np.outer(d, d))
         return P
-
-
-def propagate_covariance(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Linear covariance mapping A P A^T."""
-    return A @ P @ A.T
 
 
 def covariance_column_norms(P: np.ndarray) -> np.ndarray:

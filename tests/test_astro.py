@@ -209,3 +209,49 @@ class TestClosestApproach:
         x = circular_state(7000.0)
         with pytest.raises(DegenerateEncounterError):
             refine_tca(x, x.copy(), dyn)
+
+
+def head_on(phase):
+    """Primary on a circular equatorial orbit, secondary on the retrograde
+    orbit ``phase`` radians ahead."""
+    r = 6928.0
+    v = math.sqrt(GM_EARTH / r)
+    xp = np.array([r, 0, 0, 0, v, 0.0])
+    xs = np.array([r * math.cos(phase), r * math.sin(phase), 0, 0, -v, 0.0])
+    return xp, xs
+
+
+def inclined_crossing():
+    """Secondary on a circular orbit inclined by 1.2 rad, 100 m higher and
+    2 mrad behind the node where it crosses the primary's orbit."""
+    r, incl, th = 6928.0, 1.2, -2e-3
+    xp = circular_state(r)
+    rs = r + 0.1
+    vs = math.sqrt(GM_EARTH / rs)
+    ci, si = math.cos(incl), math.sin(incl)
+    xs = np.array([rs * math.cos(th), rs * math.sin(th) * ci,
+                   rs * math.sin(th) * si, -vs * math.sin(th),
+                   vs * math.cos(th) * ci, vs * math.cos(th) * si])
+    return xp, xs
+
+
+class TestClosestApproachPrecision:
+    """The offset is the root of g(t) = dr . dv, checked against brentq."""
+
+    @pytest.mark.parametrize("dyn", [Dynamics.two_body(),
+                                     Dynamics.two_body_j2()],
+                             ids=["two_body", "j2"])
+    @pytest.mark.parametrize("xp, xs", [head_on(1e-3), head_on(-1e-3),
+                                        inclined_crossing()],
+                             ids=["forward", "backward", "inclined"])
+    def test_root_of_range_rate(self, dyn, xp, xs):
+        from scipy.optimize import brentq
+
+        def g(t):
+            a = flow(xp, 0.0, t, (0, 0, 0), dyn)
+            b = flow(xs, 0.0, t, (0, 0, 0), dyn)
+            return (a[:3] - b[:3]) @ (a[3:] - b[3:])
+
+        ref = brentq(g, -20.0, 20.0, xtol=1e-13, rtol=1e-15)
+        dt = refine_tca(xp, xs, dyn)
+        assert abs(dt - ref) < 1e-9

@@ -109,6 +109,17 @@ class TestRisk:
         assert tpoc == pytest.approx(doc["tpoc_ballistic"], rel=1e-6)
 
 
+    def test_zero_relative_velocity_fails_cleanly(self, tmp_path, capsys):
+        doc = json.load(open(CASE2))
+        doc["conjunctions"][0]["dv_km_s"] = [0.0, 0.0, 0.0]
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["risk", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestSplit:
     def test_mixture_dump_is_normalized(self, capsys):
         code = cli.main(["split", CASE2, "--nmix", "3"])

@@ -14,10 +14,6 @@ from camopt.risk import (
     invert_chan,
     invert_ipoc,
     ipoc,
-    poc_from_states,
-    total_poc,
-    total_poc_mixture,
-    weighted_smd_limit,
 )
 
 
@@ -245,34 +241,6 @@ class TestIpoc:
         assert invert_ipoc(0.9, np.eye(3), 1.0) == 0.0
 
 
-class TestCombination:
-    def test_single_identity(self):
-        assert total_poc([0.25]) == pytest.approx(0.25)
-
-    def test_matches_sum_for_small_probs(self):
-        p = np.array([1e-7, 3e-7, 5e-8])
-        assert total_poc(p) == pytest.approx(p.sum(), rel=1e-6)
-
-    def test_product_identity_exact(self):
-        p = np.array([0.1, 0.2, 0.05])
-        assert total_poc(p) == pytest.approx(1 - 0.9 * 0.8 * 0.95, abs=1e-15)
-
-    def test_mixture_nesting(self):
-        w = np.array([0.3, 0.7])
-        probs = [[0.1, 0.2], [0.0, 0.5]]
-        ref = 1 - (1 - 0.03) * (1 - 0.14) * (1 - 0.0) * (1 - 0.35)
-        assert total_poc_mixture(w, probs) == pytest.approx(ref, abs=1e-15)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(RiskError):
-            total_poc([1.5])
-
-    def test_weighted_limit_identity(self):
-        u = 1e-3
-        assert weighted_smd_limit(2e-7, 0.2, u) == pytest.approx(
-            invert_chan(1e-6, u), abs=1e-12)
-
-
 class TestEquivalentBPlane:
     def test_boundary_maps_to_unit_circle(self):
         rng = np.random.default_rng(5)
@@ -294,14 +262,15 @@ class TestEquivalentBPlane:
 
 
 class TestFullPipeline:
-    def test_poc_from_states_head_on(self):
+    def test_head_on_closed_form(self):
         # perpendicular geometry, isotropic covariance: closed form
         xp = np.array([0, 0, 0, 0, 7.5, 0.0])
         xs = np.array([0.01, 0, 0, 0, -7.5, 0.0])
         sigma2 = 0.01 ** 2
         P3 = sigma2 * np.eye(3)
         hbr = 0.003
-        p = poc_from_states(xp, xs, P3, hbr)
+        dr2, P2 = bplane_project(xp[:3] - xs[:3], P3, xp[3:], xs[3:])
+        p = chan_poc(*chan_uv(dr2, P2, hbr))
         u = hbr ** 2 / sigma2
         v = 0.01 ** 2 / sigma2
         assert p == pytest.approx(chan_poc(u, v), rel=1e-12)
