@@ -1,6 +1,6 @@
-"""Equations of motion, adaptive RKF7(8) propagation generic over scalars
-and jets, segment linearization, node grids and closest-approach refinement
-by a Newton iteration on the range rate.
+"""Equations of motion, adaptive RKF7(8) propagation of states and of
+stacked jets, batched segment linearization, node grids and closest-approach
+refinement by a Newton iteration on the range rate.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CamoptError
-from .dajet import Jet, jet_space, variables, DomainError
+from . import dajet
+from .dajet import DomainError, jet_space
 
 GM_EARTH = 398600.4418  # km^3/s^2
 R_EARTH = 6378.137  # km
@@ -60,21 +61,13 @@ class Dynamics:
         return Dynamics(mu=mu, j2=j2, r_ref=r_ref)
 
 
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else math.sqrt(x)
-
-
-def _const(x):
-    return x.const if isinstance(x, Jet) else float(x)
-
-
 def eom(y, u, dyn: Dynamics):
-    """State derivative [v; g(r) + u]; same formula for floats and jets."""
+    """State derivative [v; g(r) + u] of one float state."""
     rx, ry, rz, vx, vy, vz = y
     r2 = rx * rx + ry * ry + rz * rz
-    if _const(r2) <= 0.0:
+    if r2 <= 0.0:
         raise DomainError("zero radius in equations of motion")
-    rn = _sqrt(r2)
+    rn = math.sqrt(r2)
     ir3 = 1.0 / (r2 * rn)
     k = -dyn.mu * ir3
     ax, ay, az = k * rx, k * ry, k * rz
@@ -87,9 +80,42 @@ def eom(y, u, dyn: Dynamics):
         ax = ax + f1 * rx
         ay = ay + f1 * ry
         az = az + kj * (3.0 - 5.0 * z2r2) * rz
-    out = np.empty(6, dtype=object if isinstance(rx, Jet) else float)
+    out = np.empty(6)
     out[0], out[1], out[2] = vx, vy, vz
     out[3], out[4], out[5] = ax + u[0], ay + u[1], az + u[2]
+    return out
+
+
+def _eom_jets(space, y, u, dyn: Dynamics):
+    """:func:`eom` on stacked jets: ``y`` (M, 6, size), ``u`` (M, 3, size)
+    jets or (M, 3) floats.  The formula of :func:`eom`, term by term in the
+    same order."""
+    r = y[:, :3]
+    sq = dajet.mul(space, r, r)
+    r2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    if (r2[:, 0] <= 0.0).any():
+        raise DomainError("zero radius in equations of motion")
+    rn = dajet.sqrt(space, r2)
+    ir3 = dajet.reciprocal(space, dajet.mul(space, r2, rn))
+    k = ir3 * -dyn.mu
+    acc = dajet.mul(space, k[:, None], r)
+    if dyn.j2:
+        ir2 = dajet.reciprocal(space, r2)
+        z2r2 = dajet.mul(space, sq[:, 2], ir2)
+        kj = dajet.mul(space, ir3 * (-1.5 * dyn.j2 * dyn.mu * dyn.r_ref ** 2), ir2)
+        # 1 - 5 z^2/r^2 and 3 - 5 z^2/r^2
+        w = np.repeat(-(z2r2 * 5.0)[:, None], 2, axis=1)
+        w[:, 0, 0] += 1.0
+        w[:, 1, 0] += 3.0
+        f = dajet.mul(space, kj[:, None], w)
+        acc = acc + dajet.mul(space, f[:, [0, 0, 1]], r)
+    out = np.empty_like(y)
+    out[:, :3] = y[:, 3:]
+    if u.ndim == 3:
+        out[:, 3:] = acc + u
+    else:
+        out[:, 3:] = acc
+        out[:, 3:, 0] += u
     return out
 
 
@@ -122,35 +148,28 @@ _A[11, :11] = [3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41,
 _A[12, :12] = [-1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82,
                2193 / 4100, 51 / 82, 33 / 164, 12 / 41, 0, 1.0]
 _ERR_W = 41.0 / 840  # on f0 + f10 - f11 - f12
+_MAX_STEPS = 100000  # accepted steps per propagation
 
 
-def _mag(x) -> float:
-    if isinstance(x, Jet):
-        return float(np.max(np.abs(x.coeffs)))
-    return abs(float(x))
-
-
-def propagate(y0, t0: float, t1: float, deriv, tol: float = 1e-12,
-              h0: float | None = None, max_steps: int = 100000):
+def propagate(y0, t0: float, t1: float, deriv, tol: float = 1e-12):
     """Adaptive RKF7(8) from t0 to t1; ``deriv(t, y)`` gives the derivative.
 
-    Works on float arrays and on object arrays of jets.  The local error
-    per step is kept below ``tol`` (max-norm over components, including
-    jet coefficients).
+    Works on float state arrays.  The local error per step is kept below
+    ``tol`` (max-norm over components).  The first trial step spans the
+    whole interval.
     """
     if t1 < t0:
         raise PropagationError("backward integration not supported; flip the derivative")
     if tol <= 0:
         raise PropagationError("tolerance must be positive")
-    y = np.array(y0, dtype=object if isinstance(y0[0], Jet) else float)
+    y = np.array(y0, dtype=float)
     t = t0
     span = t1 - t0
     if span == 0.0:
         return y
-    h = h0 if h0 is not None else span
-    h = min(h, span)
+    h = span
     f = [None] * 13
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t1:
             return y
         h = min(h, t1 - t)
@@ -164,7 +183,7 @@ def propagate(y0, t0: float, t1: float, deriv, tol: float = 1e-12,
                         acc = acc + (h * a) * f[j]
                 f[k] = deriv(t + _ALPHA[k] * h, acc)
             ecomb = f[0] + f[10] - f[11] - f[12]
-            err = max(_mag(c) for c in ecomb) * abs(_ERR_W * h)
+            err = float(np.max(np.abs(ecomb))) * abs(_ERR_W * h)
             if err <= tol or h <= 1e-14 * max(abs(t), 1.0):
                 break
             h *= max(0.2, 0.8 * (tol / err) ** 0.125)
@@ -197,6 +216,99 @@ def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = 1e-12):
 
 
 # ---------------------------------------------------------------------
+# stacked jet propagation
+
+
+def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = 1e-12):
+    """:func:`flow` of stacked jets, every row over its own span [t0, t1].
+
+    ``y`` holds (N, 6, space.size) state coefficients, ``t0`` and ``t1``
+    are one epoch (or one for all rows) each, and ``u`` is (N, 3, size)
+    control jets or (N, 3) constant controls, zero when omitted.  Each row
+    keeps its own clock, step size and accept/reject decision, so it takes
+    the steps it would take alone; backward spans are flown with the
+    velocity flipped, as in :func:`flow`.
+    """
+    if tol <= 0:
+        raise PropagationError("tolerance must be positive")
+    y = np.array(y, dtype=float)
+    n = len(y)
+    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (n,))
+    t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n,))
+    u = np.zeros((n, 3)) if u is None else np.asarray(u, dtype=float)
+    back = t1 < t0
+    y[back, 3:] = -y[back, 3:]
+    t = np.where(back, 0.0, t0)
+    t_end = np.where(back, t0 - t1, t1)
+    live = t_end - t != 0.0
+    if live.any():
+        y[live] = _rkf78_jets(space, y[live], t[live], t_end[live], u[live],
+                              dyn, tol)
+    y[back, 3:] = -y[back, 3:]
+    return y
+
+
+def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
+    """The step loop of :func:`propagate`, run for every row at once.
+
+    Rows that reject a step retry it alongside rows that take their next
+    one; a row leaves the batch when it reaches its end epoch.  Step-size
+    factors are computed per row in Python floats, like the scalar loop.
+    """
+    out = np.empty_like(y)
+    rows = np.arange(len(y))
+    span = t_end - t
+    h = span.copy()
+    steps = np.zeros(len(y), dtype=np.int64)
+    fresh = np.ones(len(y), dtype=bool)  # rows starting a new step
+    f0 = np.empty_like(y)
+    while len(rows):
+        if fresh.all():
+            h = np.minimum(h, t_end - t)
+            f0 = _eom_jets(space, y, u, dyn)
+        elif fresh.any():
+            h[fresh] = np.minimum(h[fresh], t_end[fresh] - t[fresh])
+            f0[fresh] = _eom_jets(space, y[fresh], u[fresh], dyn)
+        f = [f0]
+        for k in range(1, 13):
+            acc = y
+            for j in range(k):
+                if _A[k, j] != 0.0:
+                    acc = acc + (h * _A[k, j])[:, None, None] * f[j]
+            f.append(_eom_jets(space, acc, u, dyn))
+        ecomb = f[0] + f[10] - f[11] - f[12]
+        err = np.abs(ecomb).max(axis=(1, 2)) * np.abs(_ERR_W * h)
+        ok = (err <= tol) | (h <= 1e-14 * np.maximum(np.abs(t), 1.0))
+
+        rej = ~ok
+        if rej.any():
+            h[rej] *= [max(0.2, 0.8 * (tol / e) ** 0.125) for e in err[rej].tolist()]
+            if np.any(h[rej] < 1e-13 * np.maximum(span[rej], 1.0)):
+                raise StiffnessError(f"step size underflow at t={t[rej].min()}")
+        if ok.any():
+            ha = h[ok]
+            ynew = y[ok]
+            for k in range(13):
+                if _C8[k] != 0.0:
+                    ynew = ynew + (ha * _C8[k])[:, None, None] * f[k][ok]
+            y[ok] = ynew
+            t[ok] += ha
+            h[ok] = ha * [min(5.0, 0.8 * (tol / e) ** 0.125) if e > 0 else 1.0
+                          for e in err[ok].tolist()]
+            steps[ok] += 1
+            if np.any(steps >= _MAX_STEPS):
+                raise StiffnessError("maximum number of steps exceeded")
+        fresh = ok
+        done = t >= t_end
+        if done.any():
+            out[rows[done]] = y[done]
+            keep = ~done
+            rows, y, t, t_end, span, h, steps, fresh, f0, u = (
+                a[keep] for a in (rows, y, t, t_end, span, h, steps, fresh, f0, u))
+    return out
+
+
+# ---------------------------------------------------------------------
 # segment linearization
 
 
@@ -218,31 +330,34 @@ class SegmentMaps:
     xi: np.ndarray
 
 
-def linearize_segment(x: np.ndarray, u: np.ndarray, dt: float, dyn: Dynamics,
-                      tol: float = 1e-12) -> SegmentMaps:
-    """Second-order jet propagation of (x + dx, u + du) over one segment."""
-    if dt <= 0:
+def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
+                      dyn: Dynamics, tol: float = 1e-12) -> list[SegmentMaps]:
+    """Second-order jet propagation of (x + dx, u + du) over N segments.
+
+    ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)
+    durations are flown in one batch; returns one :class:`SegmentMaps` per
+    row, the same bit for bit as that row linearized on its own.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim != 1 or x.shape != (len(dt), 6) or u.shape != (len(dt), 3):
+        raise PropagationError("need x (N, 6), u (N, 3) and dt (N,)")
+    if np.any(dt <= 0):
         raise PropagationError("segment duration must be positive")
     sp = jet_space(9, 2)
-    xu = variables(sp, np.concatenate([np.asarray(x, float), np.asarray(u, float)]))
-    yj = np.array(xu[:6], dtype=object)
-    uj = xu[6:9]
-    yend = propagate(yj, 0.0, dt, lambda t, y: eom(y, uj, dyn), tol=tol)
+    xu = dajet.identity(sp, np.concatenate([x, u], axis=1))
+    yend = flow_jets(sp, xu[:, :6], 0.0, dt, dyn, u=xu[:, 6:], tol=tol)
 
-    xbar = np.array([yend[i].const for i in range(6)])
-    G = np.array([yend[i].gradient() for i in range(6)])  # 6 x 9
-    A, B = G[:, :6], G[:, 6:9]
-    c = xbar - A @ np.asarray(x, float) - B @ np.asarray(u, float)
-
-    # nonlinearity ratio per input variable: norm over outputs and partners
-    # of the second-derivative coefficients, over the first-order map norm
-    H = np.array([yend[i].hessian() for i in range(6)])  # 6 x 9 x 9
-    g1 = np.linalg.norm(G)
-    if g1 == 0.0:
-        xi = np.zeros(9)
-    else:
-        xi = np.sqrt((H ** 2).sum(axis=(0, 1))) / g1
-    return SegmentMaps(A=A, B=B, c=c, xbar=xbar, xi=xi)
+    maps = []
+    for i, ye in enumerate(yend):
+        xbar = ye[:, 0].copy()
+        G = dajet.gradient(sp, ye)  # 6 x 9
+        A, B = G[:, :6], G[:, 6:9]
+        c = xbar - A @ x[i] - B @ u[i]
+        maps.append(SegmentMaps(A=A, B=B, c=c, xbar=xbar,
+                                xi=dajet.second_order_ratio(sp, ye)))
+    return maps
 
 
 # ---------------------------------------------------------------------

@@ -276,13 +276,16 @@ def _suite_stm():
     """State-transition matrix against finite differences of the flow."""
     dyn = Dynamics.two_body(1.0)
     rng = np.random.default_rng(3)
-    worst = 0.0
+    xs, dts = [], []
     for _ in range(3):
         x = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
         x[:3] += rng.uniform(-0.05, 0.05, 3)
         x[3:] += rng.uniform(-0.05, 0.05, 3)
-        dt = rng.uniform(0.3, 1.5)
-        A = linearize_segment(x, np.zeros(3), dt, dyn).A
+        xs.append(x)
+        dts.append(rng.uniform(0.3, 1.5))
+    segs = linearize_segment(np.array(xs), np.zeros((3, 3)), np.array(dts), dyn)
+    worst = 0.0
+    for x, dt, seg in zip(xs, dts, segs):
         h = 3e-6
         for k in range(6):
             e = np.zeros(6)
@@ -290,7 +293,7 @@ def _suite_stm():
             fp = flow(x + e, 0.0, dt, np.zeros(3), dyn)
             fm = flow(x - e, 0.0, dt, np.zeros(3), dyn)
             fd = (fp - fm) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(A[:, k] - fd))) /
+            worst = max(worst, float(np.max(np.abs(seg.A[:, k] - fd))) /
                         max(float(np.max(np.abs(fd))), 1e-12))
     return worst <= 1e-5, f"max rel err {worst:.2e} (tol 1e-5)"
 

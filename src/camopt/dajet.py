@@ -4,6 +4,11 @@ Jets carry all partial derivatives of a quantity up to a truncation order
 with respect to a set of perturbation variables.  They are the substrate
 for automatic linearization of the dynamics and of the risk maps.
 
+The arithmetic works on coefficient arrays of shape ``(..., size)``, one
+jet per leading index, so that many jets (every state component of every
+segment) go through one call.  :class:`Jet` wraps a single coefficient
+vector as the scalar API of the same kernels.
+
 Everything here is unit-agnostic: callers are expected to work in scaled
 variables.
 """
@@ -78,6 +83,27 @@ class JetSpace:
         self.mul_i = np.array(ii, dtype=np.int64)
         self.mul_j = np.array(jj, dtype=np.int64)
         self.mul_k = np.array(kk, dtype=np.int64)
+        # degree-2 monomials: squares (slot, variable) and mixed terms
+        # (slot, first variable, second variable)
+        sq, mixed = [], []
+        for idx in np.nonzero(self.degrees == 2)[0]:
+            vars_ = np.nonzero(self.exponents[idx])[0]
+            if len(vars_) == 1:
+                sq.append((idx, vars_[0]))
+            else:
+                mixed.append((idx, vars_[0], vars_[1]))
+        self.square_terms = np.array(sq, dtype=np.int64).reshape(-1, 2)
+        self.mixed_terms = np.array(mixed, dtype=np.int64).reshape(-1, 3)
+        self._bins = np.zeros(0, dtype=np.int64)
+
+    def product_bins(self, rows: int) -> np.ndarray:
+        """Output slot ``row * size + mul_k`` of every product term of
+        ``rows`` stacked jets; grown on demand and shared by prefix."""
+        n = rows * len(self.mul_k)
+        if len(self._bins) < n:
+            rows = max(rows, 2 * len(self._bins) // len(self.mul_k))
+            self._bins = (np.arange(rows)[:, None] * self.size + self.mul_k).ravel()
+        return self._bins[:n]
 
     def __repr__(self):
         return f"JetSpace(n_vars={self.n_vars}, order={self.order})"
@@ -85,6 +111,115 @@ class JetSpace:
 
 def jet_space(n_vars: int, order: int) -> JetSpace:
     return _space(n_vars, order)
+
+
+# ---------------------------------------------------------------------
+# kernels on coefficient arrays of shape (..., space.size)
+
+
+def mul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of stacked jets; leading dimensions broadcast.
+
+    One ``bincount`` over all product terms of all jets: each output
+    coefficient sums its terms in multiplication-table order, so a row's
+    result does not depend on the rows stacked with it.
+    """
+    prod = a.take(space.mul_i, axis=-1) * b.take(space.mul_j, axis=-1)
+    shape = prod.shape[:-1] + (space.size,)
+    rows = prod.size // len(space.mul_k)
+    out = np.bincount(space.product_bins(rows), weights=prod.ravel(),
+                      minlength=rows * space.size)
+    return out.reshape(shape)
+
+
+def compose_series(space: JetSpace, x: np.ndarray, derivs) -> np.ndarray:
+    """Apply a scalar function given its derivatives at the constant parts.
+
+    ``derivs[k]`` is the k-th derivative of f at ``x[..., 0]`` for
+    k = 0..order, a scalar or an array of shape ``x.shape[:-1]``.
+    """
+    d = x.copy()  # nilpotent part
+    d[..., 0] += -x[..., 0]
+    out = np.zeros(d.shape)
+    out[..., 0] = derivs[space.order] / math.factorial(space.order)
+    for k in range(space.order - 1, -1, -1):
+        out = mul(space, out, d)
+        out[..., 0] += derivs[k] / math.factorial(k)
+    return out
+
+
+# The derivative series of reciprocal and sqrt are evaluated per jet in
+# Python floats: numpy's vectorized power can differ from libm's pow in the
+# last bit, and a jet must not depend on the jets stacked with it.
+
+
+def reciprocal(space: JetSpace, x: np.ndarray) -> np.ndarray:
+    a = x[..., 0]
+    if (a == 0.0).any():
+        raise DomainError("reciprocal of jet with zero constant part")
+    consts = a.ravel().tolist()
+    derivs = []
+    for k in range(space.order + 1):
+        num = ((-1) ** k) * math.factorial(k)
+        derivs.append(np.array([num / c ** (k + 1) for c in consts]).reshape(a.shape))
+    return compose_series(space, x, derivs)
+
+
+def sqrt(space: JetSpace, x: np.ndarray) -> np.ndarray:
+    a = x[..., 0]
+    if (a <= 0.0).any():
+        raise DomainError("sqrt of jet with non-positive constant part")
+    consts = a.ravel().tolist()
+    derivs, coef = [], 1.0
+    for k in range(space.order + 1):
+        derivs.append(np.array([coef * c ** (0.5 - k) for c in consts]).reshape(a.shape))
+        coef *= 0.5 - k
+    return compose_series(space, x, derivs)
+
+
+def gradient(space: JetSpace, x: np.ndarray) -> np.ndarray:
+    """First-order coefficients, shape ``x.shape[:-1] + (n_vars,)``."""
+    return x.take(space.lin_index, axis=-1)
+
+
+def hessian(space: JetSpace, x: np.ndarray) -> np.ndarray:
+    """Second-derivative matrices from the degree-2 coefficients."""
+    n = space.n_vars
+    H = np.zeros(x.shape[:-1] + (n, n))
+    sq, v = space.square_terms.T
+    H[..., v, v] = 2.0 * x[..., sq]
+    mixed, a, b = space.mixed_terms.T
+    H[..., a, b] = x[..., mixed]
+    H[..., b, a] = x[..., mixed]
+    return H
+
+
+def identity(space: JetSpace, points) -> np.ndarray:
+    """The variables themselves, expanded around each row of ``points``:
+    coefficients of shape ``points.shape + (size,)``."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (space.n_vars,):
+        raise DimensionError("need one expansion point per variable")
+    if space.order < 1:
+        raise DimensionError("order-0 space has no variables")
+    out = np.zeros(points.shape + (space.size,))
+    out[..., 0] = points
+    out[..., np.arange(space.n_vars), space.lin_index] = 1.0
+    return out
+
+
+def second_order_ratio(space: JetSpace, x: np.ndarray) -> np.ndarray:
+    """Nonlinearity per variable of one expansion ``x`` (outputs, size).
+
+    The 2-norm of every second derivative involving the variable, over the
+    norm of the whole first-order map; zero when that map vanishes.
+    """
+    G = gradient(space, x)
+    g1 = np.linalg.norm(G)
+    if g1 == 0.0:
+        return np.zeros(space.n_vars)
+    H = hessian(space, x)
+    return np.sqrt((H ** 2).sum(axis=(0, 1))) / g1
 
 
 class Jet:
@@ -123,24 +258,11 @@ class Jet:
 
     def gradient(self) -> np.ndarray:
         """First-order coefficients, one per variable."""
-        return self.coeffs[self.space.lin_index].copy()
+        return gradient(self.space, self.coeffs)
 
     def hessian(self) -> np.ndarray:
         """Second-derivative matrix assembled from degree-2 coefficients."""
-        sp = self.space
-        if sp.order < 2:
-            return np.zeros((sp.n_vars, sp.n_vars))
-        H = np.zeros((sp.n_vars, sp.n_vars))
-        for idx in np.nonzero(sp.degrees == 2)[0]:
-            e = sp.exponents[idx]
-            vars_ = np.nonzero(e)[0]
-            if len(vars_) == 1:
-                v = vars_[0]
-                H[v, v] = 2.0 * self.coeffs[idx]
-            else:
-                a, b = vars_
-                H[a, b] = H[b, a] = self.coeffs[idx]
-        return H
+        return hessian(self.space, self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Jet"):
@@ -170,9 +292,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            sp = self.space
-            prod = self.coeffs[sp.mul_i] * other.coeffs[sp.mul_j]
-            return Jet(sp, np.bincount(sp.mul_k, weights=prod, minlength=sp.size))
+            return Jet(self.space, mul(self.space, self.coeffs, other.coeffs))
         return Jet(self.space, self.coeffs * float(other))
 
     __rmul__ = __mul__
@@ -200,29 +320,13 @@ class Jet:
         ``derivs[k]`` must be the k-th derivative of f evaluated at
         ``self.const``, for k = 0..order.
         """
-        sp = self.space
-        d = self - self.const  # nilpotent part
-        out = Jet.constant(sp, derivs[sp.order] / math.factorial(sp.order))
-        for k in range(sp.order - 1, -1, -1):
-            out = out * d + derivs[k] / math.factorial(k)
-        return out
+        return Jet(self.space, compose_series(self.space, self.coeffs, derivs))
 
     def reciprocal(self) -> "Jet":
-        a = self.const
-        if a == 0.0:
-            raise DomainError("reciprocal of jet with zero constant part")
-        derivs = [((-1) ** k) * math.factorial(k) / a ** (k + 1) for k in range(self.space.order + 1)]
-        return self.compose_series(derivs)
+        return Jet(self.space, reciprocal(self.space, self.coeffs))
 
     def sqrt(self) -> "Jet":
-        a = self.const
-        if a <= 0.0:
-            raise DomainError("sqrt of jet with non-positive constant part")
-        derivs, coef = [], 1.0
-        for k in range(self.space.order + 1):
-            derivs.append(coef * a ** (0.5 - k))
-            coef *= 0.5 - k
-        return self.compose_series(derivs)
+        return Jet(self.space, sqrt(self.space, self.coeffs))
 
     def exp(self) -> "Jet":
         e = math.exp(self.const)
@@ -251,4 +355,4 @@ def variables(space: JetSpace, consts) -> list[Jet]:
     consts = np.asarray(consts, dtype=float)
     if consts.shape != (space.n_vars,):
         raise DimensionError("need one expansion point per variable")
-    return [Jet.variable(space, v, consts[v]) for v in range(space.n_vars)]
+    return [Jet(space, c) for c in identity(space, consts)]

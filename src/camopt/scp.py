@@ -20,6 +20,7 @@ from .astro import (
     DegenerateEncounterError,
     build_grid,
     flow,
+    flow_jets,
     linearize_segment,
     refine_tca,
 )
@@ -33,7 +34,7 @@ from .convexify import (
     linearize_tpoc,
     project_onto_ellipsoid,
 )
-from .dajet import jet_space, variables
+from .dajet import gradient, identity, jet_space
 from .risk import (
     bplane_basis,
     chan_poc,
@@ -191,25 +192,27 @@ def _node_states(x0: np.ndarray, times: np.ndarray, dyn, u, tol: float) -> np.nd
 
 
 def _stm_track(x0: np.ndarray, times, dyn, tol: float):
-    """Mean and cumulative state transition matrix at each listed epoch."""
+    """Mean and cumulative state transition matrix at each listed epoch.
+
+    Consecutive epochs may run backward in time (a TCA back to t0)."""
     spc = jet_space(6, 1)
-    y = np.array(variables(spc, np.asarray(x0, float)), dtype=object)
+    y = identity(spc, np.asarray(x0, float)[None])
     means = [np.asarray(x0, float)]
     stms = [np.eye(6)]
     for ta, tb in zip(times[:-1], times[1:]):
         if tb != ta:
-            y = flow(y, ta, tb, np.zeros(3), dyn, tol)
-        means.append(np.array([y[i].const for i in range(6)]))
-        stms.append(np.array([y[i].gradient() for i in range(6)]))
+            y = flow_jets(spc, y, ta, tb, dyn, tol=tol)
+        means.append(y[0, :, 0].copy())
+        stms.append(gradient(spc, y[0]))
     return np.array(means), np.array(stms)
 
 
 def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol):
     """Epochs of the locally closest approaches over [t_start, t_end].
 
-    Coarse distance scan along both ballistic paths, then polynomial
-    refinement of every local minimum.  The starting epoch itself counts
-    when the distance grows away from it.
+    Coarse distance scan along both ballistic paths, then a Newton
+    refinement (:func:`refine_tca`) of every local minimum.  The starting
+    epoch itself counts when the distance grows away from it.
     """
     if t_end - t_start < 0.05 * period:
         return [t_start]
@@ -824,8 +827,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                        0.0, tpoc_final, tipoc)
 
     def relinearize(uf):
-        segs = [linearize_segment(x_ref[i], uf[i] * u_scale, grid.dt[i],
-                                  dyn, tol=cfg.integ_tol) for i in range(N)]
+        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn,
+                                 tol=cfg.integ_tol)
         r3 = _impulse_responses(segs, grid)
         for ch in st_channels:
             ch.M = np.einsum("dr,mrc->mdc", ch.basis, r3(ch.node))

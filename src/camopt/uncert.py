@@ -10,8 +10,8 @@ from importlib import resources
 import numpy as np
 
 from . import CamoptError
-from .astro import Dynamics, eom, propagate
-from .dajet import jet_space, variables
+from .astro import Dynamics, PropagationError, flow_jets
+from .dajet import identity, jet_space, second_order_ratio
 
 
 class UncertaintyError(CamoptError):
@@ -82,15 +82,12 @@ def nonlinearity_index(x: np.ndarray, dt: float, dyn: Dynamics,
     For each input variable, the 2-norm of all second-order coefficients of
     the propagated state over the norm of the first-order map.
     """
+    if dt < 0:
+        raise PropagationError("nonlinearity index needs a forward span")
     sp = jet_space(6, 2)
-    yj = np.array(variables(sp, np.asarray(x, float)), dtype=object)
-    yend = propagate(yj, 0.0, dt, lambda t, y: eom(y, (0.0, 0.0, 0.0), dyn), tol=tol)
-    G = np.array([yend[i].gradient() for i in range(6)])
-    H = np.array([yend[i].hessian() for i in range(6)])
-    g1 = np.linalg.norm(G)
-    if g1 == 0.0:
-        return np.zeros(6)
-    return np.sqrt((H ** 2).sum(axis=(0, 1))) / g1
+    yend = flow_jets(sp, identity(sp, np.asarray(x, float)[None]), 0.0, dt,
+                     dyn, tol=tol)
+    return second_order_ratio(sp, yend[0])
 
 
 def split_direction(nli: np.ndarray, P: np.ndarray) -> np.ndarray:

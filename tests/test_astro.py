@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from camopt import astro
 from camopt.astro import (
     GM_EARTH,
     J2_EARTH,
@@ -101,7 +102,8 @@ class TestLinearization:
         self.dt = 300.0
 
     def test_stm_matches_finite_differences(self):
-        seg = linearize_segment(self.x0, self.u0, self.dt, self.dyn, tol=1e-13)
+        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)[0]
         eps = 1e-4
         Afd = np.zeros((6, 6))
         for j in range(6):
@@ -116,31 +118,94 @@ class TestLinearization:
 
     def test_control_map_impulse_pattern(self):
         # for a short segment B ~ [dt^2/2 I; dt I]
-        seg = linearize_segment(self.x0, self.u0, self.dt, self.dyn, tol=1e-13)
+        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)[0]
         assert np.allclose(np.diag(seg.B[:3]), 0.5 * self.dt ** 2, rtol=0.05)
         assert np.allclose(np.diag(seg.B[3:]), self.dt, rtol=0.05)
 
     def test_residual_closes_reference(self):
-        seg = linearize_segment(self.x0, self.u0, self.dt, self.dyn, tol=1e-13)
+        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)[0]
         xref = flow(self.x0, 0, self.dt, self.u0, self.dyn, 1e-13)
         recon = seg.A @ self.x0 + seg.B @ self.u0 + seg.c
         assert np.max(np.abs(recon - xref)) < 1e-7
 
     def test_endpoint_prediction_second_order(self):
         # the linear maps should predict a perturbed endpoint to first order
-        seg = linearize_segment(self.x0, self.u0, self.dt, self.dyn, tol=1e-13)
+        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)[0]
         dx = np.array([0.5, -0.3, 0.2, 1e-4, -2e-4, 1e-4])
         xpert = flow(self.x0 + dx, 0, self.dt, self.u0, self.dyn, 1e-13)
         pred = seg.A @ (self.x0 + dx) + seg.c
         assert np.linalg.norm(xpert - pred) < 1e-3 * np.linalg.norm(dx)
 
     def test_nonlinearity_index_shape_and_sign(self):
-        seg = linearize_segment(self.x0, self.u0, self.dt, self.dyn, tol=1e-12)
+        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-12)[0]
         assert seg.xi.shape == (9,)
         assert np.all(seg.xi >= 0)
         # position perturbations excite nonlinearity more weakly per km
         # than control per unit acceleration over a short arc
         assert seg.xi[0] < seg.xi[6]
+
+
+class TestBatchedLinearization:
+    @pytest.mark.parametrize("dyn", [Dynamics.two_body(1.0),
+                                     Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)],
+                             ids=["two_body", "j2"])
+    def test_rows_match_single_row_calls(self, dyn, monkeypatch):
+        # scaled units: radius 1, one orbit is 2 pi
+        rng = np.random.default_rng(4)
+        r = 1.0 + 0.006 * np.arange(7)
+        incl = 0.15 * np.arange(7)
+        x = np.column_stack([r, 0 * r, 0 * r, 0 * r, np.cos(incl) / np.sqrt(r),
+                             np.sin(incl) / np.sqrt(r)])
+        x[:, 3:] += rng.uniform(-1e-3, 1e-3, (7, 3))
+        u = rng.uniform(-1e-3, 1e-3, (7, 3))
+        # grid segments of 0.12, one split by a TCA node into 0.0046 + 0.1154,
+        # and a row of 1.9
+        dt = np.array([0.12, 0.12, 0.0046, 0.1154, 0.12, 1.9, 0.12])
+        batch = linearize_segment(x, u, dt, dyn)
+
+        calls = []
+        counted = astro._eom_jets
+        monkeypatch.setattr(astro, "_eom_jets",
+                            lambda *a: calls.append(1) or counted(*a))
+        evals = []
+        for i in range(7):
+            calls.clear()
+            one = linearize_segment(x[i:i + 1], u[i:i + 1], dt[i:i + 1], dyn)[0]
+            evals.append(len(calls))
+            for name in ("A", "B", "c", "xbar", "xi"):
+                assert np.array_equal(getattr(batch[i], name), getattr(one, name)), \
+                    (i, name)
+        # the first trial step spans the whole segment and takes 13
+        # evaluations: the short TCA segment is done in it, the long row
+        # rejects it while the batch moves the other rows on
+        assert evals[2] == 13
+        assert evals[5] > 13
+
+    def test_second_order_ratio_matches_differenced_maps(self):
+        # xi is built from the second-order coefficients of the end state;
+        # central differences of the first-order maps give the same Hessian
+        dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
+        z0 = np.array([1.02, 0.01, 0.03, -0.02, 0.98, 0.12, 1e-3, -2e-3, 5e-4])
+        h = 1e-4
+        z = np.array([z0] + [z0 + s * h * e for e in np.eye(9) for s in (1.0, -1.0)])
+        segs = linearize_segment(z[:, :6], z[:, 6:], np.full(len(z), 0.4), dyn,
+                                 tol=1e-13)
+        G = [np.hstack([seg.A, seg.B]) for seg in segs]
+        H = np.stack([(G[1 + 2 * b] - G[2 + 2 * b]) / (2.0 * h) for b in range(9)],
+                     axis=2)
+        xi = np.sqrt((H ** 2).sum(axis=(0, 1))) / np.linalg.norm(G[0])
+        assert np.allclose(segs[0].xi, xi, rtol=1e-5, atol=0.0)
+
+    def test_bad_shapes_rejected(self):
+        x = circular_state(6928.0)
+        with pytest.raises(PropagationError):
+            linearize_segment(x, np.zeros(3), 60.0, Dynamics.two_body())
+        with pytest.raises(PropagationError):
+            linearize_segment(x[None], np.zeros((1, 3)), [0.0], Dynamics.two_body())
 
 
 class TestGrid:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow
 from camopt.scenario import Config, load_scenario
 from camopt.scp import (
     ScpError,
     _cheapest_exit,
     _exit_table,
     _select_anchors,
+    _stm_track,
     _table_cost,
     adapt_limits,
     solve,
@@ -29,6 +31,29 @@ def two_cdm():
 @pytest.fixture(scope="module")
 def sol2():
     return solve(two_cdm(), Config())
+
+
+# ---------------------------------------------------------------------
+# state transition tracks
+
+
+class TestStmTrack:
+    def test_backward_span_from_tca(self):
+        # long-term channels track from the TCA back to t0, then forward
+        # through the grid (scaled units, one orbit is 2 pi)
+        dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
+        x_tca = np.array([0.3, 0.95, 0.1, -0.97, 0.28, 0.2])
+        times = [2.0, 0.0, 0.7, 1.4, 2.0, 2.6]
+        means, stms = _stm_track(x_tca, times, dyn, 1e-12)
+
+        x = x_tca
+        for k, (ta, tb) in enumerate(zip(times[:-1], times[1:])):
+            x = flow(x, ta, tb, np.zeros(3), dyn)
+            assert np.max(np.abs(means[k + 1] - x)) < 1e-10
+
+        _, fwd = _stm_track(means[1], [0.0, 2.0], dyn, 1e-12)
+        assert np.max(np.abs(stms[1] @ fwd[1] - np.eye(6))) < 1e-9
+        assert np.max(np.abs(fwd[1] @ stms[1] - np.eye(6))) < 1e-9
 
 
 # ---------------------------------------------------------------------

@@ -119,7 +119,7 @@ class TestNonlinearity:
         dyn = Dynamics.two_body()
         r = 6928.0
         x = np.array([r, 0, 0, 0, math.sqrt(GM_EARTH / r), 0.0])
-        seg = linearize_segment(x, np.zeros(3), 300.0, dyn)
+        seg = linearize_segment(x[None], np.zeros((1, 3)), [300.0], dyn)[0]
         nli = nonlinearity_index(x, 300.0, dyn)
         # the 9-variable segment index adds control cross terms and a larger
         # first-order norm, but the state ranking must agree and the two
@@ -136,7 +136,7 @@ class TestCovariancePropagation:
         x = np.array([r, 0, 0, 0, math.sqrt(GM_EARTH / r), 0.0])
         dt = 600.0
         P0 = np.diag([1e-4, 1e-4, 1e-4, 1e-10, 1e-10, 1e-10])
-        seg = linearize_segment(x, np.zeros(3), dt, dyn)
+        seg = linearize_segment(x[None], np.zeros((1, 3)), [dt], dyn)[0]
         P1 = seg.A @ P0 @ seg.A.T
 
         rng = np.random.default_rng(0)
