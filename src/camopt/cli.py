@@ -121,6 +121,7 @@ def emit(sol, scenario, out_dir):
             "e_major": _num(rec.e_major), "e_minor": _num(rec.e_minor),
             "objective": _num(rec.objective),
             "dv_mm_s": _num(rec.dv_mm_s), "vc_max": _num(rec.vc_max),
+            "ipm_iters": rec.ipm_iters,
         } for rec in sol.log],
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -359,12 +360,16 @@ def _suite_projection():
 
 
 def _suite_socp():
-    """Cone solver on random feasible problems: KKT residuals and gap."""
+    """Cone solver on random feasible problems: KKT residuals and gap.
+
+    Besides small mixed cones, draws cover problems without equality rows
+    and the 7-dimensional cones of the virtual controls.
+    """
     rng = np.random.default_rng(17)
     worst = 0.0
-    for _ in range(50):
-        n, p, l = 6, 2, 3
-        socs = [3, 4]
+    shapes = ([(6, 2, 3, [3, 4])] * 50 + [(8, 0, 3, [3, 7])] * 10
+              + [(12, 3, 2, [7, 4, 7])] * 10)
+    for n, p, l, socs in shapes:
         m = l + sum(socs)
         A = rng.standard_normal((p, n))
         G = rng.standard_normal((m, n))
@@ -394,7 +399,7 @@ def _suite_socp():
         for q in socs:
             margin = min(margin, s[off] - np.linalg.norm(s[off + 1:off + q]))
             off += q
-        eq = float(np.max(np.abs(prob.A @ res.x - prob.b)))
+        eq = float(np.max(np.abs(prob.A @ res.x - prob.b), initial=0.0))
         worst = max(worst, -min(margin, 0.0), eq, res.gap, res.pres, res.dres)
     return worst <= 1e-5, f"max residual {worst:.2e} (tol 1e-5)"
 

@@ -132,6 +132,7 @@ class IterationRecord:
     objective: float
     dv_mm_s: float
     vc_max: float
+    ipm_iters: int  # interior-point iterations over the major's cone solves
 
 
 @dataclass
@@ -919,7 +920,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 tp_grid = _grid_tpoc(st_channels, lt_channels, ref_pos)
                 if tp_ref > 0.0 and tp_grid > 0.0:
                     cap = cfg.total_limit * tp_grid / tp_ref
-            minors, e_m = 0, math.inf
+            minors, e_m, ipm_iters = 0, math.inf, 0
             u_anchor, obj_hist, nu_mult = u_frac, [], 1.0
             while True:
                 rows = _risk_rows(stage, cfg, st_channels, lt_channels,
@@ -932,6 +933,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                 u_prev=u_anchor if stage != "smd" else None,
                                 prox=0.05)
                 res = socp_solve(prob.to_socp(), settings)
+                ipm_iters += res.iterations
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -979,7 +981,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             log.append(IterationRecord(major=major, minors=minors,
                                        e_major=e_M, e_minor=e_m,
                                        objective=res.obj, dv_mm_s=dv,
-                                       vc_max=vc_max))
+                                       vc_max=vc_max, ipm_iters=ipm_iters))
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate

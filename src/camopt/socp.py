@@ -9,7 +9,8 @@ algorithm runs Mehrotra predictor-corrector steps on the homogeneous
 self-dual embedding with Nesterov-Todd scaling, so infeasible and unbounded
 problems are detected through certificates instead of divergence.  The KKT
 system is factored sparse with a small static regularization and polished
-by iterative refinement.
+by iterative refinement; its CSC pattern is built once per solve, and each
+iteration only refills the values of the scaling block before the LU.
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ class _Scaling:
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
         return self._hyp_apply(v, -1.0)
 
-    def w2_matrix(self) -> sp.csc_matrix:
+    def w2_values(self) -> np.ndarray:
+        """W^2 as values in the order of ``_Cone.w2_rows``/``w2_cols``."""
         # H^2 = 2 wbar wbar' + diag(-1, I) for a unit hyperbolic wbar
         l = self.cone.dims.nonneg
         parts = [self.w_lp ** 2] if l else []
@@ -258,42 +260,94 @@ class _Scaling:
             B[:, 0, 0] -= 1.0
             B[:, np.arange(1, q), np.arange(1, q)] += 1.0
             parts.append(((eta ** 2)[:, None, None] * B).ravel())
-        vals = np.concatenate(parts) if parts else np.zeros(0)
-        total = self.cone.dims.total
-        return sp.csc_matrix((vals, (self.cone.w2_rows, self.cone.w2_cols)),
-                             shape=(total, total))
+        return np.concatenate(parts) if parts else np.zeros(0)
 
 
 # ---------------------------------------------------------------------
 # solver
 
 
-def _kkt_factor(A, G, W2, reg, n, p, m):
-    K = sp.bmat([
-        [sp.diags(np.full(n, reg)), A.T, G.T],
-        [A, -sp.diags(np.full(p, reg)) if p else None, None],
-        [G, None, -(W2 + sp.diags(np.full(m, reg)))],
-    ], format="csc")
-    return splu(K), K
+def _csc_layout(rows, cols, ncols):
+    """Canonical CSC order of (rows, cols): by column, rows sorted within.
+
+    Returns the permutation into that order and the column pointer.
+    """
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(ncols + 1, np.int32)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+    return order, indptr
 
 
-def _kkt_solve(lu, A, G, W2, rx, ry, rz, refine=1):
-    rhs = np.concatenate([rx, ry, rz])
-    sol = lu.solve(rhs)
-    n, p = len(rx), len(ry)
-    for _ in range(refine):
-        x, y, z = sol[:n], sol[n:n + p], sol[n + p:]
-        res = rhs - np.concatenate([
-            A.T @ y + G.T @ z,
-            A @ x,
-            G @ x - W2 @ z,
-        ])
-        sol = sol + lu.solve(res)
-    return sol[:n], sol[n:n + p], sol[n + p:]
+class _Kkt:
+    """The KKT matrix of the embedding on a sparsity pattern fixed per solve.
+
+        [ reg I    A'       G'            ]
+        [ A       -reg I                  ]
+        [ G               -(W2 + reg I)   ]
+
+    The CSC structure, in the canonical order ``sp.bmat`` emits, is laid
+    out once from A, G and the (3,3) block's pattern (rows, cols); each
+    factorization writes only that block's values into their slots.  A' and
+    G' are kept as CSR views for the residuals and the refinement.
+    """
+
+    def __init__(self, A, G, reg, rows, cols):
+        self.A, self.G = A, G
+        self.AT, self.GT = A.T, G.T
+        p, n = A.shape
+        m = G.shape[0]
+        a, g = A.tocoo(), G.tocoo()
+        dn, dp = np.arange(n), np.arange(p)
+        kr = np.concatenate([dn, a.col, g.col, n + a.row, n + dp,
+                             n + p + g.row, n + p + rows])
+        kc = np.concatenate([dn, n + a.row, n + p + g.row, a.col, n + dp,
+                             g.col, n + p + cols])
+        vals = np.concatenate([np.full(n, reg), a.data, g.data, a.data,
+                               np.full(p, -reg), g.data, np.zeros(len(rows))])
+        order, self.indptr = _csc_layout(kr, kc, n + p + m)
+        self.indices = kr[order].astype(np.int32)
+        self.base = vals[order]
+        pos = np.empty(len(order), np.intp)
+        pos[order] = np.arange(len(order))
+        self.slots = pos[len(order) - len(rows):]
+        self.reg_diag = np.where(rows == cols, reg, 0.0)
+        self.w2_order, self.w2_indptr = _csc_layout(rows, cols, m)
+        self.w2_indices = rows[self.w2_order].astype(np.int32)
+        self.shape = (n + p + m, n + p + m)
+        self.m = m
+        self.lu = self.W2 = None
+
+    def matrix(self, w2: np.ndarray) -> sp.csc_matrix:
+        """K for the (3,3) block values ``w2`` given in pattern order."""
+        data = self.base.copy()
+        data[self.slots] = -(w2 + self.reg_diag)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def factor(self, w2: np.ndarray):
+        self.lu = splu(self.matrix(w2))
+        self.W2 = sp.csc_matrix((w2[self.w2_order], self.w2_indices,
+                                 self.w2_indptr), shape=(self.m, self.m))
+
+    def solve(self, rx, ry, rz, refine=1):
+        rhs = np.concatenate([rx, ry, rz])
+        sol = self.lu.solve(rhs)
+        n, p = len(rx), len(ry)
+        for _ in range(refine):
+            x, y, z = sol[:n], sol[n:n + p], sol[n + p:]
+            res = rhs - np.concatenate([
+                self.AT @ y + self.GT @ z,
+                self.A @ x,
+                self.G @ x - self.W2 @ z,
+            ])
+            sol = sol + self.lu.solve(res)
+        return sol[:n], sol[n:n + p], sol[n + p:]
 
 
 def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> SolveResult:
     prob.validate()
+    if settings.max_iter < 1:
+        raise SolverError("max_iter must be at least 1")
     c = np.asarray(prob.c, float)
     b = np.asarray(prob.b, float)
     h = np.asarray(prob.h, float)
@@ -307,14 +361,15 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
     deg = prob.dims.degree
 
     # -- initial point from two least-squares KKT solves with W = I
-    I_m = sp.identity(m, format="csc")
-    lu, _ = _kkt_factor(A, G, I_m, settings.kkt_reg, n, p, m)
-    x, y0, zhat = _kkt_solve(lu, A, G, I_m, np.zeros(n), b, h)
+    diag = np.arange(m)
+    kkt = _Kkt(A, G, settings.kkt_reg, diag, diag)
+    kkt.factor(np.ones(m))
+    x, y0, zhat = kkt.solve(np.zeros(n), b, h)
     s = -zhat
     alpha = -cone.margin(s)
     if alpha >= 0:
         s = s + (1.0 + alpha) * e
-    _, y, z = _kkt_solve(lu, A, G, I_m, -c, np.zeros(p), np.zeros(m))
+    _, y, z = kkt.solve(-c, np.zeros(p), np.zeros(m))
     alpha = -cone.margin(z)
     if alpha >= 0:
         z = z + (1.0 + alpha) * e
@@ -324,11 +379,15 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
     resy0 = max(1.0, np.linalg.norm(b))
     resz0 = max(1.0, np.linalg.norm(h))
 
-    status = "max_iter"
+    kkt = _Kkt(A, G, settings.kkt_reg, cone.w2_rows, cone.w2_cols)
+    AT, GT = kkt.AT, kkt.GT
+    # "numerical" marks a stop before the limit: the iterate left the cone,
+    # the step or tau/kappa degenerated
+    status = "numerical"
     pres = dres = gap = np.inf
     for it in range(settings.max_iter):
         # residuals of the embedding
-        rx = A.T @ y + G.T @ z + c * tau
+        rx = AT @ y + GT @ z + c * tau
         ry = A @ x - b * tau
         rz = s + G @ x - h * tau
         rt = kappa + c @ x + b @ y + h @ z
@@ -348,7 +407,7 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         # infeasibility certificates
         hz_by = h @ z + b @ y
         if hz_by < -1e-12:
-            if np.linalg.norm(A.T @ y + G.T @ z) / resx0 <= -settings.feastol * hz_by:
+            if np.linalg.norm(AT @ y + GT @ z) / resx0 <= -settings.feastol * hz_by:
                 return SolveResult(status="infeasible", x=None, obj=np.nan,
                                    iterations=it, pres=pres, dres=dres, gap=gap)
         cx = c @ x
@@ -364,11 +423,10 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         except SolverError:
             break
         lam = Wsc.apply(z)
-        W2 = Wsc.w2_matrix()
-        lu, _ = _kkt_factor(A, G, W2, settings.kkt_reg, n, p, m)
+        kkt.factor(Wsc.w2_values())
 
         # constant right-hand side (-c, b, h)
-        x1, y1, z1 = _kkt_solve(lu, A, G, W2, -c, b, h)
+        x1, y1, z1 = kkt.solve(-c, b, h)
         dg = c @ x1 + b @ y1 + h @ z1 - kappa / tau
         if dg == 0.0:
             break
@@ -379,7 +437,7 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
             dk_rhs = -tau * kappa + sigma * mu + dk_corr
             ws = cone.circ_div(lam, ds_rhs)
             bz = -fac * rz - Wsc.apply(ws)
-            x2, y2, z2 = _kkt_solve(lu, A, G, W2, -fac * rx, -fac * ry, bz)
+            x2, y2, z2 = kkt.solve(-fac * rx, -fac * ry, bz)
             dtau = (-fac * rt - dk_rhs / tau - (c @ x2 + b @ y2 + h @ z2)) / dg
             dx = x2 + dtau * x1
             dy = y2 + dtau * y1
@@ -417,6 +475,8 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         kappa += a * dkappa
         if tau <= 0 or kappa <= 0:
             break
+    else:
+        status = "max_iter"
 
     xs = x / tau
     return SolveResult(status=status, x=xs, obj=float(c @ xs),

@@ -73,6 +73,13 @@ class TestSolveArtifacts:
             norm = math.hypot(float(r[5]), float(r[6]))
             assert norm >= 1.0 - 1e-6
 
+    def test_iteration_log_counts_ipm_iterations(self, solved_dir):
+        log = json.load(open(solved_dir / "summary.json"))["iteration_log"]
+        assert log
+        for rec in log:
+            assert isinstance(rec["ipm_iters"], int)
+            assert rec["ipm_iters"] >= rec["minors"]
+
     def test_summary_round_trips_through_json(self, solved_dir):
         raw = (solved_dir / "summary.json").read_text()
         doc = json.loads(raw)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camopt import scp
 from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow
 from camopt.scenario import Config, load_scenario
+from camopt.socp import solve as socp_solve
 from camopt.scp import (
     ScpError,
     _cheapest_exit,
@@ -215,6 +217,19 @@ class TestSolve:
         again = solve(two_cdm(), Config())
         assert again.dv_mm_s == sol2.dv_mm_s
         assert np.array_equal(again.u_frac, sol2.u_frac)
+
+    def test_ipm_iters_sum_each_majors_cone_solves(self, monkeypatch):
+        calls = []
+
+        def counted(prob, settings):
+            res = socp_solve(prob, settings)
+            calls.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(scp, "socp_solve", counted)
+        res = solve(two_cdm(), Config())
+        assert sum(rec.ipm_iters for rec in res.log) == sum(calls)
+        assert all(rec.ipm_iters >= rec.minors for rec in res.log)
 
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
+from camopt import socp
 from camopt.socp import (
     ConeDims,
     SocpProblem,
@@ -22,10 +24,12 @@ def lp_ge(c, lhs, rhs):
                        dims=ConeDims(nonneg=len(rhs)))
 
 
-def random_feasible(rng, n, p, l, socs):
+def random_feasible(rng, n, p, l, socs, density=1.0):
     m = l + sum(socs)
     A = rng.standard_normal((p, n))
     G = rng.standard_normal((m, n))
+    if density < 1.0:
+        G[rng.random(G.shape) > density] = 0.0
 
     def interior(v):
         v = v.copy()
@@ -201,4 +205,123 @@ class TestValidation:
                            G=sp.csc_matrix(G), h=np.abs(rng.standard_normal(6)),
                            dims=ConeDims(nonneg=6))
         r = solve(prob, SolverSettings(max_iter=30))
-        assert r.status in {"optimal", "infeasible", "unbounded", "max_iter"}
+        assert r.status in {"optimal", "infeasible", "unbounded", "max_iter",
+                            "numerical"}
+
+    def test_zero_iteration_limit_rejected(self):
+        with pytest.raises(SolverError):
+            solve(lp_ge([1.0], [[1.0]], [1.0]), SolverSettings(max_iter=0))
+
+
+class TestEarlyStop:
+    def test_scaling_failure_reports_numerical(self, monkeypatch):
+        class Broken:
+            def __init__(self, cone, s, z):
+                raise SolverError("iterate left the cone interior")
+
+        monkeypatch.setattr(socp, "_Scaling", Broken)
+        r = solve(lp_ge([1.0], [[1.0]], [1.0]))
+        assert r.status == "numerical"
+        assert r.iterations == 1
+
+    def test_iteration_limit_reports_max_iter(self):
+        rng = np.random.default_rng(3)
+        r = solve(random_feasible(rng, 12, 3, 4, [3, 4]),
+                  SolverSettings(max_iter=2))
+        assert r.status == "max_iter"
+        assert r.iterations == 2
+
+
+# ---------------------------------------------------------------------
+# the cached KKT pattern against the matrix sp.bmat assembles
+
+
+MIXED_SOCS = [3, 4, 7, 3, 7]
+
+
+def reference_kkt(A, G, w2, rows, cols, reg):
+    """Reference K and W2, assembled by `sp.bmat` and from COO triplets."""
+    p, n = A.shape
+    m = G.shape[0]
+    W2 = sp.csc_matrix((w2, (rows, cols)), shape=(m, m))
+    K = sp.bmat([
+        [sp.diags(np.full(n, reg)), A.T, G.T],
+        [A, -sp.diags(np.full(p, reg)) if p else None, None],
+        [G, None, -(W2 + sp.diags(np.full(m, reg)))],
+    ], format="csc")
+    return K, W2
+
+
+class ReferenceKkt(socp._Kkt):
+    """Factors the K that ``sp.bmat`` assembles from the same inputs."""
+
+    def __init__(self, A, G, reg, rows, cols):
+        super().__init__(A, G, reg, rows, cols)
+        self.inputs = (A, G, rows, cols, reg)
+
+    def factor(self, w2):
+        A, G, rows, cols, reg = self.inputs
+        K, self.W2 = reference_kkt(A, G, w2, rows, cols, reg)
+        self.lu = splu(K)
+
+
+def interior_point(rng, dims):
+    v = rng.standard_normal(dims.total)
+    v[:dims.nonneg] = np.abs(v[:dims.nonneg]) + 0.1
+    off = dims.nonneg
+    for q in dims.soc:
+        v[off] = np.linalg.norm(v[off + 1:off + q]) + 0.1
+        off += q
+    return v
+
+
+def block_pattern(rng, prob, kind):
+    """(rows, cols, values) of the (3,3) block for W = I or an NT point."""
+    cone = socp._Cone(prob.dims)
+    m = prob.dims.total
+    if kind == "identity":
+        return np.arange(m), np.arange(m), np.ones(m)
+    s, z = interior_point(rng, prob.dims), interior_point(rng, prob.dims)
+    w2 = socp._Scaling(cone, s, z).w2_values()
+    return cone.w2_rows, cone.w2_cols, w2
+
+
+def assert_same_csc(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+class TestCachedKkt:
+    @pytest.mark.parametrize("kind", ["identity", "nt"])
+    @pytest.mark.parametrize("p", [0, 4])
+    def test_matches_bmat_assembly(self, p, kind):
+        rng = np.random.default_rng(11 + p)
+        reg = SolverSettings().kkt_reg
+        for density in (1.0, 0.4):
+            prob = random_feasible(rng, 15, p, 5, MIXED_SOCS, density)
+            A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+            rows, cols, w2 = block_pattern(rng, prob, kind)
+            kkt = socp._Kkt(A, G, reg, rows, cols)
+            K_ref, W2_ref = reference_kkt(A, G, w2, rows, cols, reg)
+            assert_same_csc(kkt.matrix(w2), K_ref)
+            kkt.factor(w2)
+            assert_same_csc(kkt.W2, W2_ref)
+            # refilled: a second set of values lands in the same slots
+            rows, cols, w2 = block_pattern(rng, prob, kind)
+            assert_same_csc(kkt.matrix(w2),
+                            reference_kkt(A, G, w2, rows, cols, reg)[0])
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_solve_bit_identical_to_bmat_assembly(self, p, monkeypatch):
+        rng = np.random.default_rng(23 + p)
+        probs = [random_feasible(rng, 14, p, 4, MIXED_SOCS, density)
+                 for density in (1.0, 0.5, 0.5)]
+        fast = [solve(prob) for prob in probs]
+        monkeypatch.setattr(socp, "_Kkt", ReferenceKkt)
+        for prob, r in zip(probs, fast):
+            ref = solve(prob)
+            assert r.status == ref.status == "optimal"
+            assert r.iterations == ref.iterations
+            for a, b in ((r.x, ref.x), (r.y, ref.y), (r.z, ref.z)):
+                assert np.array_equal(a, b)
