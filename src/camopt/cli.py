@@ -33,7 +33,7 @@ from .scenario import (
     scaled_dynamics,
 )
 from .scp import ScpError, solve
-from .socp import SocpProblem, ConeDims, solve as socp_solve
+from .socp import SocpProblem, ConeDims, _Cone, solve as socp_solve
 from .uncert import nonlinearity_index, split_direction, split_gaussian
 
 import scipy.sparse as sparse
@@ -122,6 +122,11 @@ def emit(sol, scenario, out_dir):
             "objective": _num(rec.objective),
             "dv_mm_s": _num(rec.dv_mm_s), "vc_max": _num(rec.vc_max),
             "ipm_iters": rec.ipm_iters,
+            "cone_solves": [{
+                "status": cs["status"], "iterations": cs["iterations"],
+                "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
+                "gap": _num(cs["gap"]),
+            } for cs in rec.cone_solves],
         } for rec in sol.log],
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -359,6 +364,27 @@ def _suite_projection():
     return worst <= 1e-4, f"max boundary err {worst:.2e} (tol 1e-4)"
 
 
+def _interior(v, l, socs):
+    """v moved into the interior of R+^l x SOC(socs), 0.1 from the edge."""
+    v = v.copy()
+    v[:l] = np.abs(v[:l]) + 0.1
+    off = l
+    for q in socs:
+        v[off] = np.linalg.norm(v[off + 1:off + q]) + 0.1
+        off += q
+    return v
+
+
+def _cone_margin(v, l, socs):
+    """Smallest slack of v to the boundary of R+^l x SOC(socs)."""
+    margin = float(np.min(v[:l], initial=np.inf))
+    off = l
+    for q in socs:
+        margin = min(margin, v[off] - np.linalg.norm(v[off + 1:off + q]))
+        off += q
+    return margin
+
+
 def _suite_socp():
     """Cone solver on random feasible problems: KKT residuals and gap.
 
@@ -373,19 +399,9 @@ def _suite_socp():
         m = l + sum(socs)
         A = rng.standard_normal((p, n))
         G = rng.standard_normal((m, n))
-
-        def interior(v):
-            v = v.copy()
-            v[:l] = np.abs(v[:l]) + 0.1
-            off = l
-            for q in socs:
-                v[off] = np.linalg.norm(v[off + 1:off + q]) + 0.1
-                off += q
-            return v
-
         x0 = rng.standard_normal(n)
-        s0 = interior(rng.standard_normal(m))
-        z0 = interior(rng.standard_normal(m))
+        s0 = _interior(rng.standard_normal(m), l, socs)
+        z0 = _interior(rng.standard_normal(m), l, socs)
         prob = SocpProblem(c=-(G.T @ z0 + A.T @ rng.standard_normal(p)),
                            A=sparse.csc_matrix(A), b=A @ x0,
                            G=sparse.csc_matrix(G), h=G @ x0 + s0,
@@ -393,15 +409,43 @@ def _suite_socp():
         res = socp_solve(prob)
         if res.status != "optimal":
             return False, f"status {res.status} on a feasible problem"
-        s = prob.h - prob.G @ res.x
-        margin = float(np.min(s[:l]))
-        off = l
-        for q in socs:
-            margin = min(margin, s[off] - np.linalg.norm(s[off + 1:off + q]))
-            off += q
+        margin = _cone_margin(prob.h - prob.G @ res.x, l, socs)
         eq = float(np.max(np.abs(prob.A @ res.x - prob.b), initial=0.0))
         worst = max(worst, -min(margin, 0.0), eq, res.gap, res.pres, res.dres)
     return worst <= 1e-5, f"max residual {worst:.2e} (tol 1e-5)"
+
+
+def _suite_cone_step():
+    """Closed-form step to the cone boundary against bisection.
+
+    Random interior points of an orthant plus 3-, 4- and 7-dimensional
+    cones, moved along random directions.
+    """
+    rng = np.random.default_rng(19)
+    socs = [3, 4, 7]
+    worst = 0.0
+    for _ in range(200):
+        l = int(rng.integers(1, 6))
+        cone = _Cone(ConeDims(nonneg=l, soc=tuple(socs)))
+        m = l + sum(socs)
+        v = _interior(rng.standard_normal(m), l, socs)
+        dv = rng.standard_normal(m) * rng.uniform(0.1, 10.0)
+        got = cone.max_step(v, dv)
+        lo, hi = 0.0, 1e12
+        if _cone_margin(v + hi * dv, l, socs) >= 0.0:
+            lo = math.inf
+        else:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if _cone_margin(v + mid * dv, l, socs) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+        if math.isfinite(lo):
+            worst = max(worst, abs(got - lo) / lo)
+        elif got != lo:
+            worst = math.inf
+    return worst <= 1e-9, f"max rel err {worst:.2e} (tol 1e-9)"
 
 
 _SUITES = [
@@ -411,6 +455,7 @@ _SUITES = [
     ("instantaneous PoC vs Monte Carlo", _suite_ipoc),
     ("equivalent B-plane vs boundary scan", _suite_projection),
     ("cone solver residuals on random problems", _suite_socp),
+    ("cone step to boundary vs bisection", _suite_cone_step),
 ]
 
 

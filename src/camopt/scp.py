@@ -132,7 +132,13 @@ class IterationRecord:
     objective: float
     dv_mm_s: float
     vc_max: float
-    ipm_iters: int  # interior-point iterations over the major's cone solves
+    # one {status, iterations, pres, dres, gap} per cone solve of the major
+    cone_solves: list
+
+    @property
+    def ipm_iters(self) -> int:
+        """Interior-point iterations over the major's cone solves."""
+        return sum(cs["iterations"] for cs in self.cone_solves)
 
 
 @dataclass
@@ -608,6 +614,13 @@ def _lt_active_nodes(ch: LongChannel, ref_pos: np.ndarray) -> list:
     return out
 
 
+def _revisits(obj: float, history, rtol: float = 1e-5) -> bool:
+    """True when ``obj`` repeats an earlier objective of ``history`` to
+    ``rtol``: the minor iterations run a limit cycle, of any period."""
+    tol = rtol * max(abs(obj), 1e-12)
+    return any(abs(obj - past) <= tol for past in history)
+
+
 def _grid_tpoc(st_channels, lt_channels, ref_pos) -> float:
     """Total probability with every encounter held at its grid node."""
     surv = 1.0
@@ -920,7 +933,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 tp_grid = _grid_tpoc(st_channels, lt_channels, ref_pos)
                 if tp_ref > 0.0 and tp_grid > 0.0:
                     cap = cfg.total_limit * tp_grid / tp_ref
-            minors, e_m, ipm_iters = 0, math.inf, 0
+            minors, e_m, cone_solves = 0, math.inf, []
             u_anchor, obj_hist, nu_mult = u_frac, [], 1.0
             while True:
                 rows = _risk_rows(stage, cfg, st_channels, lt_channels,
@@ -933,7 +946,10 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                 u_prev=u_anchor if stage != "smd" else None,
                                 prox=0.05)
                 res = socp_solve(prob.to_socp(), settings)
-                ipm_iters += res.iterations
+                cone_solves.append({"status": res.status,
+                                    "iterations": res.iterations,
+                                    "pres": res.pres, "dres": res.dres,
+                                    "gap": res.gap})
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -961,12 +977,10 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         break
                 else:
                     # trust region caps each step; walk on the objective,
-                    # widening the risk trust while progress is monotone;
-                    # the two-back comparison catches period-2 limit cycles
+                    # widening the risk trust while progress is monotone,
+                    # and stop once it returns to an earlier objective
                     u_anchor = xsol[prob.var_map["u"]].reshape(N, 3)
-                    tol = 1e-5 * max(abs(res.obj), 1e-12)
-                    if any(abs(res.obj - past) <= tol
-                           for past in obj_hist[-2:]):
+                    if _revisits(res.obj, obj_hist):
                         break
                     if obj_hist and res.obj < obj_hist[-1]:
                         nu_mult = min(nu_mult * 2.0, 256.0)
@@ -981,7 +995,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             log.append(IterationRecord(major=major, minors=minors,
                                        e_major=e_M, e_minor=e_m,
                                        objective=res.obj, dv_mm_s=dv,
-                                       vc_max=vc_max, ipm_iters=ipm_iters))
+                                       vc_max=vc_max,
+                                       cone_solves=cone_solves))
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate

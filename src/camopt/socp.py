@@ -6,11 +6,19 @@ Standard form:
 
 where K is a product of a nonnegative orthant and second-order cones.  The
 algorithm runs Mehrotra predictor-corrector steps on the homogeneous
-self-dual embedding with Nesterov-Todd scaling, so infeasible and unbounded
-problems are detected through certificates instead of divergence.  The KKT
-system is factored sparse with a small static regularization and polished
-by iterative refinement; its CSC pattern is built once per solve, and each
-iteration only refills the values of the scaling block before the LU.
+self-dual embedding with Nesterov-Todd scaling (Vandenberghe, "The CVXOPT
+linear and quadratic cone program solvers", 2010), so infeasible and
+unbounded problems are detected through certificates instead of divergence.
+
+Every cone operation runs on one flat layout of the cone rows, in which an
+orthant row is a second-order cone of size one; an iteration therefore makes
+the same number of array calls whatever the cone sizes.  The step to the
+cone boundary is taken in closed form (Domahidi, Chu & Boyd, ECC 2013).  The
+KKT system is factored sparse with a small static regularization and
+polished by one step of iterative refinement; its CSC pattern is built once
+per solve, each iteration refills only the values of the scaling block
+before the LU, and the constant and predictor right-hand sides are solved
+together as one two-column system.
 """
 
 from __future__ import annotations
@@ -92,175 +100,125 @@ class SolveResult:
 
 
 class _Cone:
-    """Jordan algebra of the product cone, vectorized over blocks.
+    """Jordan algebra of the product cone on one flat layout.
 
-    Second-order cones of equal size are gathered into index matrices of
-    shape (count, size) so every operation runs as a handful of array
-    expressions instead of a Python loop over blocks.
+    Each orthant row is a second-order cone of size one, whose algebra is
+    the orthant's.  ``starts`` indexes the block heads and ``blk`` gives the
+    block of every row: a per-block sum is one ``np.add.reduceat`` over
+    ``starts``, and a per-block scalar ``g`` reaches its rows as ``g[blk]``.
     """
 
     def __init__(self, dims: ConeDims):
         self.dims = dims
-        by_size: dict[int, list[int]] = {}
-        off = dims.nonneg
-        for q in dims.soc:
-            by_size.setdefault(q, []).append(off)
-            off += q
-        self.groups = [np.asarray(starts)[:, None] + np.arange(q)[None, :]
-                       for q, starts in sorted(by_size.items())]
-        # sparsity pattern of the block-diagonal NT scaling, built once
-        # in the same order as the scaling emits its values
-        rows, cols = [], []
-        if dims.nonneg:
-            idx = np.arange(dims.nonneg)
-            rows.append(idx)
-            cols.append(idx)
-        for idx in self.groups:
-            q = idx.shape[1]
-            rows.append(np.repeat(idx, q, axis=1).ravel())
-            cols.append(np.tile(idx, (1, q)).ravel())
-        self.w2_rows = np.concatenate(rows) if rows else np.zeros(0, int)
-        self.w2_cols = np.concatenate(cols) if cols else np.zeros(0, int)
+        sizes = np.concatenate([np.ones(dims.nonneg, int),
+                                np.asarray(dims.soc, int)])
+        self.starts = np.cumsum(sizes) - sizes
+        self.blk = np.repeat(np.arange(len(sizes)), sizes)
+        # pattern of the block-diagonal NT scaling W^2, built once: every
+        # row spans its block's columns; w2_blk is an entry's block and
+        # w2_j its entry of J = diag(-1, I)
+        width = sizes[self.blk]
+        self.w2_rows = np.repeat(np.arange(dims.total), width)
+        first = np.repeat(np.cumsum(width) - width, width)
+        self.w2_cols = (self.starts[self.blk][self.w2_rows]
+                        + np.arange(len(self.w2_rows)) - first)
+        self.w2_blk = self.blk[self.w2_rows]
+        j = np.ones(dims.total)
+        j[self.starts] = -1.0
+        self.w2_j = np.where(self.w2_rows == self.w2_cols, j[self.w2_rows],
+                             0.0)
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dims.total)
-        e[:self.dims.nonneg] = 1.0
-        for idx in self.groups:
-            e[idx[:, 0]] = 1.0
+        e[self.starts] = 1.0
         return e
+
+    def tail_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-block a1'b1, the heads left out."""
+        t = a * b
+        t[self.starts] = 0.0
+        return np.add.reduceat(t, self.starts)
+
+    def jdot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-block a'J b = a0 b0 - a1'b1."""
+        return a[self.starts] * b[self.starts] - self.tail_dot(a, b)
 
     def margin(self, v: np.ndarray) -> float:
         """Smallest slack to the cone boundary (negative if outside)."""
-        l = self.dims.nonneg
-        out = float(np.min(v[:l])) if l else np.inf
-        for idx in self.groups:
-            blk = v[idx]
-            m = blk[:, 0] - np.linalg.norm(blk[:, 1:], axis=1)
-            out = min(out, float(np.min(m)))
-        return out
+        return float(np.min(v[self.starts]
+                            - np.sqrt(self.tail_dot(v, v))))
 
     def circ(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Jordan product of two cone vectors."""
-        out = np.empty_like(a)
-        l = self.dims.nonneg
-        out[:l] = a[:l] * b[:l]
-        for idx in self.groups:
-            ab, bb = a[idx], b[idx]
-            out[idx[:, 0]] = np.einsum("ij,ij->i", ab, bb)
-            out[idx[:, 1:]] = ab[:, :1] * bb[:, 1:] + bb[:, :1] * ab[:, 1:]
+        h, k = self.starts, self.blk
+        out = a[h][k] * b + b[h][k] * a
+        out[h] = np.add.reduceat(a * b, h)
         return out
 
     def circ_div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Solve lam o u = v for u."""
-        out = np.empty_like(v)
-        l = self.dims.nonneg
-        out[:l] = v[:l] / lam[:l]
-        for idx in self.groups:
-            lb, vb = lam[idx], v[idx]
-            l0, v0 = lb[:, 0], vb[:, 0]
-            l1, v1 = lb[:, 1:], vb[:, 1:]
-            den = l0 * l0 - np.einsum("ij,ij->i", l1, l1)
-            u0 = (l0 * v0 - np.einsum("ij,ij->i", l1, v1)) / den
-            out[idx[:, 0]] = u0
-            out[idx[:, 1:]] = (v1 - u0[:, None] * l1) / l0[:, None]
+        h, k = self.starts, self.blk
+        u0 = self.jdot(lam, v) / self.jdot(lam, lam)
+        out = (v - u0[k] * lam) / lam[h][k]
+        out[h] = u0
         return out
 
     def max_step(self, v: np.ndarray, dv: np.ndarray) -> float:
-        """Largest t with v + t dv in the cone (v strictly inside)."""
-        t = np.inf
-        l = self.dims.nonneg
-        neg = dv[:l] < 0
-        if np.any(neg):
-            t = float(np.min(-v[:l][neg] / dv[:l][neg]))
-        for idx in self.groups:
-            vb, db = v[idx], dv[idx]
-            v0, d0 = vb[:, 0], db[:, 0]
-            v1, d1 = vb[:, 1:], db[:, 1:]
-            # roots of (v0+t d0)^2 - |v1+t d1|^2 = 0, taken with a
-            # numerically stable quadratic formula
-            a = d0 * d0 - np.einsum("ij,ij->i", d1, d1)
-            bq = 2.0 * (v0 * d0 - np.einsum("ij,ij->i", v1, d1))
-            cq = v0 * v0 - np.einsum("ij,ij->i", v1, v1)
-            disc = bq * bq - 4.0 * a * cq
-            with np.errstate(divide="ignore", invalid="ignore"):
-                qf = -0.5 * (bq + np.copysign(np.sqrt(np.maximum(disc, 0.0)),
-                                              bq))
-                quad = (np.abs(a) > 1e-300) & (disc >= 0.0)
-                lin = (np.abs(a) <= 1e-300) & (bq != 0.0)
-                cand = np.stack([
-                    np.where(quad, qf / a, np.inf),
-                    np.where(quad, cq / qf, np.inf),
-                    np.where(lin, -cq / bq, np.inf),
-                ], axis=1)
-                ok = (cand > 0) & (v0[:, None] + cand * d0[:, None] >= -1e-14)
-                best = np.min(np.where(ok, cand, np.inf), axis=1)
-                best = np.minimum(best, np.where(d0 < 0, -v0 / d0, np.inf))
-            t = min(t, float(np.min(best)))
-        return t
+        """Largest t with v + t dv in the cone (v strictly inside).
+
+        With v scaled to vbar on the hyperboloid vbar'J vbar = 1, a block
+        reaches its boundary at t = 1 / max(0, |rho1| - rho0) for
+        rho0 = vbar'J dv and rho1 = dv1 - (rho0 + dv0) / (vbar0 + 1) vbar1
+        (the step length of Domahidi, Chu & Boyd, ECC 2013).  The scale
+        divides the rate |rho1| - rho0, and the fastest block sets t.
+        """
+        h, k = self.starts, self.blk
+        nv = np.sqrt(self.jdot(v, v))
+        vbar = v / nv[k]
+        rho0 = self.jdot(vbar, dv)
+        rho1 = dv - ((rho0 + dv[h]) / (vbar[h] + 1.0))[k] * vbar
+        rate = float(np.max((np.sqrt(self.tail_dot(rho1, rho1)) - rho0) / nv))
+        return 1.0 / rate if rate > 0.0 else np.inf
 
 
 class _Scaling:
     """Nesterov-Todd scaling point for the product cone.
 
-    Each SOC block is W = eta H(wbar) with the unit-hyperbolic point wbar;
-    only eta and wbar are stored per group, every product is expressed
-    through them.
+    Each block is W = eta H(wbar) with the unit-hyperbolic point wbar; only
+    eta (per block) and wbar (per row, also split into its heads w0 and its
+    tails w1) are stored, every product is expressed through them.
     """
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
-        l = cone.dims.nonneg
-        self.w_lp = np.sqrt(s[:l] / z[:l])
-        self.gblocks = []
-        for idx in cone.groups:
-            sb, zb = s[idx], z[idx]
-            sres = sb[:, 0] ** 2 - np.einsum("ij,ij->i", sb[:, 1:], sb[:, 1:])
-            zres = zb[:, 0] ** 2 - np.einsum("ij,ij->i", zb[:, 1:], zb[:, 1:])
-            if np.any(sres <= 0) or np.any(zres <= 0):
-                raise SolverError("iterate left the cone interior")
-            sbar = sb / np.sqrt(sres)[:, None]
-            zbar = zb / np.sqrt(zres)[:, None]
-            gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
-            wbar = np.empty_like(sb)
-            wbar[:, 0] = (sbar[:, 0] + zbar[:, 0]) / (2 * gamma)
-            wbar[:, 1:] = (sbar[:, 1:] - zbar[:, 1:]) / (2 * gamma[:, None])
-            eta = (sres / zres) ** 0.25
-            self.gblocks.append((idx, eta, wbar))
-
-    def _hyp_apply(self, v: np.ndarray, sign: float) -> np.ndarray:
-        """H(wbar) v per block, with sign=-1 flipping w1 for the inverse."""
-        out = np.empty_like(v)
-        l = self.cone.dims.nonneg
-        out[:l] = self.w_lp * v[:l] if sign > 0 else v[:l] / self.w_lp
-        for idx, eta, wbar in self.gblocks:
-            vb = v[idx]
-            w0, w1 = wbar[:, 0], sign * wbar[:, 1:]
-            w1v = np.einsum("ij,ij->i", w1, vb[:, 1:])
-            o0 = w0 * vb[:, 0] + w1v
-            o1 = vb[:, 1:] + w1 * ((vb[:, 0] + w1v / (1.0 + w0))[:, None])
-            fac = eta if sign > 0 else 1.0 / eta
-            out[idx[:, 0]] = fac * o0
-            out[idx[:, 1:]] = fac[:, None] * o1
-        return out
+        h, k = cone.starts, cone.blk
+        sres, zres = cone.jdot(s, s), cone.jdot(z, z)
+        if np.any(sres <= 0) or np.any(zres <= 0):
+            raise SolverError("iterate left the cone interior")
+        sbar = s / np.sqrt(sres)[k]
+        zbar = z / np.sqrt(zres)[k]
+        gamma2 = 2.0 * np.sqrt((1.0 + np.add.reduceat(sbar * zbar, h)) / 2.0)
+        self.wbar = (sbar - zbar) / gamma2[k]
+        self.wbar[h] = (sbar[h] + zbar[h]) / gamma2
+        self.w0 = self.wbar[h]
+        self.w1 = self.wbar.copy()
+        self.w1[h] = 0.0
+        self.eta = (sres / zres) ** 0.25
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._hyp_apply(v, 1.0)
-
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        return self._hyp_apply(v, -1.0)
+        """W v, per block eta H(wbar) v."""
+        h, k = self.cone.starts, self.cone.blk
+        w1v = np.add.reduceat(self.w1 * v, h)
+        out = v + self.w1 * ((v[h] + w1v / (1.0 + self.w0))[k])
+        out[h] = self.w0 * v[h] + w1v
+        return self.eta[k] * out
 
     def w2_values(self) -> np.ndarray:
         """W^2 as values in the order of ``_Cone.w2_rows``/``w2_cols``."""
-        # H^2 = 2 wbar wbar' + diag(-1, I) for a unit hyperbolic wbar
-        l = self.cone.dims.nonneg
-        parts = [self.w_lp ** 2] if l else []
-        for idx, eta, wbar in self.gblocks:
-            q = idx.shape[1]
-            B = 2.0 * np.einsum("gi,gj->gij", wbar, wbar)
-            B[:, 0, 0] -= 1.0
-            B[:, np.arange(1, q), np.arange(1, q)] += 1.0
-            parts.append(((eta ** 2)[:, None, None] * B).ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        # H^2 = 2 wbar wbar' + J for a unit hyperbolic wbar
+        c = self.cone
+        return (self.eta ** 2)[c.w2_blk] * (
+            2.0 * self.wbar[c.w2_rows] * self.wbar[c.w2_cols] + c.w2_j)
 
 
 # ---------------------------------------------------------------------
@@ -287,13 +245,12 @@ class _Kkt:
 
     The CSC structure, in the canonical order ``sp.bmat`` emits, is laid
     out once from A, G and the (3,3) block's pattern (rows, cols); each
-    factorization writes only that block's values into their slots.  A' and
-    G' are kept as CSR views for the residuals and the refinement.
+    factorization writes only that block's values into their slots.  The
+    factored K is kept: ``K @ sol`` plus reg (x, -y, -z) is the product with
+    the unregularized matrix, the residual of the refinement step.
     """
 
     def __init__(self, A, G, reg, rows, cols):
-        self.A, self.G = A, G
-        self.AT, self.GT = A.T, G.T
         p, n = A.shape
         m = G.shape[0]
         a, g = A.tocoo(), G.tocoo()
@@ -311,11 +268,10 @@ class _Kkt:
         pos[order] = np.arange(len(order))
         self.slots = pos[len(order) - len(rows):]
         self.reg_diag = np.where(rows == cols, reg, 0.0)
-        self.w2_order, self.w2_indptr = _csc_layout(rows, cols, m)
-        self.w2_indices = rows[self.w2_order].astype(np.int32)
+        self.unreg = np.concatenate([np.full(n, reg),
+                                     np.full(p + m, -reg)])[:, None]
         self.shape = (n + p + m, n + p + m)
-        self.m = m
-        self.lu = self.W2 = None
+        self.K = self.lu = None
 
     def matrix(self, w2: np.ndarray) -> sp.csc_matrix:
         """K for the (3,3) block values ``w2`` given in pattern order."""
@@ -325,23 +281,20 @@ class _Kkt:
                              shape=self.shape)
 
     def factor(self, w2: np.ndarray):
-        self.lu = splu(self.matrix(w2))
-        self.W2 = sp.csc_matrix((w2[self.w2_order], self.w2_indices,
-                                 self.w2_indptr), shape=(self.m, self.m))
+        # release the previous factors before the next ones are built
+        self.K = self.lu = None
+        self.K = self.matrix(w2)
+        self.lu = splu(self.K)
 
-    def solve(self, rx, ry, rz, refine=1):
-        rhs = np.concatenate([rx, ry, rz])
+    def solve(self, rhs: np.ndarray, refine=1) -> np.ndarray:
+        """Solutions of the unregularized system for the columns of
+        ``rhs`` (shape (n + p + m, k)), stacked as (x, y, z)."""
+        rhs = rhs.reshape(len(rhs), -1)
         sol = self.lu.solve(rhs)
-        n, p = len(rx), len(ry)
         for _ in range(refine):
-            x, y, z = sol[:n], sol[n:n + p], sol[n + p:]
-            res = rhs - np.concatenate([
-                self.AT @ y + self.GT @ z,
-                self.A @ x,
-                self.G @ x - self.W2 @ z,
-            ])
+            res = rhs - self.K @ sol + self.unreg * sol
             sol = sol + self.lu.solve(res)
-        return sol[:n], sol[n:n + p], sol[n + p:]
+        return sol
 
 
 def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> SolveResult:
@@ -359,20 +312,30 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
     cone = _Cone(prob.dims)
     e = cone.identity()
     deg = prob.dims.degree
+    iz = slice(n + p, None)  # the z (and s) part of a stacked (x, y, z)
+    cbh = np.concatenate([c, b, h])
+    const = np.concatenate([-c, b, h])
+    # [0 A' G'; A 0 0; G 0 0] (x, y, z) gives every residual in one product
+    M = sp.bmat([[None, A.T, G.T], [A, None, None], [G, None, None]],
+                format="csr")
 
     # -- initial point from two least-squares KKT solves with W = I
     diag = np.arange(m)
     kkt = _Kkt(A, G, settings.kkt_reg, diag, diag)
     kkt.factor(np.ones(m))
-    x, y0, zhat = kkt.solve(np.zeros(n), b, h)
-    s = -zhat
+    init = kkt.solve(np.column_stack([
+        np.concatenate([np.zeros(n), b, h]),
+        np.concatenate([-c, np.zeros(p + m)])]))
+    xyz = init[:, 1].copy()
+    xyz[:n] = init[:n, 0]
+    s = -init[iz, 0]
     alpha = -cone.margin(s)
     if alpha >= 0:
         s = s + (1.0 + alpha) * e
-    _, y, z = kkt.solve(-c, np.zeros(p), np.zeros(m))
-    alpha = -cone.margin(z)
+    alpha = -cone.margin(xyz[iz])
     if alpha >= 0:
-        z = z + (1.0 + alpha) * e
+        xyz[iz] += (1.0 + alpha) * e
+    x, y, z = xyz[:n], xyz[n:n + p], xyz[iz]  # views, updated in place
     tau, kappa = 1.0, 1.0
 
     resx0 = max(1.0, np.linalg.norm(c))
@@ -380,22 +343,21 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
     resz0 = max(1.0, np.linalg.norm(h))
 
     kkt = _Kkt(A, G, settings.kkt_reg, cone.w2_rows, cone.w2_cols)
-    AT, GT = kkt.AT, kkt.GT
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # the step or tau/kappa degenerated
     status = "numerical"
     pres = dres = gap = np.inf
     for it in range(settings.max_iter):
-        # residuals of the embedding
-        rx = AT @ y + GT @ z + c * tau
-        ry = A @ x - b * tau
-        rz = s + G @ x - h * tau
-        rt = kappa + c @ x + b @ y + h @ z
+        # residuals of the embedding, stacked as (rx, ry, rz)
+        r = M @ xyz - tau * const
+        r[iz] += s
+        rx, ry, rz = r[:n], r[n:n + p], r[iz]
+        rt = kappa + cbh @ xyz
 
         gap = s @ z
         mu = (gap + tau * kappa) / (deg + 1)
-        pcost = c @ x / tau
-        dcost = -(b @ y + h @ z) / tau
+        cx, hz_by = c @ x, b @ y + h @ z
+        pcost = cx / tau
         pres = max(np.linalg.norm(ry) / resy0, np.linalg.norm(rz) / resz0) / tau
         dres = np.linalg.norm(rx) / resx0 / tau
         relgap = gap / tau ** 2 / max(1.0, abs(pcost))
@@ -404,16 +366,15 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
                 gap / tau ** 2 <= settings.abstol or relgap <= settings.reltol):
             status = "optimal"
             break
-        # infeasibility certificates
-        hz_by = h @ z + b @ y
+        # infeasibility certificates: A'y + G'z = rx - c tau,
+        # A x = ry + b tau, G x + s = rz + h tau
         if hz_by < -1e-12:
-            if np.linalg.norm(AT @ y + GT @ z) / resx0 <= -settings.feastol * hz_by:
+            if np.linalg.norm(rx - c * tau) / resx0 <= -settings.feastol * hz_by:
                 return SolveResult(status="infeasible", x=None, obj=np.nan,
                                    iterations=it, pres=pres, dres=dres, gap=gap)
-        cx = c @ x
         if cx < -1e-12:
-            unb = max(np.linalg.norm(A @ x) / resy0,
-                      np.linalg.norm(G @ x + s) / resz0)
+            unb = max(np.linalg.norm(ry + b * tau) / resy0,
+                      np.linalg.norm(rz + h * tau) / resz0)
             if unb <= -settings.feastol * cx:
                 return SolveResult(status="unbounded", x=None, obj=-np.inf,
                                    iterations=it, pres=pres, dres=dres, gap=gap)
@@ -423,53 +384,50 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         except SolverError:
             break
         lam = Wsc.apply(z)
+        lam2 = cone.circ(lam, lam)
         kkt.factor(Wsc.w2_values())
 
-        # constant right-hand side (-c, b, h)
-        x1, y1, z1 = kkt.solve(-c, b, h)
-        dg = c @ x1 + b @ y1 + h @ z1 - kappa / tau
-        if dg == 0.0:
-            break
+        def rhs(sigma, ds_corr):
+            """Scaled ds target ws and the KKT right-hand side column."""
+            ws = cone.circ_div(lam, sigma * mu * e - lam2 + ds_corr)
+            col = -(1.0 - sigma) * r
+            col[iz] -= Wsc.apply(ws)
+            return ws, col[:, None]
 
-        def direction(sigma, ds_corr, dk_corr):
-            fac = 1.0 - sigma
-            ds_rhs = -cone.circ(lam, lam) + sigma * mu * e + ds_corr
+        def step(sigma, ws, sol, dk_corr):
+            """Full direction from the solved column, and its step limit."""
             dk_rhs = -tau * kappa + sigma * mu + dk_corr
-            ws = cone.circ_div(lam, ds_rhs)
-            bz = -fac * rz - Wsc.apply(ws)
-            x2, y2, z2 = kkt.solve(-fac * rx, -fac * ry, bz)
-            dtau = (-fac * rt - dk_rhs / tau - (c @ x2 + b @ y2 + h @ z2)) / dg
-            dx = x2 + dtau * x1
-            dy = y2 + dtau * y1
-            dz = z2 + dtau * z1
-            dss = Wsc.apply(ws - Wsc.apply(dz))
+            dtau = (-(1.0 - sigma) * rt - dk_rhs / tau - cbh @ sol) / dg
+            d = sol + dtau * sol_c
+            wdz = Wsc.apply(d[iz])
+            ds = Wsc.apply(ws - wdz)
             dkappa = (dk_rhs - kappa * dtau) / tau
-            return dx, dy, dz, dss, dtau, dkappa
-
-        def max_alpha(dz, ds, dtau, dkappa):
-            a = min(cone.max_step(s, ds), cone.max_step(z, dz))
+            a = min(cone.max_step(s, ds), cone.max_step(z, d[iz]))
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkappa < 0:
                 a = min(a, -kappa / dkappa)
-            return a
+            return d, ds, dtau, dkappa, a, wdz
 
-        # predictor
-        dxa, dya, dza, dsa, dta, dka = direction(0.0, 0.0, 0.0)
-        a_aff = min(1.0, max_alpha(dza, dsa, dta, dka))
-        sigma = (1.0 - a_aff) ** 3
-        # corrector with Mehrotra second-order term
-        ds_corr = -cone.circ(Wsc.apply_inv(dsa), Wsc.apply(dza))
-        dk_corr = -dta * dka
-        dx, dy, dz, ds, dtau, dkappa = direction(sigma, ds_corr, dk_corr)
+        # the constant right-hand side (-c, b, h) and the predictor's
+        ws_a, col_a = rhs(0.0, 0.0)
+        sols = kkt.solve(np.hstack([const[:, None], col_a]))
+        sol_c = sols[:, 0]
+        dg = cbh @ sol_c - kappa / tau
+        if dg == 0.0:
+            break
+        _, _, dta, dka, a_aff, wdz_a = step(0.0, ws_a, sols[:, 1], 0.0)
+        sigma = (1.0 - min(1.0, a_aff)) ** 3
+        # corrector with Mehrotra second-order term (W^-1 ds) o (W dz),
+        # where W^-1 ds = ws - W dz
+        ws, col = rhs(sigma, -cone.circ(ws_a - wdz_a, wdz_a))
+        d, ds, dtau, dkappa, a, _ = step(sigma, ws, kkt.solve(col)[:, 0],
+                                         -dta * dka)
 
-        a = settings.step_frac * max_alpha(dz, ds, dtau, dkappa)
-        a = min(1.0, a)
+        a = min(1.0, settings.step_frac * a)
         if not np.isfinite(a) or a <= 0:
             break
-        x = x + a * dx
-        y = y + a * dy
-        z = z + a * dz
+        xyz += a * d
         s = s + a * ds
         tau += a * dtau
         kappa += a * dkappa

@@ -80,6 +80,18 @@ class TestSolveArtifacts:
             assert isinstance(rec["ipm_iters"], int)
             assert rec["ipm_iters"] >= rec["minors"]
 
+    def test_iteration_log_lists_cone_solves(self, solved_dir):
+        log = json.load(open(solved_dir / "summary.json"))["iteration_log"]
+        for rec in log:
+            solves = rec["cone_solves"]
+            assert len(solves) == rec["minors"]
+            assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
+            for cs in solves:
+                assert set(cs) == {"status", "iterations", "pres", "dres",
+                                   "gap"}
+                assert cs["status"] == "optimal"
+                assert max(cs["pres"], cs["dres"]) <= 1e-9
+
     def test_summary_round_trips_through_json(self, solved_dir):
         raw = (solved_dir / "summary.json").read_text()
         doc = json.loads(raw)

@@ -14,6 +14,7 @@ from camopt.scp import (
     ScpError,
     _cheapest_exit,
     _exit_table,
+    _revisits,
     _select_anchors,
     _stm_track,
     _table_cost,
@@ -231,6 +232,40 @@ class TestSolve:
         assert sum(rec.ipm_iters for rec in res.log) == sum(calls)
         assert all(rec.ipm_iters >= rec.minors for rec in res.log)
 
+    def test_cone_solves_logged_per_minor(self, sol2):
+        for rec in sol2.log:
+            assert len(rec.cone_solves) == rec.minors
+            assert rec.ipm_iters == sum(cs["iterations"]
+                                        for cs in rec.cone_solves)
+
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm
         assert sol2.e_validation_mm <= 5.0
+
+
+# ---------------------------------------------------------------------
+# limit cycles of the TPoC polish
+
+
+class TestRevisits:
+    def test_period_three_cycle_caught(self):
+        # a scripted objective sequence that cycles with period 3: a
+        # two-back window never sees the repeat, the whole history does
+        seq = [5.0, 4.0, 4.5, 4.2, 4.0 * (1 + 1e-7), 4.5, 4.2]
+        hist = []
+        for k, obj in enumerate(seq):
+            if _revisits(obj, hist):
+                break
+            assert not _revisits(obj, hist[-2:])
+            hist.append(obj)
+        assert k == 4
+        assert not _revisits(seq[4], hist[-2:])
+
+    def test_monotone_descent_not_a_cycle(self):
+        seq = 10.0 * 0.9 ** np.arange(30)
+        assert not any(_revisits(obj, list(seq[:k]))
+                       for k, obj in enumerate(seq))
+
+    def test_tolerance_is_relative(self):
+        assert _revisits(1e6 + 5.0, [1e6])
+        assert not _revisits(1.0 + 5e-5, [1.0])

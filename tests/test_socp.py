@@ -240,7 +240,7 @@ MIXED_SOCS = [3, 4, 7, 3, 7]
 
 
 def reference_kkt(A, G, w2, rows, cols, reg):
-    """Reference K and W2, assembled by `sp.bmat` and from COO triplets."""
+    """Reference K, assembled by `sp.bmat` from COO triplets."""
     p, n = A.shape
     m = G.shape[0]
     W2 = sp.csc_matrix((w2, (rows, cols)), shape=(m, m))
@@ -249,7 +249,7 @@ def reference_kkt(A, G, w2, rows, cols, reg):
         [A, -sp.diags(np.full(p, reg)) if p else None, None],
         [G, None, -(W2 + sp.diags(np.full(m, reg)))],
     ], format="csc")
-    return K, W2
+    return K
 
 
 class ReferenceKkt(socp._Kkt):
@@ -261,8 +261,8 @@ class ReferenceKkt(socp._Kkt):
 
     def factor(self, w2):
         A, G, rows, cols, reg = self.inputs
-        K, self.W2 = reference_kkt(A, G, w2, rows, cols, reg)
-        self.lu = splu(K)
+        self.K = reference_kkt(A, G, w2, rows, cols, reg)
+        self.lu = splu(self.K)
 
 
 def interior_point(rng, dims):
@@ -303,14 +303,14 @@ class TestCachedKkt:
             A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
             rows, cols, w2 = block_pattern(rng, prob, kind)
             kkt = socp._Kkt(A, G, reg, rows, cols)
-            K_ref, W2_ref = reference_kkt(A, G, w2, rows, cols, reg)
+            K_ref = reference_kkt(A, G, w2, rows, cols, reg)
             assert_same_csc(kkt.matrix(w2), K_ref)
             kkt.factor(w2)
-            assert_same_csc(kkt.W2, W2_ref)
+            assert_same_csc(kkt.K, K_ref)
             # refilled: a second set of values lands in the same slots
             rows, cols, w2 = block_pattern(rng, prob, kind)
             assert_same_csc(kkt.matrix(w2),
-                            reference_kkt(A, G, w2, rows, cols, reg)[0])
+                            reference_kkt(A, G, w2, rows, cols, reg))
 
     @pytest.mark.parametrize("p", [0, 3])
     def test_solve_bit_identical_to_bmat_assembly(self, p, monkeypatch):
@@ -325,3 +325,158 @@ class TestCachedKkt:
             assert r.iterations == ref.iterations
             for a, b in ((r.x, ref.x), (r.y, ref.y), (r.z, ref.z)):
                 assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------
+# the flat cone layout against per-block references
+
+
+CONE_DIMS = [ConeDims(0, (3, 4, 7, 3)), ConeDims(5, (7, 3, 4, 4)),
+             ConeDims(6, ())]
+
+
+def socs(dims):
+    """Index arrays of the second-order cone blocks."""
+    out, off = [], dims.nonneg
+    for q in dims.soc:
+        out.append(np.arange(off, off + q))
+        off += q
+    return out
+
+
+def arrow(l):
+    """Arrow matrix of l: Arw(l) u = l o u for a second-order cone."""
+    q = len(l)
+    M = l[0] * np.eye(q)
+    M[0, 1:] = M[1:, 0] = l[1:]
+    return M
+
+
+def nt_scaling(dims, s, z):
+    """Dense block-diagonal NT scaling W, block by block (CVXOPT's
+    formulas: W = eta [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]])."""
+    W = np.zeros((dims.total, dims.total))
+    l = dims.nonneg
+    W[np.arange(l), np.arange(l)] = np.sqrt(s[:l] / z[:l])
+    for idx in socs(dims):
+        sb, zb = s[idx], z[idx]
+        sn = np.sqrt(sb[0] ** 2 - sb[1:] @ sb[1:])
+        zn = np.sqrt(zb[0] ** 2 - zb[1:] @ zb[1:])
+        sb, zb = sb / sn, zb / zn
+        gamma = np.sqrt((1.0 + sb @ zb) / 2.0)
+        w = np.concatenate([[sb[0] + zb[0]], sb[1:] - zb[1:]]) / (2 * gamma)
+        H = np.empty((len(idx), len(idx)))
+        H[0, 0] = w[0]
+        H[0, 1:] = H[1:, 0] = w[1:]
+        H[1:, 1:] = np.eye(len(idx) - 1) + np.outer(w[1:], w[1:]) / (1 + w[0])
+        W[np.ix_(idx, idx)] = np.sqrt(sn / zn) * H
+    return W
+
+
+class TestFlatCone:
+    @pytest.mark.parametrize("dims", CONE_DIMS)
+    def test_circ_and_circ_div_match_blocks(self, dims):
+        rng = np.random.default_rng(31)
+        cone = socp._Cone(dims)
+        a, b = rng.standard_normal(dims.total), rng.standard_normal(dims.total)
+        lam = interior_point(rng, dims)
+        ref_circ = a * b
+        ref_div = b / lam
+        for idx in socs(dims):
+            ref_circ[idx] = arrow(a[idx]) @ b[idx]
+            ref_div[idx] = np.linalg.solve(arrow(lam[idx]), b[idx])
+        assert np.allclose(cone.circ(a, b), ref_circ, rtol=1e-14, atol=1e-14)
+        assert np.allclose(cone.circ_div(lam, b), ref_div, rtol=1e-12,
+                           atol=1e-12)
+        assert cone.margin(lam) == pytest.approx(cone_margin(lam, dims),
+                                                 rel=1e-14)
+        assert np.array_equal(cone.circ(cone.identity(), b), b)
+
+    @pytest.mark.parametrize("dims", CONE_DIMS)
+    def test_scaling_matches_blocks(self, dims):
+        rng = np.random.default_rng(37)
+        cone = socp._Cone(dims)
+        s, z = interior_point(rng, dims), interior_point(rng, dims)
+        W = nt_scaling(dims, s, z)
+        Wsc = socp._Scaling(cone, s, z)
+        v = rng.standard_normal(dims.total)
+        assert np.allclose(Wsc.apply(v), W @ v, rtol=1e-12, atol=1e-12)
+        # Nesterov-Todd: W z = W^-1 s
+        assert np.allclose(W @ (W @ z), s, rtol=1e-12, atol=1e-12)
+        W2 = sp.csc_matrix((Wsc.w2_values(), (cone.w2_rows, cone.w2_cols)),
+                           shape=W.shape).toarray()
+        assert np.allclose(W2, W @ W, rtol=1e-12, atol=1e-12)
+
+    def test_scaling_rejects_points_outside(self):
+        dims = CONE_DIMS[1]
+        rng = np.random.default_rng(41)
+        s, z = interior_point(rng, dims), interior_point(rng, dims)
+        s[dims.nonneg + 1] = -s[dims.nonneg + 1]
+        s[dims.nonneg] = 0.5 * np.linalg.norm(s[dims.nonneg + 1:
+                                                dims.nonneg + 7])
+        with pytest.raises(SolverError):
+            socp._Scaling(socp._Cone(dims), s, z)
+
+
+def bisect_step(v, dv, dims, hi=1e12):
+    """Largest t with v + t dv in the cone, by bisection on the margin."""
+    if cone_margin(v + hi * dv, dims) >= 0.0:
+        return np.inf
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cone_margin(v + mid * dv, dims) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestMaxStep:
+    @pytest.mark.parametrize("dims", CONE_DIMS)
+    def test_matches_bisection(self, dims):
+        rng = np.random.default_rng(43)
+        cone = socp._Cone(dims)
+        for _ in range(20):
+            v = interior_point(rng, dims)
+            dv = rng.standard_normal(dims.total) * rng.uniform(0.1, 10.0)
+            ref = bisect_step(v, dv, dims)
+            assert cone.max_step(v, dv) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("dims", CONE_DIMS)
+    def test_directions_that_never_leave(self, dims):
+        rng = np.random.default_rng(47)
+        cone = socp._Cone(dims)
+        v = interior_point(rng, dims)
+        assert cone.max_step(v, np.zeros(dims.total)) == np.inf
+        assert cone.max_step(v, interior_point(rng, dims)) == np.inf
+
+    @pytest.mark.parametrize("dims", CONE_DIMS)
+    def test_step_to_a_boundary_point(self, dims):
+        # v + dv lands on the boundary of one block, the others interior
+        rng = np.random.default_rng(53)
+        cone = socp._Cone(dims)
+        v, u = interior_point(rng, dims), interior_point(rng, dims)
+        if dims.soc:
+            head = dims.nonneg
+            u[head] = np.linalg.norm(u[head + 1:head + dims.soc[0]])
+        else:
+            u[2] = 0.0
+        assert cone.max_step(v, u - v) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTwoColumnSolve:
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_equals_one_column_solves(self, p):
+        rng = np.random.default_rng(59 + p)
+        prob = random_feasible(rng, 14, p, 4, MIXED_SOCS, 0.5)
+        A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+        rows, cols, w2 = block_pattern(rng, prob, "nt")
+        kkt = socp._Kkt(A, G, SolverSettings().kkt_reg, rows, cols)
+        kkt.factor(w2)
+        rhs = rng.standard_normal((kkt.shape[0], 2))
+        both = kkt.solve(rhs)
+        for k in range(2):
+            one = kkt.solve(rhs[:, k:k + 1])[:, 0]
+            assert np.max(np.abs(both[:, k] - one)) <= 1e-12 * max(
+                1.0, np.max(np.abs(one)))
