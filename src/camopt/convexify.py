@@ -1,8 +1,9 @@
 """Construction of the convex subproblem solved at each SCP iteration.
 
 Contains the projection of a reference point onto the keep-out ellipsoid,
-the tangent half-space cut, the jet linearization of the total collision
-probability (short-term at the conjunction nodes, long-term node-wise), and
+the tangent half-space cut, the closed-form linearization of the total
+collision probability (short-term at the conjunction nodes, long-term
+node-wise), and
 the assembly of the full second-order-cone program: linearized dynamics
 with virtual controls, lossless control relaxation, nonlinearity trust
 regions and the risk rows.
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import special
 from scipy.optimize import brentq
 
 from . import CamoptError
-from .dajet import Jet, jet_space, variables
+from .risk import chan_series, ipoc_peak
 from .socp import ConeDims, SocpProblem
 
 
@@ -119,85 +119,75 @@ class RiskLinearization:
     xi: np.ndarray  # (n_items_nodes, 3)
 
 
-def _chan_derivs(u: float, v: float) -> tuple[float, float, float]:
-    """Chan's series value and first two derivatives in v."""
-    half_u, half_v = 0.5 * u, 0.5 * v
-    n = int(half_v + 12.0 * math.sqrt(max(half_v, 1.0)) + 30.0)
-    m = np.arange(n + 1)
-    if half_v > 0:
-        log_pois = -half_v + m * math.log(half_v) - special.gammaln(m + 1.0)
-        with np.errstate(under="ignore"):
-            pois = np.exp(log_pois)
-    else:
-        pois = np.zeros(n + 1)
-        pois[0] = 1.0
-    g = special.gammainc(np.arange(n + 3) + 1.0, half_u)
-    P = float(pois @ g[:n + 1])
-    dP = 0.5 * float(pois @ (g[1:n + 2] - g[:n + 1]))
-    d2P = 0.25 * float(pois @ (g[2:n + 3] - 2 * g[1:n + 2] + g[:n + 1]))
-    return P, dP, d2P
+def _factor(weight: float, p, grad_v: np.ndarray, hess_v: np.ndarray):
+    """Value, gradient and Hessian of the survival factor 1 - w p(v(x)),
+    from p and its first two derivatives in v and v's own derivatives."""
+    p0, dp, d2p = p
+    return (1.0 - weight * p0, -weight * dp * grad_v,
+            -weight * (d2p * np.outer(grad_v, grad_v) + dp * hess_v))
 
 
-def _risk_package(total: Jet, nodes: list) -> RiskLinearization:
-    grad = total.gradient()
-    H = total.hessian()
-    gnorm = np.linalg.norm(grad)
-    xi = np.sqrt((H ** 2).sum(axis=0)) / gnorm if gnorm > 0 else np.zeros(len(grad))
-    k = len(nodes)
-    return RiskLinearization(nodes=nodes, grads=grad.reshape(k, 3),
-                             value=total.const, xi=xi.reshape(k, 3))
+def _expand_total(factors, nodes: list) -> RiskLinearization:
+    """Second-order expansion of the total 1 - prod_k f_k, where factor k
+    depends only on the 3 variables of item k.
+
+    The gradient block of item k is -(prod_{j != k} f_j) grad f_k; the
+    Hessian's diagonal blocks are -(prod_{j != k} f_j) hess f_k and its
+    off-diagonal blocks -(prod_{j != k, l} f_j) grad f_k grad f_l^T.
+    """
+    f = [fk for fk, _, _ in factors]
+    n = len(f)
+    grads = np.zeros((n, 3))
+    H = np.zeros((n, 3, n, 3))
+    for k, (_, gk, hk) in enumerate(factors):
+        rest = math.prod(f[:k] + f[k + 1:])
+        grads[k] = -rest * gk
+        H[k, :, k] = -rest * hk
+        for l in range(k + 1, n):
+            rest = math.prod(f[:k] + f[k + 1:l] + f[l + 1:])
+            H[k, :, l] = -rest * np.outer(gk, factors[l][1])
+            H[l, :, k] = H[k, :, l].T
+    gnorm = np.linalg.norm(grads)
+    H = H.reshape(3 * n, 3 * n)
+    xi = np.sqrt((H ** 2).sum(axis=0)) / gnorm if gnorm > 0 else np.zeros(3 * n)
+    return RiskLinearization(nodes=nodes, grads=grads,
+                             value=1.0 - math.prod(f), xi=xi.reshape(n, 3))
 
 
 def linearize_tpoc(items: list[ShortTermItem]) -> RiskLinearization:
-    """Second-order jet expansion of the product-form total PoC w.r.t. the
+    """Second-order expansion of the product-form total PoC w.r.t. the
     primary position at each conjunction node."""
     if not items:
         raise AssemblyError("no conjunctions to linearize")
-    n = len(items)
-    spc = jet_space(3 * n, 2)
-    dx = variables(spc, np.zeros(3 * n))
-    total = Jet.constant(spc, 1.0)
-    for k, it in enumerate(items):
-        dr = [Jet.constant(spc, it.dr_ref[j]) + dx[3 * k + j] for j in range(3)]
-        drb = [sum(it.basis[i, j] * dr[j] for j in range(3)) for i in range(2)]
-        Pinv = np.linalg.inv(np.asarray(it.P2, float))
-        v = (Pinv[0, 0] * drb[0] * drb[0] + Pinv[1, 1] * drb[1] * drb[1]
-             + 2.0 * Pinv[0, 1] * drb[0] * drb[1])
+    factors = []
+    for it in items:
         det = np.linalg.det(it.P2)
         if det <= 0:
             raise AssemblyError("projected covariance is singular")
+        Q = np.linalg.inv(np.asarray(it.P2, float))
+        y = it.basis @ it.dr_ref
+        v = (Q[0, 0] * y[0] * y[0] + Q[1, 1] * y[1] * y[1]
+             + 2.0 * Q[0, 1] * y[0] * y[1])
         u = it.hbr ** 2 / math.sqrt(det)
-        poc = v.compose_series(_chan_derivs(u, v.const))
-        total = total * (1.0 - it.weight * poc)
-    total = 1.0 - total
-    return _risk_package(total, [it.node for it in items])
+        BQ = 2.0 * it.basis.T @ Q
+        factors.append(_factor(it.weight, chan_series(u, v), BQ @ y,
+                               BQ @ it.basis))
+    return _expand_total(factors, [it.node for it in items])
 
 
 def linearize_tipoc(items: list[LongTermItem]) -> RiskLinearization:
     """Same expansion for the node-wise total instantaneous PoC."""
     if not items:
         raise AssemblyError("no secondaries to linearize")
-    n = len(items)
-    spc = jet_space(3 * n, 2)
-    dx = variables(spc, np.zeros(3 * n))
-    total = Jet.constant(spc, 1.0)
-    for k, it in enumerate(items):
-        P3 = np.asarray(it.P3, float)
-        det = np.linalg.det(P3)
-        if det <= 0:
-            raise AssemblyError("relative covariance is singular")
-        Pinv = np.linalg.inv(P3)
-        dr = [Jet.constant(spc, it.dr_ref[j]) + dx[3 * k + j] for j in range(3)]
-        d2 = Jet.constant(spc, 0.0)
-        for i in range(3):
-            for j in range(3):
-                d2 = d2 + Pinv[i, j] * dr[i] * dr[j]
-        amp = math.sqrt(2.0 / (math.pi * det)) * it.hbr ** 3 / 3.0
-        f0 = amp * math.exp(-0.5 * d2.const)
-        pic = d2.compose_series([f0, -0.5 * f0, 0.25 * f0])
-        total = total * (1.0 - it.weight * pic)
-    total = 1.0 - total
-    return _risk_package(total, list(range(n)))
+    factors = []
+    for it in items:
+        peak = ipoc_peak(it.P3, it.hbr)
+        Q = np.linalg.inv(np.asarray(it.P3, float))
+        y = np.asarray(it.dr_ref, float)
+        p = peak * math.exp(-0.5 * float(y @ Q @ y))
+        factors.append(_factor(it.weight, (p, -0.5 * p, 0.25 * p),
+                               2.0 * Q @ y, 2.0 * Q))
+    return _expand_total(factors, list(range(len(items))))
 
 
 # ---------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Jets carry all partial derivatives of a quantity up to a truncation order
 with respect to a set of perturbation variables.  They are the substrate
-for automatic linearization of the dynamics and of the risk maps.
+for the linearization of the dynamics and for the nonlinearity indices
+behind its trust regions and the mixture splitting.
 
-The arithmetic works on coefficient arrays of shape ``(..., size)``, one
-jet per leading index, so that many jets (every state component of every
-segment) go through one call.  :class:`Jet` wraps a single coefficient
-vector as the scalar API of the same kernels.
+The arithmetic is a set of kernels on coefficient arrays of shape
+``(..., size)``, one jet per leading index, so that many jets (every state
+component of every segment) go through one call; a single jet is an array
+of shape ``(size,)``.
 
 Everything here is unit-agnostic: callers are expected to work in scaled
 variables.
@@ -220,139 +221,3 @@ def second_order_ratio(space: JetSpace, x: np.ndarray) -> np.ndarray:
         return np.zeros(space.n_vars)
     H = hessian(space, x)
     return np.sqrt((H ** 2).sum(axis=(0, 1))) / g1
-
-
-class Jet:
-    """One truncated Taylor polynomial over a :class:`JetSpace`."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
-        self.space = space
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (space.size,):
-            raise DimensionError(
-                f"coefficient vector has shape {self.coeffs.shape}, expected ({space.size},)"
-            )
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def constant(space: JetSpace, value: float) -> "Jet":
-        c = np.zeros(space.size)
-        c[0] = value
-        return Jet(space, c)
-
-    @staticmethod
-    def variable(space: JetSpace, var: int, const: float = 0.0) -> "Jet":
-        if space.order < 1:
-            raise DimensionError("order-0 space has no variables")
-        c = np.zeros(space.size)
-        c[0] = const
-        c[space.lin_index[var]] = 1.0
-        return Jet(space, c)
-
-    # -- queries ------------------------------------------------------
-    @property
-    def const(self) -> float:
-        return float(self.coeffs[0])
-
-    def gradient(self) -> np.ndarray:
-        """First-order coefficients, one per variable."""
-        return gradient(self.space, self.coeffs)
-
-    def hessian(self) -> np.ndarray:
-        """Second-derivative matrix assembled from degree-2 coefficients."""
-        return hessian(self.space, self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------
-    def _check(self, other: "Jet"):
-        if other.space is not self.space:
-            if (other.space.n_vars, other.space.order) != (self.space.n_vars, self.space.order):
-                raise DimensionError("jets live in different spaces")
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet(self.space, self.coeffs + other.coeffs)
-        c = self.coeffs.copy()
-        c[0] += other
-        return Jet(self.space, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet(self.space, mul(self.space, self.coeffs, other.coeffs))
-        return Jet(self.space, self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.space, self.coeffs / float(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, p):
-        if isinstance(p, int) and p >= 0:
-            out = Jet.constant(self.space, 1.0)
-            for _ in range(p):
-                out = out * self
-            return out
-        return NotImplemented
-
-    # -- elementary functions ------------------------------------------
-    def compose_series(self, derivs) -> "Jet":
-        """Apply a scalar function given its derivatives at the constant part.
-
-        ``derivs[k]`` must be the k-th derivative of f evaluated at
-        ``self.const``, for k = 0..order.
-        """
-        return Jet(self.space, compose_series(self.space, self.coeffs, derivs))
-
-    def reciprocal(self) -> "Jet":
-        return Jet(self.space, reciprocal(self.space, self.coeffs))
-
-    def sqrt(self) -> "Jet":
-        return Jet(self.space, sqrt(self.space, self.coeffs))
-
-    def exp(self) -> "Jet":
-        e = math.exp(self.const)
-        return self.compose_series([e] * (self.space.order + 1))
-
-    def sin(self) -> "Jet":
-        a = self.const
-        cyc = [math.sin(a), math.cos(a), -math.sin(a), -math.cos(a)]
-        return self.compose_series([cyc[k % 4] for k in range(self.space.order + 1)])
-
-    def cos(self) -> "Jet":
-        a = self.const
-        cyc = [math.cos(a), -math.sin(a), -math.cos(a), math.sin(a)]
-        return self.compose_series([cyc[k % 4] for k in range(self.space.order + 1)])
-
-    def __repr__(self):
-        return f"Jet({self.space!r}, const={self.const:g})"
-
-
-# ---------------------------------------------------------------------
-# module-level helpers
-
-
-def variables(space: JetSpace, consts) -> list[Jet]:
-    """One jet per variable, expanded around the given constants."""
-    consts = np.asarray(consts, dtype=float)
-    if consts.shape != (space.n_vars,):
-        raise DimensionError("need one expansion point per variable")
-    return [Jet(space, c) for c in identity(space, consts)]

@@ -79,8 +79,9 @@ def chan_uv(dr2: np.ndarray, P2: np.ndarray, hbr: float) -> tuple[float, float]:
     return u, v
 
 
-def chan_poc(u: float, v: float, tol: float = 1e-15) -> float:
-    """Chan's series for the 2D collision probability.
+def chan_series(u: float, v: float, order: int = 2) -> list[float]:
+    """Chan's series for the 2D collision probability and its first
+    ``order`` derivatives in v.
 
     The sum is the exact probability that a unit Gaussian centred at
     squared distance v from the origin falls in the disk of squared radius
@@ -91,27 +92,43 @@ def chan_poc(u: float, v: float, tol: float = 1e-15) -> float:
     The inner truncated exponential sums are regularized incomplete gamma
     functions, which keeps every term accurate without cancellation; the
     Poisson weights in v are evaluated in log space so extreme miss
-    distances underflow gracefully instead of corrupting the sum.
+    distances underflow gracefully instead of corrupting the sum. A Poisson
+    weight differentiates to half the difference of its neighbours, so the
+    k-th derivative is the same sum over the k-th forward differences of the
+    inner factors, times 2^-k.
     """
     if u < 0 or v < 0:
         raise RiskError("need non-negative u and v")
     if u == 0.0:
-        return 0.0
+        return [0.0] * (order + 1)
     half_u, half_v = 0.5 * u, 0.5 * v
     if half_v == 0.0:
-        total = float(special.gammainc(1.0, half_u))
-        return min(max(total, 0.0), 1.0)
-    # the Poisson weights in v carry all their mass within a few standard
-    # deviations of the mode, so the sum runs over that window only; the
-    # inner factors are bounded by one, which bounds the neglected tails
-    spread = 12.0 * math.sqrt(half_v) + 30.0
-    n_lo = max(0, int(half_v - spread))
-    m = np.arange(n_lo, int(half_v + spread) + 1)
-    log_pois = -half_v + m * math.log(half_v) - special.gammaln(m + 1.0)
-    inner = special.gammainc(m + 1.0, half_u)
+        m = np.zeros(1, dtype=np.int64)
+        log_pois = np.zeros(1)
+    else:
+        # the Poisson weights in v carry all their mass within a few
+        # standard deviations of the mode, so the sum runs over that window
+        # only; the inner factors are bounded by one, which bounds the
+        # neglected tails
+        spread = 12.0 * math.sqrt(half_v) + 30.0
+        n_lo = max(0, int(half_v - spread))
+        m = np.arange(n_lo, int(half_v + spread) + 1)
+        log_pois = -half_v + m * math.log(half_v) - special.gammaln(m + 1.0)
+    inner = special.gammainc(np.arange(m[0], m[-1] + order + 1) + 1.0, half_u)
+    out = []
     with np.errstate(under="ignore"):
-        total = float(np.sum(np.exp(log_pois) * inner))
-    return min(max(total, 0.0), 1.0)
+        pois = np.exp(log_pois)
+        for k in range(order + 1):
+            if k:
+                inner = np.diff(inner)
+            out.append(float(np.sum(pois * inner[:len(m)])) / 2.0 ** k)
+    out[0] = min(max(out[0], 0.0), 1.0)
+    return out
+
+
+def chan_poc(u: float, v: float) -> float:
+    """Value of Chan's series (see :func:`chan_series`)."""
+    return chan_series(u, v, order=0)[0]
 
 
 def invert_chan(p_target: float, u: float, v_max: float = 1e6) -> float:
@@ -135,15 +152,18 @@ def invert_chan(p_target: float, u: float, v_max: float = 1e6) -> float:
 # instantaneous probability for long-term encounters
 
 
-def ipoc(dr3: np.ndarray, P3: np.ndarray, hbr: float) -> float:
-    """Constant-density estimate of the instantaneous collision probability."""
-    P3 = np.asarray(P3, float)
-    det = np.linalg.det(P3)
+def ipoc_peak(P3: np.ndarray, hbr: float) -> float:
+    """Instantaneous PoC at zero miss: the relative position density at its
+    mean times the volume of the hard-body sphere."""
+    det = np.linalg.det(np.asarray(P3, float))
     if det <= 0.0:
         raise RiskError("relative position covariance is singular")
-    dr3 = np.asarray(dr3, float)
-    d2 = float(dr3 @ np.linalg.solve(P3, dr3))
-    val = math.sqrt(2.0 / (math.pi * det)) * hbr ** 3 / 3.0 * math.exp(-0.5 * d2)
+    return math.sqrt(2.0 / (math.pi * det)) * hbr ** 3 / 3.0
+
+
+def ipoc(dr3: np.ndarray, P3: np.ndarray, hbr: float) -> float:
+    """Constant-density estimate of the instantaneous collision probability."""
+    val = ipoc_peak(P3, hbr) * math.exp(-0.5 * smd_3d(dr3, P3))
     return min(max(val, 0.0), 1.0)
 
 
@@ -157,10 +177,7 @@ def invert_ipoc(p_target: float, P3: np.ndarray, hbr: float) -> float:
     the target; zero if the target is unreachable even at zero miss."""
     if not (0.0 < p_target < 1.0):
         raise RiskError("target probability must be in (0, 1)")
-    det = np.linalg.det(np.asarray(P3, float))
-    if det <= 0.0:
-        raise RiskError("relative position covariance is singular")
-    peak = math.sqrt(2.0 / (math.pi * det)) * hbr ** 3 / 3.0
+    peak = ipoc_peak(P3, hbr)
     if p_target >= peak:
         return 0.0
     return -2.0 * math.log(p_target / peak)

@@ -33,6 +33,7 @@ SCHEMA_VERSION = 1
 # values fill the upper triangle in row-major order (rt, rn, tn)
 _POS_KEYS = ("P_rr", "P_tt", "P_nn", "P_rt", "P_tn", "P_nr")
 _VEL_KEYS = ("P_rdot_rdot", "P_tdot_tdot", "P_ndot_ndot")
+_NUMBER = (int, float)
 
 
 # ---------------------------------------------------------------------
@@ -194,9 +195,13 @@ def _get(obj, key, path, typ=None):
     return val
 
 
+def _opt(obj, key, path, typ, default):
+    return _get(obj, key, path, typ) if key in obj else default
+
+
 def _vector(obj, key, path, n):
     v = _get(obj, key, path, list)
-    if len(v) != n or not all(isinstance(x, (int, float)) for x in v):
+    if len(v) != n or not all(isinstance(x, _NUMBER) for x in v):
         raise ScenarioFormatError(f"field {path}.{key} must be {n} numbers")
     return np.array(v, float)
 
@@ -206,7 +211,7 @@ def _covariance(entry, path):
     fill the upper triangle row by row.  The velocity block (diagonal entries
     only) is optional.  Tiny negative eigenvalues from rounded inputs are
     clipped to zero; anything worse is rejected."""
-    vals = {k: _get(entry, k, path, (int, float)) for k in _POS_KEYS}
+    vals = {k: _get(entry, k, path, _NUMBER) for k in _POS_KEYS}
     P = np.array([
         [vals["P_rr"], vals["P_rt"], vals["P_tn"]],
         [vals["P_rt"], vals["P_tt"], vals["P_nr"]],
@@ -216,7 +221,7 @@ def _covariance(entry, path):
         full = np.zeros((6, 6))
         full[:3, :3] = P
         for j, k in enumerate(_VEL_KEYS):
-            full[3 + j, 3 + j] = _get(entry, k, path, (int, float))
+            full[3 + j, 3 + j] = _get(entry, k, path, _NUMBER)
         P = full
     evals, vecs = np.linalg.eigh(P)
     scale = max(1e-300, np.max(np.abs(evals)))
@@ -229,18 +234,21 @@ def _covariance(entry, path):
 
 def _primary_state(prim, mu):
     if "state" in prim:
-        st = prim["state"]
+        st = _get(prim, "state", "primary", dict)
         return np.concatenate([_vector(st, "r_km", "primary.state", 3),
                                _vector(st, "v_km_s", "primary.state", 3)])
     if "elements" in prim:
-        el = prim["elements"]
+        el = _get(prim, "elements", "primary", dict)
+        path = "primary.elements"
+        a, e = _get(el, "a_km", path, _NUMBER), _get(el, "e", path, _NUMBER)
+        if a <= 0 or not 0 <= e < 1:
+            raise ScenarioFormatError(f"{path} must be an ellipse: a_km > 0, "
+                                      "0 <= e < 1")
         return elements_to_state(
-            _get(el, "a_km", "primary.elements", (int, float)),
-            _get(el, "e", "primary.elements", (int, float)),
-            math.radians(_get(el, "i_deg", "primary.elements", (int, float))),
-            math.radians(el.get("raan_deg", 0.0)),
-            math.radians(el.get("argp_deg", 0.0)),
-            math.radians(el.get("nu_deg", 0.0)), mu)
+            a, e, math.radians(_get(el, "i_deg", path, _NUMBER)),
+            math.radians(_opt(el, "raan_deg", path, _NUMBER, 0.0)),
+            math.radians(_opt(el, "argp_deg", path, _NUMBER, 0.0)),
+            math.radians(_opt(el, "nu_deg", path, _NUMBER, 0.0)), mu)
     raise ScenarioFormatError("primary needs either 'state' or 'elements'")
 
 
@@ -250,10 +258,14 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("a scenario must be a JSON object")
 
     if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ScenarioFormatError("unsupported schema version")
-    mu = float(doc.get("mu_km3_s2", GM_EARTH))
+    mu = float(_opt(doc, "mu_km3_s2", "$", _NUMBER, GM_EARTH))
+    if mu <= 0:
+        raise ScenarioFormatError("mu_km3_s2 must be positive")
     dyn_name = doc.get("dynamics", "two_body")
     if dyn_name == "two_body":
         dynamics = Dynamics.two_body(mu)
@@ -264,29 +276,32 @@ def load_scenario(path) -> Scenario:
 
     prim = _get(doc, "primary", "$", dict)
     x_p = _primary_state(prim, mu)
-    u_max = _get(prim, "u_max_mm_s2", "primary", (int, float)) * 1e-6  # km/s^2
-    mass = prim.get("mass_kg", 0.0)
-    state_epoch = float(prim.get("state_epoch_s", doc.get("horizon_s", [0])[0]))
-
+    u_max = _get(prim, "u_max_mm_s2", "primary", _NUMBER) * 1e-6  # km/s^2
+    mass = _opt(prim, "mass_kg", "primary", _NUMBER, 0.0)
     horizon = _vector(doc, "horizon_s", "$", 2)
-    mode = doc.get("mode", {})
-    short_term = bool(mode.get("short_term", True))
-    long_term = bool(mode.get("long_term", False))
-    n_mix = int(mode.get("n_mix", 1))
+    state_epoch = float(_opt(prim, "state_epoch_s", "primary", _NUMBER,
+                             horizon[0]))
+
+    mode = _opt(doc, "mode", "$", dict, {})
+    short_term = _opt(mode, "short_term", "mode", bool, True)
+    long_term = _opt(mode, "long_term", "mode", bool, False)
+    n_mix = _opt(mode, "n_mix", "mode", int, 1)
     if n_mix < 1 or n_mix % 2 == 0:
         raise ScenarioFormatError("mode.n_mix must be odd and positive")
 
     raw = []
-    for idx, entry in enumerate(doc.get("conjunctions", [])):
+    for idx, entry in enumerate(_opt(doc, "conjunctions", "$", list, [])):
         path = f"conjunctions[{idx}]"
-        tca = _get(entry, "tca_s", path, (int, float))
+        if not isinstance(entry, dict):
+            raise ScenarioFormatError(f"{path} must be an object")
+        tca = _get(entry, "tca_s", path, _NUMBER)
         if not horizon[0] <= tca <= horizon[1]:
             raise ScenarioFormatError(f"{path}.tca_s outside horizon")
         dr = _vector(entry, "dr_m", path, 3) * 1e-3
         dv = _vector(entry, "dv_km_s", path, 3)
         cov = _covariance(_get(entry, "cov_rtn_km2", path, dict),
                           f"{path}.cov_rtn_km2")
-        hbr = _get(entry, "hbr_m", path, (int, float)) * 1e-3
+        hbr = _get(entry, "hbr_m", path, _NUMBER) * 1e-3
         if hbr <= 0:
             raise ScenarioFormatError(f"{path}.hbr_m must be positive")
         raw.append((idx, float(tca), dr, dv, cov, float(hbr)))
@@ -307,7 +322,8 @@ def load_scenario(path) -> Scenario:
                     state_epoch=state_epoch, u_max=u_max, mass=mass,
                     horizon=(float(horizon[0]), float(horizon[1])),
                     short_term=short_term, long_term=long_term, n_mix=n_mix,
-                    conjunctions=conjunctions, name=doc.get("name", ""))
+                    conjunctions=conjunctions,
+                    name=_opt(doc, "name", "$", str, ""))
 
 
 def scaled_dynamics(scenario: Scenario) -> Dynamics:

@@ -139,6 +139,17 @@ class TestRisk:
         assert "Traceback" not in err
 
 
+class TestBadInput:
+    def test_mistyped_field_fails_cleanly(self, tmp_path, capsys):
+        doc = json.load(open(CASE1))
+        doc["mu_km3_s2"] = "abc"
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mu_km3_s2" in err
+
+
 class TestSplit:
     def test_mixture_dump_is_normalized(self, capsys):
         code = cli.main(["split", CASE2, "--nmix", "3"])
@@ -153,3 +164,11 @@ class TestSplit:
     def test_position_only_covariance_rejected(self, capsys):
         # the ten-CDM fixture carries no velocity block
         assert cli.main(["split", CASE1, "--nmix", "3"]) == 3
+
+
+class TestSelftest:
+    def test_every_suite_passes(self, capsys):
+        assert cli.main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cli._SUITES)
+        assert all(line.startswith("pass  ") for line in lines)

@@ -15,7 +15,9 @@ from camopt.convexify import (
     linearize_tpoc,
     project_onto_ellipsoid,
 )
-from camopt.risk import bplane_basis, chan_poc, chan_uv, ipoc
+from camopt.dajet import (compose_series, gradient, hessian, identity,
+                          jet_space, mul)
+from camopt.risk import bplane_basis, chan_poc, chan_series, chan_uv, ipoc
 from camopt.socp import solve
 
 
@@ -174,6 +176,76 @@ class TestRiskLinearization:
     def test_empty_rejected(self):
         with pytest.raises(AssemblyError):
             linearize_tpoc([])
+
+
+def quadratic_form(sp, Q, y):
+    """y' Q y for a vector of jets y, shape (len(Q), size)."""
+    return sum(Q[i, j] * mul(sp, y[i], y[j])
+               for i in range(len(Q)) for j in range(len(Q)))
+
+
+def chan_factor(sp, dr, it):
+    v = quadratic_form(sp, np.linalg.inv(it.P2), it.basis @ dr)
+    u = it.hbr ** 2 / math.sqrt(np.linalg.det(it.P2))
+    return compose_series(sp, v, chan_series(u, v[0]))
+
+
+def ipoc_factor(sp, dr, it):
+    d2 = quadratic_form(sp, np.linalg.inv(it.P3), dr)
+    p = ipoc(dr[:, 0], it.P3, it.hbr)
+    return compose_series(sp, d2, [p, -0.5 * p, 0.25 * p])
+
+
+def kernel_total(items, factor):
+    """Value, gradient and trust-region factors of 1 - prod_k (1 - w_k p_k)
+    expanded to second order on the jet kernels."""
+    n = len(items)
+    sp = jet_space(3 * n, 2)
+    x = identity(sp, np.zeros(3 * n))
+    total = np.zeros(sp.size)
+    total[0] = 1.0
+    for k, it in enumerate(items):
+        dr = x[3 * k:3 * k + 3].copy()
+        dr[:, 0] += it.dr_ref
+        f = -it.weight * factor(sp, dr, it)
+        f[0] += 1.0
+        total = mul(sp, total, f)
+    g = -gradient(sp, total)
+    H = hessian(sp, total)
+    xi = np.sqrt((H ** 2).sum(axis=0)) / np.linalg.norm(g)
+    return 1.0 - total[0], g.reshape(n, 3), xi.reshape(n, 3)
+
+
+class TestRiskOracle:
+    """The closed-form linearizations against the jet-kernel expansion of
+    the same product-form total."""
+
+    def items(self, long_term):
+        rng = np.random.default_rng(21 if long_term else 22)
+        out = []
+        for k in range(4):
+            M = rng.standard_normal((3, 3)) * 0.2
+            P3 = M @ M.T + 0.01 * np.eye(3)
+            dr = rng.standard_normal(3) * 0.2
+            hbr, w = rng.uniform(0.01, 0.05), rng.uniform(0.2, 1.0)
+            if long_term:
+                out.append(LongTermItem(dr_ref=dr, P3=P3, hbr=hbr, weight=w))
+            else:
+                B = bplane_basis(rng.standard_normal(3), rng.standard_normal(3))
+                out.append(ShortTermItem(node=2 * k, dr_ref=dr, basis=B,
+                                         P2=B @ P3 @ B.T, hbr=hbr, weight=w))
+        return out
+
+    @pytest.mark.parametrize("long_term", [False, True], ids=["tpoc", "tipoc"])
+    def test_matches_kernel_expansion(self, long_term):
+        items = self.items(long_term)
+        lin = (linearize_tipoc if long_term else linearize_tpoc)(items)
+        value, grads, xi = kernel_total(
+            items, ipoc_factor if long_term else chan_factor)
+        assert value > 1e-5
+        assert lin.value == pytest.approx(value, rel=1e-12)
+        for got, ref in ((lin.grads, grads), (lin.xi, xi)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def double_integrator_segment(dt):

@@ -9,6 +9,7 @@ from camopt.risk import (
     bplane_basis,
     bplane_project,
     chan_poc,
+    chan_series,
     chan_uv,
     equivalent_bplane,
     invert_chan,
@@ -140,6 +141,21 @@ class TestChanPoc:
     def test_negative_inputs_rejected(self):
         with pytest.raises(RiskError):
             chan_poc(-1.0, 1.0)
+
+    @pytest.mark.parametrize("u", [1e-4, 0.05, 2.0])
+    def test_series_derivatives_match_central_differences(self, u):
+        h = 1e-3
+        for v in (0.5, 3.0, 40.0, 300.0):
+            p, dp, d2p = chan_series(u, v)
+            assert p == chan_poc(u, v)
+            lo, hi = chan_poc(u, v - h), chan_poc(u, v + h)
+            assert dp == pytest.approx((hi - lo) / (2 * h), rel=1e-6)
+            assert d2p == pytest.approx((hi - 2 * p + lo) / h ** 2, rel=1e-6)
+
+    def test_series_continuous_at_head_on(self):
+        for u in (1e-4, 0.05, 2.0):
+            assert chan_series(u, 0.0) == pytest.approx(
+                chan_series(u, 1e-9), rel=1e-6)
 
     def test_singular_covariance_rejected(self):
         with pytest.raises(RiskError):

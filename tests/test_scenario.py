@@ -208,6 +208,27 @@ class TestLoader:
         with pytest.raises(ScenarioFormatError, match="dynamics"):
             load_scenario(write_doc(tmp_path, minimal_doc(dynamics="drag")))
 
+    # each edit changes the document in place or returns a replacement
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: d.update(mu_km3_s2="abc"),
+        lambda d: d.update(mode={"n_mix": "x"}),
+        lambda d: d.update(mode=[1]),
+        lambda d: d["primary"].update(state_epoch_s="z"),
+        lambda d: d["primary"]["elements"].update(raan_deg="r"),
+        lambda d: d["primary"]["elements"].update(argp_deg=None),
+        lambda d: d["primary"]["elements"].update(nu_deg=[0.0]),
+        lambda d: d.update(conjunctions=[7]),
+        lambda d: d["primary"]["elements"].update(e=1.5),
+        lambda d: d["primary"]["elements"].update(a_km=-7000.0),
+    ], ids=["top_level_array", "mu", "n_mix", "mode", "state_epoch", "raan",
+            "argp", "nu", "conjunction", "hyperbolic", "negative_sma"])
+    def test_bad_field_rejected(self, tmp_path, edit):
+        doc = minimal_doc()
+        doc = edit(doc) or doc
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(write_doc(tmp_path, doc))
+
     def test_empty_conjunction_list_ok(self, tmp_path):
         sc = load_scenario(write_doc(tmp_path, minimal_doc(conjunctions=[])))
         assert sc.conjunctions == []
