@@ -25,7 +25,7 @@ import numpy as np
 from . import CamoptError
 from .astro import flow, linearize_segment, Dynamics
 from . import dajet
-from .risk import chan_poc, chan_uv, equivalent_bplane, ipoc
+from .risk import chan_poc, chan_uv, equivalent_bplane, invert_chan, ipoc
 from .scenario import (
     Config,
     load_scenario,
@@ -37,7 +37,7 @@ from .socp import SocpProblem, ConeDims, _Cone, solve as socp_solve
 from .uncert import nonlinearity_index, split_direction, split_gaussian
 
 import scipy.sparse as sparse
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 
 # ---------------------------------------------------------------------
@@ -127,6 +127,8 @@ def emit(sol, scenario, out_dir):
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
                 "gap": _num(cs["gap"]),
             } for cs in rec.cone_solves],
+            "limits": [{"q_limit": _num(q), "d2_limit": _num(d2)}
+                       for q, d2 in rec.limits],
         } for rec in sol.log],
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -330,6 +332,24 @@ def _suite_chan_poc():
     return worst <= 1e-6, f"max rel err {worst:.2e} (tol 1e-6)"
 
 
+def _suite_chan_inversion():
+    """Newton inversion of Chan's series against a bracketing root finder,
+    random (u, p) with p below the head-on probability."""
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for _ in range(20):
+        u = 10.0 ** rng.uniform(-8.0, 1.5)
+        p = chan_poc(u, 0.0) * 10.0 ** rng.uniform(-8.0, -0.05)
+        f = lambda v: chan_poc(u, v) - p
+        hi = 1.0
+        while f(hi) > 0.0:
+            hi *= 4.0
+        ref = optimize.brentq(f, 0.0, hi, xtol=1e-300, rtol=1e-15,
+                              maxiter=500)
+        worst = max(worst, abs(invert_chan(p, u) - ref) / ref)
+    return worst <= 1e-12, f"max rel err {worst:.2e} (tol 1e-12)"
+
+
 def _suite_ipoc():
     """Instantaneous PoC against Monte Carlo over the hard-body sphere."""
     rng = np.random.default_rng(13)
@@ -458,6 +478,7 @@ _SUITES = [
     ("jet gradients vs finite differences", _suite_jet_gradients),
     ("state transition matrix vs finite differences", _suite_stm),
     ("short-term PoC vs 2D quadrature", _suite_chan_poc),
+    ("Chan inversion vs bracketing root", _suite_chan_inversion),
     ("instantaneous PoC vs Monte Carlo", _suite_ipoc),
     ("equivalent B-plane vs boundary scan", _suite_projection),
     ("cone solver residuals on random problems", _suite_socp),

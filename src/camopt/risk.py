@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from . import CamoptError
 
@@ -79,9 +78,17 @@ def chan_uv(dr2: np.ndarray, P2: np.ndarray, hbr: float) -> tuple[float, float]:
     return u, v
 
 
-def chan_series(u: float, v: float, order: int = 2) -> list[float]:
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.log``.  numpy's vectorized log can differ from the
+    C library's in the last bit, and the risk values keep the C library's
+    rounding, which they had as scalar formulas."""
+    return np.fromiter(map(math.log, x), float, count=len(x))
+
+
+def chan_series(u: float, v, order: int = 2) -> list:
     """Chan's series for the 2D collision probability and its first
-    ``order`` derivatives in v.
+    ``order`` derivatives in v, for a scalar v (a list of floats) or an
+    array of v (a list of arrays of its shape).
 
     The sum is the exact probability that a unit Gaussian centred at
     squared distance v from the origin falls in the disk of squared radius
@@ -95,57 +102,115 @@ def chan_series(u: float, v: float, order: int = 2) -> list[float]:
     distances underflow gracefully instead of corrupting the sum. A Poisson
     weight differentiates to half the difference of its neighbours, so the
     k-th derivative is the same sum over the k-th forward differences of the
-    inner factors, times 2^-k.
+    inner factors, times 2^-k.  Every element of an array is summed over
+    its own window, exactly as a scalar call would sum it.
     """
-    if u < 0 or v < 0:
+    v_arr = np.asarray(v, float)
+    if u < 0 or not np.all(v_arr >= 0.0):
         raise RiskError("need non-negative u and v")
+    half_v = 0.5 * v_arr.ravel()
     if u == 0.0:
-        return [0.0] * (order + 1)
-    half_u, half_v = 0.5 * u, 0.5 * v
-    if half_v == 0.0:
-        m = np.zeros(1, dtype=np.int64)
-        log_pois = np.zeros(1)
+        out = [np.zeros(half_v.shape)] * (order + 1)
     else:
-        # the Poisson weights in v carry all their mass within a few
-        # standard deviations of the mode, so the sum runs over that window
-        # only; the inner factors are bounded by one, which bounds the
-        # neglected tails
-        spread = 12.0 * math.sqrt(half_v) + 30.0
-        n_lo = max(0, int(half_v - spread))
-        m = np.arange(n_lo, int(half_v + spread) + 1)
-        log_pois = -half_v + m * math.log(half_v) - special.gammaln(m + 1.0)
-    inner = special.gammainc(np.arange(m[0], m[-1] + order + 1) + 1.0, half_u)
+        out = _chan_sums(0.5 * u, half_v, order)
+        out[0] = np.minimum(np.maximum(out[0], 0.0), 1.0)
+    if v_arr.ndim == 0:
+        return [float(o[0]) for o in out]
+    return [o.reshape(v_arr.shape) for o in out]
+
+
+def _chan_sums(half_u: float, half_v: np.ndarray, order: int) -> list:
+    """The windowed sums of :func:`chan_series`, one per element of half_v,
+    each before its clip to [0, 1]."""
+    # The term m is Poisson(m; v/2) times the probability that Poisson(u/2)
+    # exceeds m.  Their product peaks near m = sqrt(uv)/2 when v > u and at
+    # the Poisson mode v/2 otherwise, and carries all its mass within a few
+    # Poisson standard deviations of that peak; the inner factors are
+    # bounded by one, which bounds the neglected tails.  For v below about
+    # 404 the window starts at m = 0 either way.
+    spread = 12.0 * np.sqrt(half_v) + 30.0
+    peak = np.minimum(half_v, np.sqrt(half_u * half_v))
+    lo = np.maximum(0, (peak - spread).astype(np.int64))
+    # a head-on element holds the single term m = 0 with unit weight
+    hi = np.where(half_v > 0.0, (half_v + spread).astype(np.int64), 0)
+    log_hv = _log(np.where(half_v > 0.0, half_v, 1.0))
+    # all windows end to end, each behind one zero slot: np.sum adds a
+    # window pairwise onto a zero start, reduceat onto the first slot of a
+    # segment, so the zero makes every sum equal np.sum over its window
+    count = hi - lo + 2
+    first = np.cumsum(count) - count
+    m = np.arange(int(count.sum())) + np.repeat(lo - 1 - first, count)
+    m_lo = int(lo.min())
+    j = m - m_lo  # -1 only in zero slots, whose terms are overwritten
+    log_pois = np.repeat(-half_v, count) + m * np.repeat(log_hv, count) \
+        - special.gammaln(np.arange(m_lo, int(hi.max()) + 1) + 1.0)[j]
+    inner = special.gammainc(
+        np.arange(m_lo, int(hi.max()) + order + 1) + 1.0, half_u)
     out = []
     with np.errstate(under="ignore"):
         pois = np.exp(log_pois)
         for k in range(order + 1):
             if k:
-                inner = np.diff(inner)
-            out.append(float(np.sum(pois * inner[:len(m)])) / 2.0 ** k)
-    out[0] = min(max(out[0], 0.0), 1.0)
+                inner = inner[1:] - inner[:-1]
+            terms = pois * inner[j]
+            terms[first] = 0.0
+            out.append(np.add.reduceat(terms, first) / 2.0 ** k)
     return out
 
 
-def chan_poc(u: float, v: float) -> float:
+def chan_poc(u: float, v):
     """Value of Chan's series (see :func:`chan_series`)."""
     return chan_series(u, v, order=0)[0]
 
 
-def invert_chan(p_target: float, u: float, v_max: float = 1e6) -> float:
-    """Squared Mahalanobis distance at which Chan's series equals p_target."""
-    if not (0.0 < p_target < 1.0):
+def invert_chan(p_target, u: float, v_max: float = 1e6):
+    """Squared Mahalanobis distance at which Chan's series equals p_target,
+    for a scalar target (a float) or an array of targets.
+
+    A safeguarded Newton iteration on log P(v) solves all targets at once.
+    The m = 0 term of the series alone gives P(v) >= P(0) e^{-v/2}, so
+    v = 2 log(P(0)/p) starts every target at or below its root; for small u
+    that term dominates and the start is nearly exact.  Each evaluation
+    narrows a bracket [lo, hi] around the root.  Until a point beyond the
+    root is found, a step that fails is replaced by quadrupling v; after
+    that, by bisection of the bracket.  Each target stops on its own once
+    its step is below 1e-14 + 1e-13 v, so it ends with the same bits alone
+    or in an array.
+    """
+    p = np.asarray(p_target, float)
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise RiskError("target probability must be in (0, 1)")
+    target = p.ravel()
+    v_out = np.zeros(target.shape)
     p0 = chan_poc(u, 0.0)
-    if p_target >= p0:
-        # even a head-on encounter stays below the limit
-        return 0.0
-    f = lambda v: chan_poc(u, v) - p_target
-    v_hi = 1.0
-    while f(v_hi) > 0.0:
-        v_hi *= 4.0
-        if v_hi > v_max:
+    # targets at or above the head-on probability need no miss at all
+    idx = np.flatnonzero(target < p0)
+    t = target[idx]
+    x = 2.0 * np.log(p0 / t)
+    lo, hi = np.zeros(len(t)), np.full(len(t), np.inf)
+    for _ in range(200):
+        if not len(idx):
+            break
+        P, dP = chan_series(u, x, order=1)
+        above = P > t
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        if np.any(lo > v_max):
             raise RiskError("could not bracket the miss-distance limit")
-    return float(brentq(f, 0.0, v_hi, xtol=1e-14, rtol=1e-13))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = x - (np.log(P) - np.log(t)) * P / dP
+        ok = np.isfinite(x_new) & (lo <= x_new) & (x_new <= hi)
+        fallback = np.where(np.isinf(hi), 4.0 * np.maximum(x, 0.25),
+                            0.5 * (lo + hi))
+        x_new = np.where(ok, x_new, fallback)
+        done = np.abs(x_new - x) <= 1e-14 + 1e-13 * x_new
+        v_out[idx[done]] = x_new[done]
+        keep = ~done
+        idx, t, x = idx[keep], t[keep], x_new[keep]
+        lo, hi = lo[keep], hi[keep]
+    if len(idx):
+        raise RiskError("Chan inversion did not converge")
+    return float(v_out[0]) if p.ndim == 0 else v_out.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------
@@ -172,15 +237,16 @@ def smd_3d(dr3: np.ndarray, P3: np.ndarray) -> float:
     return float(dr3 @ np.linalg.solve(np.asarray(P3, float), dr3))
 
 
-def invert_ipoc(p_target: float, P3: np.ndarray, hbr: float) -> float:
+def invert_ipoc(p_target, P3: np.ndarray, hbr: float):
     """Squared Mahalanobis distance at which the instantaneous PoC equals
-    the target; zero if the target is unreachable even at zero miss."""
-    if not (0.0 < p_target < 1.0):
+    the target; zero if the target is unreachable even at zero miss.  For a
+    scalar target (a float) or an array of targets."""
+    p = np.asarray(p_target, float)
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise RiskError("target probability must be in (0, 1)")
-    peak = ipoc_peak(P3, hbr)
-    if p_target >= peak:
-        return 0.0
-    return -2.0 * math.log(p_target / peak)
+    ratio = np.minimum(p.ravel() / ipoc_peak(P3, hbr), 1.0)
+    d2 = np.where(ratio < 1.0, -2.0 * _log(ratio), 0.0)
+    return float(d2[0]) if p.ndim == 0 else d2.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------

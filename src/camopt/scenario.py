@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,11 +187,21 @@ class Config:
 # JSON loading
 
 
+def _typed(val, typ) -> bool:
+    """isinstance, except that true and false are only booleans and a
+    number must be finite as a float."""
+    if isinstance(val, bool):
+        return typ is bool
+    if typ is _NUMBER:
+        return isinstance(val, _NUMBER) and abs(val) <= sys.float_info.max
+    return isinstance(val, typ)
+
+
 def _get(obj, key, path, typ=None):
     if key not in obj:
         raise ScenarioFormatError(f"missing field {path}.{key}")
     val = obj[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and not _typed(val, typ):
         raise ScenarioFormatError(f"field {path}.{key} has wrong type")
     return val
 
@@ -201,7 +212,7 @@ def _opt(obj, key, path, typ, default):
 
 def _vector(obj, key, path, n):
     v = _get(obj, key, path, list)
-    if len(v) != n or not all(isinstance(x, _NUMBER) for x in v):
+    if len(v) != n or not all(_typed(x, _NUMBER) for x in v):
         raise ScenarioFormatError(f"field {path}.{key} must be {n} numbers")
     return np.array(v, float)
 

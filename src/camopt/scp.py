@@ -134,6 +134,8 @@ class IterationRecord:
     vc_max: float
     # one {status, iterations, pres, dres, gap} per cone solve of the major
     cone_solves: list
+    # one (q_limit, d2_limit) per channel, the limits the major ran with
+    limits: list
 
     @property
     def ipm_iters(self) -> int:
@@ -421,24 +423,33 @@ def _exit_table(y0: np.ndarray, P: np.ndarray, M: np.ndarray):
     their outward normals, plane offsets from y0, and the best displacement
     per unit delta-v along each normal."""
     evals, Q = np.linalg.eigh(np.asarray(P, float))
-    W = _exit_directions(len(y0))
+    dim = len(y0)
+    W = _exit_directions(dim)
     Z1 = (W * np.sqrt(evals)) @ Q.T
     Nn = (W / np.sqrt(evals)) @ Q.T
     Nn = Nn / np.linalg.norm(Nn, axis=1)[:, None]
     b = np.einsum("kj,kj->k", Nn, Z1)
     a = Nn @ np.asarray(y0, float)
     if len(M):
-        t = np.einsum("mdc,kd->mkc", M, Nn)
-        s = np.sqrt(np.max(np.sum(t * t, axis=2), axis=0))
+        # response of every segment's three control components along every
+        # normal: one (directions, segments * 3) product over the stack,
+        # squared in place (fresh megabyte arrays cost more than the sums)
+        t = Nn @ M.transpose(1, 0, 2).reshape(dim, -1)
+        np.square(t, out=t)
+        s2 = t[:, 0::3] + t[:, 1::3]
+        s2 += t[:, 2::3]
+        s = np.sqrt(np.max(s2, axis=1))
     else:
         s = np.zeros(len(Nn))
     return Z1, Nn, b, a, np.maximum(s, 1e-30)
 
 
-def _table_cost(table, d2: float) -> float:
+def _table_cost(table, d2):
+    """Cheapest exit cost at each miss-distance limit of ``d2``: one row of
+    the (limits, directions) gap matrix each."""
     _, _, b, a, s = table
-    gap = np.maximum(math.sqrt(d2) * b - a, 0.0)
-    return float(np.min(gap / s))
+    gap = np.maximum(np.sqrt(d2)[..., None] * b - a, 0.0)
+    return np.min(gap / s, axis=-1)
 
 
 def _cheapest_exit(y0: np.ndarray, P: np.ndarray, d2: float, M: np.ndarray,
@@ -464,21 +475,19 @@ def _select_anchors(items, caps):
     earlier ones, so compatible exit sides ride along instead of fighting.
     The plan itself is extended greedily, filling the segments with the
     largest response along the chosen cut normal up to their delta-v caps.
-    ``items`` holds (y0, P, d2, M) tuples; returns (anchors, normals)."""
+    ``items`` holds (exit table, d2, M) tuples; returns (anchors,
+    normals)."""
     n_seg = len(caps)
     D = np.zeros((n_seg, 3))
-    tables = [_exit_table(y0, P, M) + (math.sqrt(d2), M)
-              for y0, P, d2, M in items]
-    solo = [float(np.min(np.maximum(rd * b - a, 0.0) / s))
-            for _, _, b, a, s, rd, _ in tables]
+    solo = [float(_table_cost(table, d2)) for table, d2, _ in items]
     anchors = [None] * len(items)
     normals = [None] * len(items)
     for idx in np.argsort(solo)[::-1]:
-        Z1, Nn, b, a, s, rd, M = tables[idx]
+        (Z1, Nn, b, a, s), d2, M = items[idx]
+        rd = math.sqrt(d2)
         m = len(M)
-        R = np.einsum("mdc,kd->kmc", M, Nn) if m else \
-            np.zeros((len(Nn), 0, 3))
-        delivered = np.einsum("kmc,mc->k", R, D[:m])
+        # the planned displacement seen along every normal
+        delivered = Nn @ np.einsum("mdc,mc->d", M, D[:m])
         resid = rd * b - a - delivered
         k = int(np.argmin(np.maximum(resid, 0.0) / s))
         anchors[idx] = rd * Z1[k]
@@ -486,7 +495,7 @@ def _select_anchors(items, caps):
         r = float(resid[k])
         if r <= 0.0:
             continue
-        rows = R[k]
+        rows = np.einsum("mdc,d->mc", M, Nn[k])
         si = np.linalg.norm(rows, axis=1)
         for i in np.argsort(si)[::-1]:
             if r <= 0.0 or si[i] <= 1e-30:
@@ -524,7 +533,9 @@ def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
 
     ylo, yhi = math.log10(floor), math.log10(hi)
     grid_y = np.linspace(ylo, yhi, 48)
-    tables = [np.array([f(10.0 ** y) for y in grid_y]) for f in rho_fns]
+    # scalar powers: numpy's vectorized power differs in the last bit
+    grid_q = np.array([10.0 ** y for y in grid_y])
+    tables = [np.asarray(f(grid_q), float) for f in rho_fns]
 
     def rho(s, q):
         return float(np.interp(math.log10(q), grid_y, tables[s]))
@@ -570,33 +581,34 @@ def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
     return q
 
 
-def _st_rho_fn(ch: ShortChannel, r_p_ref: np.ndarray):
-    y_ref = ch.basis @ (r_p_ref - ch.xs[:3])
-    table = _exit_table(y_ref, ch.P2, ch.M)
-
+def _st_rho_fn(ch: ShortChannel, table):
+    """Exit cost of the channel at each limit of an array of limits, priced
+    with its exit table at the current reference."""
     def rho(qbar):
-        p = min(qbar / ch.weight, 1.0 - 1e-12)
-        d2 = invert_chan(p, ch.u_chan)
-        if d2 <= 0.0:
-            return 0.0
-        return _table_cost(table, d2)
+        d2 = invert_chan(np.minimum(qbar / ch.weight, 1.0 - 1e-12),
+                         ch.u_chan)
+        return np.where(d2 > 0.0, _table_cost(table, d2), 0.0)
 
     return rho
 
 
-def _lt_rho_fn(ch: LongChannel, r_p_ref: np.ndarray):
-    j = ch.node
-    dr_ref = r_p_ref - ch.r_s[j]
-    table = _exit_table(dr_ref, ch.P3[j], ch.M)
-
+def _lt_rho_fn(ch: LongChannel, table):
+    """As :func:`_st_rho_fn`, at the channel's constrained node."""
     def rho(qbar):
-        p = min(qbar / ch.weight, 1.0 - 1e-12)
-        d2 = invert_ipoc(p, ch.P3[j], ch.hbr)
-        if d2 <= 0.0:
-            return 0.0
-        return _table_cost(table, d2)
+        d2 = invert_ipoc(np.minimum(qbar / ch.weight, 1.0 - 1e-12),
+                         ch.P3[ch.node], ch.hbr)
+        return np.where(d2 > 0.0, _table_cost(table, d2), 0.0)
 
     return rho
+
+
+def _reference_miss(ch, r_p: np.ndarray):
+    """Miss vector of a channel for the primary at r_p, and its covariance:
+    in the encounter plane for a short-term channel, in 3D at the
+    constrained node for a long-term one."""
+    if isinstance(ch, ShortChannel):
+        return ch.basis @ (r_p - ch.xs[:3]), ch.P2
+    return r_p - ch.r_s[ch.node], ch.P3[ch.node]
 
 
 # ---------------------------------------------------------------------
@@ -840,7 +852,20 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         return package("ballistic", 0, [], x_ref, np.zeros((N, 3)), 0.0,
                        0.0, tpoc_final, tipoc)
 
+    # channel index -> exit table at the reference of this major, shared
+    # by its limit adaptation and anchor selection; relinearization starts
+    # the next major and drops them
+    tables = {}
+
+    def exit_table(i):
+        if i not in tables:
+            ch = channels[i]
+            tables[i] = _exit_table(*_reference_miss(ch, x_ref[ch.node, :3]),
+                                    ch.M)
+        return tables[i]
+
     def relinearize(uf):
+        tables.clear()
         segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn,
                                  tol=cfg.integ_tol)
         r3 = _impulse_responses(segs, grid)
@@ -857,20 +882,15 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
 
     def select_anchors(ref_pos):
         items, picked = [], []
-        for ch in channels:
+        for i, ch in enumerate(channels):
             ch.anchor = None
             if isinstance(ch, LongChannel):
                 ch.push = None
             if not np.isfinite(ch.d2_limit) or ch.d2_limit <= 0.0:
                 continue
-            if isinstance(ch, ShortChannel):
-                y = ch.basis @ (ref_pos[ch.node] - ch.xs[:3])
-                P = ch.P2
-            else:
-                y = ref_pos[ch.node] - ch.r_s[ch.node]
-                P = ch.P3[ch.node]
+            y, P = _reference_miss(ch, ref_pos[ch.node])
             if float(y @ np.linalg.solve(P, y)) < ch.d2_limit:
-                items.append((y, P, ch.d2_limit, ch.M))
+                items.append((exit_table(i), ch.d2_limit, ch.M))
                 picked.append(ch)
         if items:
             anchors, normals = _select_anchors(items, u_scale * grid.dt)
@@ -888,10 +908,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         # reallocate the budget against the current reference: channels the
         # maneuver has already cleared release their share down to the floor
         nonlocal q_cur
-        rho_fns = [(_st_rho_fn(ch, x_ref[ch.node, :3])
-                    if isinstance(ch, ShortChannel)
-                    else _lt_rho_fn(ch, x_ref[ch.node, :3]))
-                   for ch in channels]
+        # a single channel takes the whole budget unpriced
+        rho_fns = [(_st_rho_fn if isinstance(ch, ShortChannel)
+                    else _lt_rho_fn)(ch, exit_table(i))
+                   for i, ch in enumerate(channels)] \
+            if len(channels) > 1 else []
         q_cur = adapt_limits([ch.p0 for ch in channels], rho_fns,
                              cfg.total_limit, cfg.limit_floor, q_cur)
         for ch, qs in zip(channels, q_cur):
@@ -996,7 +1017,9 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                        e_major=e_M, e_minor=e_m,
                                        objective=res.obj, dv_mm_s=dv,
                                        vc_max=vc_max,
-                                       cone_solves=cone_solves))
+                                       cone_solves=cone_solves,
+                                       limits=[(ch.q_limit, ch.d2_limit)
+                                               for ch in channels]))
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate

@@ -92,6 +92,21 @@ class TestSolveArtifacts:
                 assert cs["status"] == "optimal"
                 assert max(cs["pres"], cs["dres"]) <= 1e-9
 
+    def test_iteration_log_traces_the_limits(self, solved_dir):
+        doc = json.load(open(solved_dir / "summary.json"))
+        for rec in doc["iteration_log"]:
+            assert len(rec["limits"]) == len(doc["channels"])
+            for lim in rec["limits"]:
+                assert set(lim) == {"q_limit", "d2_limit"}
+                assert lim["d2_limit"] is None or lim["d2_limit"] >= 0.0
+            # the limits split the total budget exactly
+            survive = math.prod(1.0 - lim["q_limit"] for lim in rec["limits"])
+            assert survive == pytest.approx(1.0 - doc["total_limit"],
+                                            abs=1e-10)
+        last = doc["iteration_log"][-1]["limits"]
+        assert [lim["q_limit"] for lim in last] == \
+            [ch["p_limit"] for ch in doc["channels"]]
+
     def test_summary_round_trips_through_json(self, solved_dir):
         raw = (solved_dir / "summary.json").read_text()
         doc = json.loads(raw)

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
+from scipy.optimize import brentq
 
 from camopt.risk import (
     RiskError,
@@ -16,6 +17,23 @@ from camopt.risk import (
     invert_ipoc,
     ipoc,
 )
+
+
+def series_from_zero(u, v, m_hi):
+    """Chan's series summed plainly over m = 0..m_hi."""
+    m = np.arange(m_hi + 1)
+    log_pois = -0.5 * v + m * math.log(0.5 * v) - special.gammaln(m + 1.0)
+    return float(np.sum(np.exp(log_pois) * special.gammainc(m + 1.0, 0.5 * u)))
+
+
+def bracketed_root(p, u):
+    """Reference inversion: quadrupling bracket, then Brent's method at the
+    tightest tolerance it accepts."""
+    f = lambda v: chan_poc(u, v) - p
+    hi = 1.0
+    while f(hi) > 0.0:
+        hi *= 4.0
+    return brentq(f, 0.0, hi, xtol=1e-300, rtol=1e-15, maxiter=500)
 
 
 def quad_poc(dr2, P2, R, epsrel=1e-12):
@@ -161,6 +179,34 @@ class TestChanPoc:
         with pytest.raises(RiskError):
             chan_uv(np.zeros(2), np.zeros((2, 2)), 1.0)
 
+    @pytest.mark.parametrize("u", [1e-4, 0.05, 2.0])
+    def test_window_below_404_sums_from_zero(self, u):
+        # below v = 404 the window runs from m = 0 to v/2 + 12 sqrt(v/2) + 30,
+        # and the value is the plain sum over that range, bit for bit
+        for v in (0.3, 7.0, 60.0, 250.0, 403.0):
+            m_hi = int(0.5 * v + 12.0 * math.sqrt(0.5 * v) + 30.0)
+            assert chan_poc(u, v) == series_from_zero(u, v, m_hi)
+
+    @pytest.mark.parametrize("u", [1e-4, 0.05, 2.0, 45.0])
+    @pytest.mark.parametrize("v", [404.0, 500.0, 1000.0])
+    def test_window_keeps_the_peak_terms_far_out(self, u, v):
+        # for small u the terms peak near m = sqrt(uv)/2, far below the
+        # Poisson mode v/2, so a window around the mode would drop them
+        ref = series_from_zero(u, v, int(0.5 * v + 12.0 * math.sqrt(0.5 * v)
+                                         + 30.0))
+        assert ref > 0.0
+        assert chan_poc(u, v) == pytest.approx(ref, rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        for u in (1e-6, 3e-3, 0.5, 20.0):
+            v = np.concatenate([[0.0], 10.0 ** rng.uniform(-4.0, 3.3, 40)])
+            got = chan_series(u, v.reshape(1, -1, 1), order=2)
+            for k in range(3):
+                assert got[k].shape == (1, len(v), 1)
+                want = [chan_series(u, float(x), order=2)[k] for x in v]
+                assert np.array_equal(got[k].ravel(), want)
+
 
 class TestInvertChan:
     def test_round_trip(self):
@@ -182,6 +228,36 @@ class TestInvertChan:
     def test_monotone(self):
         u = 1e-3
         assert invert_chan(1e-8, u) > invert_chan(1e-6, u) > invert_chan(1e-4, u)
+        v = invert_chan(np.geomspace(1e-12, 0.9 * chan_poc(u, 0.0), 200), u)
+        assert np.all(np.diff(v) < 0.0)
+
+    @pytest.mark.parametrize("u", [1e-8, 1e-4, 0.05, 2.0, 45.0])
+    def test_matches_bracketing_root(self, u):
+        p = np.geomspace(1e-12, 0.9 * chan_poc(u, 0.0), 25)
+        got = invert_chan(p, u)
+        ref = np.array([bracketed_root(pi, u) for pi in p])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_array_matches_scalar_calls(self):
+        # every target stops on its own, so a batch changes no bit
+        rng = np.random.default_rng(9)
+        for u in (1e-7, 2e-3, 0.3, 30.0):
+            p0 = chan_poc(u, 0.0)
+            p = p0 * 10.0 ** rng.uniform(-9.0, 0.2, 30)
+            p = np.minimum(p, 0.999)
+            got = invert_chan(p.reshape(5, 6), u)
+            assert got.shape == (5, 6)
+            want = [invert_chan(float(x), u) for x in p]
+            assert np.array_equal(got.ravel(), want)
+            # targets at or above the head-on value need no miss
+            assert np.all(got.ravel()[p >= p0] == 0.0)
+
+    def test_scalar_target_returns_float(self):
+        assert type(invert_chan(1e-6, 1e-3)) is float
+
+    def test_failed_bracket_raises(self):
+        with pytest.raises(RiskError, match="bracket"):
+            invert_chan(1e-12, 2.0, v_max=10.0)
 
     def test_unattainable_limit_clamps_to_zero(self):
         u = 1e-6
@@ -255,6 +331,12 @@ class TestIpoc:
 
     def test_invert_unreachable_clamps(self):
         assert invert_ipoc(0.9, np.eye(3), 1.0) == 0.0
+
+    def test_invert_array_matches_scalar_calls(self):
+        P = np.diag([25.0, 100.0, 4.0])
+        p = np.array([1e-9, 1e-6, 1e-3, 0.5])
+        want = [invert_ipoc(float(x), P, 2.0) for x in p]
+        assert np.array_equal(invert_ipoc(p, P, 2.0), want)
 
 
 class TestEquivalentBPlane:

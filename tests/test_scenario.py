@@ -1,13 +1,18 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from camopt import CamoptError
 from camopt.astro import GM_EARTH, flow
 from camopt.scenario import (
     Config,
     Scaling,
+    Scenario,
     ScenarioFormatError,
     elements_to_state,
     load_scenario,
@@ -221,8 +226,13 @@ class TestLoader:
         lambda d: d.update(conjunctions=[7]),
         lambda d: d["primary"]["elements"].update(e=1.5),
         lambda d: d["primary"]["elements"].update(a_km=-7000.0),
+        lambda d: d["primary"]["elements"].update(a_km=True),
+        lambda d: d.update(mode={"n_mix": True}),
+        lambda d: d["conjunctions"][0]["dr_m"].__setitem__(0, math.inf),
+        lambda d: d["primary"].update(u_max_mm_s2=10 ** 400),
     ], ids=["top_level_array", "mu", "n_mix", "mode", "state_epoch", "raan",
-            "argp", "nu", "conjunction", "hyperbolic", "negative_sma"])
+            "argp", "nu", "conjunction", "hyperbolic", "negative_sma",
+            "boolean_sma", "boolean_n_mix", "infinite_miss", "huge_int"])
     def test_bad_field_rejected(self, tmp_path, edit):
         doc = minimal_doc()
         doc = edit(doc) or doc
@@ -304,3 +314,81 @@ class TestConfig:
     def test_coarse_grid(self):
         with pytest.raises(ScenarioFormatError):
             Config(nodes_per_orbit=4).validated()
+
+
+# ---------------------------------------------------------------------
+# fuzzing the loader with mutated bundled scenarios
+
+
+def _bundled_docs():
+    docs = []
+    for name in ("case1", "case2", "case3"):
+        with open(f"{SCENARIOS}/{name}.json") as fh:
+            doc = json.load(fh)
+        # case1's ten conjunctions span 16 hours of J2 propagation; two
+        # carry every field at a fraction of the load time
+        doc["conjunctions"] = doc["conjunctions"][:2]
+        docs.append(doc)
+    return docs
+
+
+_DOCS = _bundled_docs()
+
+
+def _locations(node, prefix=()):
+    """Path of every value inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    out = []
+    for k in keys:
+        out.append(prefix + (k,))
+        if isinstance(node[k], (dict, list)):
+            out.extend(_locations(node[k], prefix + (k,)))
+    return out
+
+
+def _mutate(value, kind, other):
+    """One mutation of a JSON value."""
+    if kind == "retype":
+        return other
+    if kind == "negate":
+        return -value if isinstance(value, (int, float)) and \
+            not isinstance(value, bool) else other
+    if kind == "nest_list":
+        return [value]
+    return {"value": value}
+
+
+@st.composite
+def mutated_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        locations = _locations(doc)
+        if not locations:
+            break
+        *parent_path, key = draw(st.sampled_from(locations))
+        parent = doc
+        for k in parent_path:
+            parent = parent[k]
+        kind = draw(st.sampled_from(
+            ["delete", "retype", "negate", "nest_list", "nest_dict"]))
+        other = draw(st.sampled_from(
+            [None, True, False, "x", "", [], {}, [1.0, 2.0], {"a": 1},
+             math.nan, math.inf, 10 ** 400]))
+        if kind == "delete":
+            del parent[key]
+        else:
+            parent[key] = _mutate(parent[key], kind, other)
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=mutated_docs())
+    def test_loads_or_fails_cleanly(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "sc.json"
+        path.write_text(json.dumps(doc))
+        try:
+            sc = load_scenario(path)
+        except CamoptError:
+            return
+        assert isinstance(sc, Scenario)

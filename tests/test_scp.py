@@ -65,7 +65,7 @@ class TestStmTrack:
 
 def log_rho(scale):
     # displacement grows as the limit shrinks, a typical monotone shape
-    return lambda q: scale * max(0.0, -math.log10(q) - 3.0)
+    return lambda q: scale * np.maximum(0.0, -np.log10(q) - 3.0)
 
 
 class TestAdaptLimits:
@@ -92,7 +92,7 @@ class TestAdaptLimits:
     def test_cheap_channel_releases_budget(self):
         # a channel that never needs displacement should not hold budget
         # that the expensive one can spend
-        fns = [lambda q: 0.0, log_rho(1.0)]
+        fns = [np.zeros_like, log_rho(1.0)]
         q = adapt_limits(np.array([1e-8, 1e-4]), fns, 1e-6)
         assert q[1] > 0.9e-6
 
@@ -165,7 +165,8 @@ class TestExitAnchors:
     def test_joint_selection_of_one_matches_solo(self):
         y0, P, d2, M = random_geometry(self.rng)
         caps = np.full(len(M), 1e9)
-        anchors, normals = _select_anchors([(y0, P, d2, M)], caps)
+        anchors, normals = _select_anchors([(_exit_table(y0, P, M), d2, M)],
+                                           caps)
         solo = _cheapest_exit(y0, P, d2, M)
         assert anchors[0] == pytest.approx(solo)
         assert np.linalg.norm(normals[0]) == pytest.approx(1.0)
@@ -175,7 +176,7 @@ class TestExitAnchors:
         # and must find the shared side free of charge
         y0, P, d2, M = random_geometry(self.rng)
         caps = np.full(len(M), 1e9)
-        item = (y0, P, d2, M)
+        item = (_exit_table(y0, P, M), d2, M)
         anchors, normals = _select_anchors([item, item], caps)
         assert anchors[0] == pytest.approx(anchors[1])
         assert normals[0] == pytest.approx(normals[1])
