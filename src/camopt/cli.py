@@ -34,7 +34,7 @@ from .scenario import (
 )
 from .scp import ScpError, solve
 from .socp import SocpProblem, ConeDims, _Cone, solve as socp_solve
-from .uncert import nonlinearity_index, split_direction, split_gaussian
+from .uncert import split_along_flow
 
 import scipy.sparse as sparse
 from scipy import integrate, optimize, stats
@@ -204,21 +204,16 @@ def _cmd_split(args):
                            "velocity covariance")
         xp = scn.primary_at(conj.tca)
         xs = np.concatenate([(xp[:3] - conj.dr) / L, (xp[3:] - conj.dv) / V])
-        P = conj.cov / np.outer(D[:conj.cov.shape[0]], D[:conj.cov.shape[0]])
-        if K > 1:
-            nli = nonlinearity_index(xs, (scn.horizon[1] - conj.tca) / T, dyn,
-                                     tol=1e-9)
-            direction = split_direction(nli, P)
-        else:
-            direction = np.eye(P.shape[0])[0]
-        gmm = split_gaussian(xs, P, direction, K)
-        n = gmm.means.shape[1]
+        # a position-only covariance scales by the position units alone
+        Dc = D[:len(conj.cov)]
+        P = conj.cov / np.outer(Dc, Dc)
+        gmm = split_along_flow(xs, P, (scn.horizon[1] - conj.tca) / T, dyn, K)
         out["conjunctions"].append({
             "index": ci,
             "tca_s": conj.tca,
             "weights": gmm.weights.tolist(),
-            "means": (gmm.means * D[:n]).tolist(),
-            "covs": (gmm.covs * np.outer(D[:n], D[:n])).tolist(),
+            "means": (gmm.means * D).tolist(),
+            "covs": (gmm.covs * np.outer(Dc, Dc)).tolist(),
         })
     json.dump(out, sys.stdout, indent=1)
     print()

@@ -211,10 +211,6 @@ class ConicProblem:
     dims: ConeDims
     var_map: dict = field(default_factory=dict)
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.objective)
-
     def to_socp(self) -> SocpProblem:
         return SocpProblem(c=self.objective, A=sp.csc_matrix(self.eq_matrix),
                            b=self.eq_rhs, G=sp.csc_matrix(self.ineq_matrix),

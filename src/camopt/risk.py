@@ -1,4 +1,4 @@
-"""Collision risk metrics: B-plane projection, the short-term probability
+"""Collision risk metrics: the B-plane basis, the short-term probability
 of collision via Chan's series and its numerical inversion, the
 instantaneous probability for long-term encounters and its inversion, and
 the equivalent B-plane used to plot keep-out ellipses.
@@ -44,13 +44,6 @@ def bplane_basis(vp: np.ndarray, vs: np.ndarray) -> np.ndarray:
     xi = xi / nxi
     zeta = np.cross(eta, xi)
     return np.vstack([xi, zeta])
-
-
-def bplane_project(dr: np.ndarray, P: np.ndarray, vp: np.ndarray,
-                   vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a relative position and 3x3 covariance onto the B-plane."""
-    M = bplane_basis(vp, vs)
-    return M @ np.asarray(dr, float), M @ np.asarray(P, float) @ M.T
 
 
 # ---------------------------------------------------------------------

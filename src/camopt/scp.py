@@ -46,7 +46,7 @@ from .risk import (
 )
 from .scenario import Config, Scenario, scaled_dynamics
 from .socp import SolverSettings, solve as socp_solve
-from .uncert import nonlinearity_index, split_direction, split_gaussian
+from .uncert import split_along_flow
 
 
 class ScpError(CamoptError):
@@ -55,6 +55,20 @@ class ScpError(CamoptError):
 
 # ---------------------------------------------------------------------
 # risk channels
+
+
+# Both channel kinds answer the same questions, so the driver never asks
+# which kind it holds:
+#   miss(r_p, j)      miss vector for the primary at r_p on node j, and its
+#                     covariance (encounter plane or 3D)
+#   plane(z, j)       keep-out cut (a, rhs), a . r_p >= rhs, through the
+#                     boundary point z of that miss space
+#   limit_d2(p)       squared Mahalanobis limit of a probability limit p
+#                     (a scalar or an array)
+#   cut_nodes(pos)    nodes that carry a keep-out cut
+#   relinearize(pos, resp3)  follow a new reference: constrained node and
+#                     impulse responses in the miss space
+#   report(scl, grid, states)  the channel's ChannelReport
 
 
 @dataclass
@@ -80,7 +94,43 @@ class ShortChannel:
     p_final: float = math.nan
     M: np.ndarray | None = None  # encounter-plane impulse responses
     anchor: np.ndarray | None = None  # jointly selected exit anchor
+    push: np.ndarray | None = None  # its cut normal, used as side filter
     y0: np.ndarray | None = None  # ballistic encounter-plane miss
+
+    def miss(self, r_p, j):
+        return self.basis @ (r_p - self.xs[:3]), self.P2
+
+    def plane(self, z, j):
+        n2 = cut_normal(z, self.P2)
+        a3 = self.basis.T @ n2
+        return a3, float(n2 @ z) + float(a3 @ self.xs[:3])
+
+    def limit_d2(self, p):
+        return invert_chan(p, self.u_chan)
+
+    def cut_nodes(self, pos) -> list:
+        return [self.node]
+
+    def relinearize(self, pos, resp3):
+        self.M = np.einsum("dr,mrc->mdc", self.basis, resp3(self.node))
+
+    def poc(self, r_p) -> float:
+        """Chan's probability for the primary at r_p on the channel's node,
+        unweighted."""
+        return chan_poc(*chan_uv(*self.miss(r_p, self.node), self.hbr))
+
+    def report(self, scl, grid, states) -> ChannelReport:
+        # the keep-out constraint acts on the node-level miss, so that is
+        # the point reported against the equivalent keep-out circle
+        y_fin, _ = self.miss(states[self.node, :3], self.node)
+        return ChannelReport(kind="short", conj=self.conj, mix=self.mix,
+                             enc=self.enc, weight=self.weight,
+                             epoch_s=self.epoch * scl.time, node=self.node,
+                             p_ballistic=self.p0, p_limit=self.q_limit,
+                             p_final=self.p_final, d2_limit=self.d2_limit,
+                             P2=self.P2 * scl.length ** 2,
+                             y_ballistic=self.y0 * scl.length,
+                             y_final=y_fin * scl.length)
 
 
 @dataclass
@@ -103,6 +153,43 @@ class LongChannel:
     anchor: np.ndarray | None = None  # jointly selected exit anchor
     push: np.ndarray | None = None  # its cut normal, used as side filter
     ipoc_prof: np.ndarray | None = None  # weighted instantaneous PoC per node
+
+    def miss(self, r_p, j):
+        return r_p - self.r_s[j], self.P3[j]
+
+    def plane(self, z, j):
+        a = cut_normal(z, self.P3[j])
+        return a, float(a @ z) + float(a @ self.r_s[j])
+
+    def limit_d2(self, p):
+        return invert_ipoc(p, self.P3[self.node], self.hbr)
+
+    def cut_nodes(self, pos) -> list:
+        """Nodes whose reference lies near the keep-out ellipsoid."""
+        if not np.isfinite(self.d2_limit) or self.d2_limit <= 0.0:
+            return []
+        margin = max(4.0 * self.d2_limit, self.d2_limit + 25.0)
+        return [j for j in range(len(self.r_s))
+                if smd_3d(*self.miss(pos[j], j)) < margin]
+
+    def relinearize(self, pos, resp3):
+        # the maneuver can move the worst instant, so the constrained node
+        # tracks the current reference
+        self.node = int(np.argmax(self.profile(pos)))
+        self.M = resp3(self.node)
+
+    def profile(self, pos) -> np.ndarray:
+        """Weighted instantaneous PoC at every node for node positions
+        ``pos``."""
+        return np.array([self.weight * ipoc(*self.miss(pos[j], j), self.hbr)
+                         for j in range(len(self.r_s))])
+
+    def report(self, scl, grid, states) -> ChannelReport:
+        return ChannelReport(kind="long", conj=self.conj, mix=self.mix,
+                             enc=0, weight=self.weight,
+                             epoch_s=grid.times[self.node] * scl.time,
+                             node=self.node, p_ballistic=self.p0,
+                             p_limit=self.q_limit, p_final=self.p_final)
 
 
 @dataclass
@@ -272,13 +359,20 @@ def _make_short_channel(ci, mi, ei, weight, xp, xs, P3, hbr):
                         y0=basis @ (np.asarray(xp[:3]) - np.asarray(xs[:3])))
 
 
+def _tca_states(scn: Scenario, conj, scl):
+    """Scaled TCA of a conjunction, the primary and secondary states there,
+    the covariance and the hard-body radius."""
+    L, V = scl.length, scl.velocity
+    xp = _scale_state(scn.primary_at(conj.tca), L, V)
+    xs = xp - np.concatenate([conj.dr / L, conj.dv / V])
+    return conj.tca / scl.time, xp, xs, _scale_cov(conj.cov, L, V), \
+        conj.hbr / L
+
+
 def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
-    L, V, T = scl.length, scl.velocity, scl.time
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
-        tca = conj.tca / T
-        xp = _scale_state(scn.primary_at(conj.tca), L, V)
-        xs = xp - np.concatenate([conj.dr / L, conj.dv / V])
+        tca, xp, xs, P, hbr = _tca_states(scn, conj, scl)
         try:
             dt = refine_tca(xp, xs, dyn)
         except DegenerateEncounterError:
@@ -287,8 +381,6 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
         tca += dt
         xp = flow(xp, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
         xs = flow(xs, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
-        P = _scale_cov(conj.cov, L, V)
-        hbr = conj.hbr / L
 
         if P.shape == (3, 3):
             if scn.n_mix > 1:
@@ -298,14 +390,8 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
             channels.append(ch)
             continue
 
-        # mixture split along the most nonlinear covariance direction,
-        # then one channel per component and per repeated encounter
-        if scn.n_mix > 1:
-            nli = nonlinearity_index(xs, tf - tca, dyn, tol=1e-9)
-            direction = split_direction(nli, P)
-        else:
-            direction = np.eye(6)[0]
-        gmm = split_gaussian(xs, P, direction, scn.n_mix)
+        # one channel per mixture component and per repeated encounter
+        gmm = split_along_flow(xs, P, tf - tca, dyn, scn.n_mix)
         for mi in range(gmm.n_mix):
             w, mean, Pm = gmm.weights[mi], gmm.means[mi], gmm.covs[mi]
             epochs = _detect_encounters(xp, mean, tca, tf, t0, dyn,
@@ -320,48 +406,30 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
                 ch = _make_short_channel(ci, mi, ei, w, xp_e, means[ei + 1],
                                          P3, hbr)
                 ch.epoch = te
-                dr2 = ch.basis @ (xp_e[:3] - means[ei + 1][:3])
-                p = chan_poc(*chan_uv(dr2, ch.P2, hbr))
-                if ei == 0 or w * p >= 1e-3 * cfg.limit_floor:
+                if ei == 0 or w * ch.poc(xp_e[:3]) >= 1e-3 * cfg.limit_floor:
                     channels.append(ch)
     return channels
 
 
 def _build_long_channels(scn: Scenario, cfg: Config, scl, dyn, grid, x_ref):
-    L, V, T = scl.length, scl.velocity, scl.time
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
-        P = _scale_cov(conj.cov, L, V)
+        tca, _, xs, P, hbr = _tca_states(scn, conj, scl)
         if P.shape != (6, 6):
             raise ScpError("long-term mode needs a velocity covariance")
-        tca = conj.tca / T
-        xp = _scale_state(scn.primary_at(conj.tca), L, V)
-        xs = xp - np.concatenate([conj.dr / L, conj.dv / V])
-        hbr = conj.hbr / L
-        if scn.n_mix > 1:
-            nli = nonlinearity_index(xs, grid.times[-1] - tca, dyn, tol=1e-9)
-            direction = split_direction(nli, P)
-        else:
-            direction = np.eye(6)[0]
-        gmm = split_gaussian(xs, P, direction, scn.n_mix)
+        gmm = split_along_flow(xs, P, grid.times[-1] - tca, dyn, scn.n_mix)
         for mi in range(gmm.n_mix):
-            mean, Pm = gmm.means[mi], gmm.covs[mi]
-            times = [tca] + list(grid.times)
-            means, stms = _stm_track(mean, times, dyn, cfg.integ_tol)
-            P3 = np.array([(Phi @ Pm @ Phi.T)[:3, :3] for Phi in stms[1:]])
+            means, stms = _stm_track(gmm.means[mi], [tca] + list(grid.times),
+                                     dyn, cfg.integ_tol)
+            P3 = np.array([(Phi @ gmm.covs[mi] @ Phi.T)[:3, :3]
+                           for Phi in stms[1:]])
             ch = LongChannel(conj=ci, mix=mi, weight=gmm.weights[mi],
                              hbr=hbr, r_s=means[1:, :3], P3=P3)
-            probs = np.array([ipoc(x_ref[j, :3] - ch.r_s[j], ch.P3[j], hbr)
-                              for j in range(len(grid.times))])
-            ch.node = int(np.argmax(probs))
-            ch.p0 = ch.weight * float(probs[ch.node])
+            prof = ch.profile(x_ref[:, :3])
+            ch.node = int(np.argmax(prof))
+            ch.p0 = float(prof[ch.node])
             channels.append(ch)
     return channels
-
-
-def _short_poc(ch: ShortChannel, r_p: np.ndarray) -> float:
-    dr2 = ch.basis @ (r_p - ch.xs[:3])
-    return chan_poc(*chan_uv(dr2, ch.P2, ch.hbr))
 
 
 # ---------------------------------------------------------------------
@@ -581,49 +649,22 @@ def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
     return q
 
 
-def _st_rho_fn(ch: ShortChannel, table):
+def _rho_fn(ch, table):
     """Exit cost of the channel at each limit of an array of limits, priced
     with its exit table at the current reference."""
     def rho(qbar):
-        d2 = invert_chan(np.minimum(qbar / ch.weight, 1.0 - 1e-12),
-                         ch.u_chan)
+        d2 = ch.limit_d2(np.minimum(qbar / ch.weight, 1.0 - 1e-12))
         return np.where(d2 > 0.0, _table_cost(table, d2), 0.0)
 
     return rho
 
 
-def _lt_rho_fn(ch: LongChannel, table):
-    """As :func:`_st_rho_fn`, at the channel's constrained node."""
-    def rho(qbar):
-        d2 = invert_ipoc(np.minimum(qbar / ch.weight, 1.0 - 1e-12),
-                         ch.P3[ch.node], ch.hbr)
-        return np.where(d2 > 0.0, _table_cost(table, d2), 0.0)
-
-    return rho
-
-
-def _reference_miss(ch, r_p: np.ndarray):
-    """Miss vector of a channel for the primary at r_p, and its covariance:
-    in the encounter plane for a short-term channel, in 3D at the
-    constrained node for a long-term one."""
-    if isinstance(ch, ShortChannel):
-        return ch.basis @ (r_p - ch.xs[:3]), ch.P2
-    return r_p - ch.r_s[ch.node], ch.P3[ch.node]
+# perfbench/layertrace.py still wraps these two names of one builder
+_st_rho_fn = _lt_rho_fn = _rho_fn
 
 
 # ---------------------------------------------------------------------
 # constraint generation per iteration
-
-
-def _lt_active_nodes(ch: LongChannel, ref_pos: np.ndarray) -> list:
-    if not np.isfinite(ch.d2_limit) or ch.d2_limit <= 0.0:
-        return []
-    margin = max(4.0 * ch.d2_limit, ch.d2_limit + 25.0)
-    out = []
-    for j in range(len(ch.r_s)):
-        if smd_3d(ref_pos[j] - ch.r_s[j], ch.P3[j]) < margin:
-            out.append(j)
-    return out
 
 
 def _revisits(obj: float, history, rtol: float = 1e-5) -> bool:
@@ -633,26 +674,25 @@ def _revisits(obj: float, history, rtol: float = 1e-5) -> bool:
     return any(abs(obj - past) <= tol for past in history)
 
 
+def _tipoc(lt_channels, pos):
+    """Each long-term channel's weighted instantaneous PoC per node, and
+    their total per node, for node positions ``pos``."""
+    profs = [ch.profile(pos) for ch in lt_channels]
+    return profs, 1.0 - np.prod([1.0 - p for p in profs], axis=0)
+
+
 def _grid_tpoc(st_channels, lt_channels, ref_pos) -> float:
     """Total probability with every encounter held at its grid node."""
     surv = 1.0
     for ch in st_channels:
-        surv *= 1.0 - ch.weight * _short_poc(ch, ref_pos[ch.node])
+        surv *= 1.0 - ch.weight * ch.poc(ref_pos[ch.node])
     if lt_channels:
-        worst = 0.0
-        for j in range(len(lt_channels[0].r_s)):
-            acc = 1.0
-            for ch in lt_channels:
-                acc *= 1.0 - ch.weight * ipoc(ref_pos[j] - ch.r_s[j],
-                                              ch.P3[j], ch.hbr)
-            worst = max(worst, 1.0 - acc)
-        surv *= 1.0 - worst
+        surv *= 1.0 - float(np.max(_tipoc(lt_channels, ref_pos)[1]))
     return 1.0 - surv
 
 
 def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
-               resp3=None, nu_risk: float | None = None,
-               total_cap: float | None = None) -> RiskRows:
+               resp3, nu_risk: float, total_cap: float) -> RiskRows:
     """Risk constraints for one subproblem around node positions ref_pos.
 
     In the miss-distance stage, references still inside a keep-out surface
@@ -661,37 +701,25 @@ def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
     the iterate.  The polish stage replaces the per-channel cuts by the
     linearized total-probability constraint."""
     rows = RiskRows()
-    nu = cfg.nu_bar if nu_risk is None else nu_risk
-    cap = cfg.total_limit if total_cap is None else total_cap
     if stage == "smd":
-        for ch in st_channels:
-            if not np.isfinite(ch.d2_limit) or ch.d2_limit <= 0.0:
+        for ch in st_channels + lt_channels:
+            d2 = ch.d2_limit
+            if not np.isfinite(d2) or d2 <= 0.0:
                 continue
-            y_ref = ch.basis @ (ref_pos[ch.node] - ch.xs[:3])
-            if float(y_ref @ np.linalg.solve(ch.P2, y_ref)) >= ch.d2_limit:
-                z = project_onto_ellipsoid(y_ref, ch.P2, ch.d2_limit)
-            elif ch.anchor is not None:
-                z = ch.anchor
-            else:
-                z = _cheapest_exit(y_ref, ch.P2, ch.d2_limit, ch.M)
-            n2 = cut_normal(z, ch.P2)
-            a3 = ch.basis.T @ n2
-            rhs = float(n2 @ z) + float(a3 @ ch.xs[:3])
-            rows.halfspaces.append((ch.node, a3, rhs))
-        for ch in lt_channels:
-            for j in _lt_active_nodes(ch, ref_pos):
-                dr_ref = ref_pos[j] - ch.r_s[j]
-                if smd_3d(dr_ref, ch.P3[j]) >= ch.d2_limit \
-                        or resp3 is None:
-                    z = project_onto_ellipsoid(dr_ref, ch.P3[j], ch.d2_limit)
+            for j in ch.cut_nodes(ref_pos):
+                y, P = ch.miss(ref_pos[j], j)
+                if smd_3d(y, P) >= d2:
+                    z = project_onto_ellipsoid(y, P, d2)
                 elif j == ch.node and ch.anchor is not None:
                     z = ch.anchor
                 else:
-                    z = _cheapest_exit(dr_ref, ch.P3[j], ch.d2_limit,
-                                       resp3(j), side=ch.push)
-                a = cut_normal(z, ch.P3[j])
-                rhs = float(a @ z) + float(a @ ch.r_s[j])
-                rows.halfspaces.append((j, a, rhs))
+                    # ch.M holds the responses at the channel's own node in
+                    # its miss space; a long-term channel's other nodes
+                    # take theirs from resp3
+                    z = _cheapest_exit(y, P, d2,
+                                       ch.M if j == ch.node else resp3(j),
+                                       side=ch.push)
+                rows.halfspaces.append((j, *ch.plane(z, j)))
     else:
         if st_channels:
             items = [ShortTermItem(node=ch.node,
@@ -702,38 +730,29 @@ def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
             refs = ref_pos[[ch.node for ch in st_channels]]
             # gradient acts on the primary position, so the bound carries
             # the reference primary positions, not the relative ones
-            bound = cap - lin.value \
+            bound = total_cap - lin.value \
                 + float(np.sum(lin.grads * refs))
             rows.totals.append((lin.nodes, lin.grads, bound, refs,
-                                lin.xi, nu))
-        for j in _lt_constraint_nodes(cfg, lt_channels, ref_pos):
-            items = [LongTermItem(dr_ref=ref_pos[j] - ch.r_s[j],
-                                  P3=ch.P3[j], hbr=ch.hbr, weight=ch.weight)
-                     for ch in lt_channels]
+                                lin.xi, nu_risk))
+        # every node where some channel carries a relevant share of the budget
+        hot = set()
+        for ch in lt_channels:
+            hot.update(np.flatnonzero(
+                ch.profile(ref_pos) > 1e-3 * cfg.total_limit).tolist())
+        for j in sorted(hot):
+            items = [LongTermItem(*ch.miss(ref_pos[j], j), hbr=ch.hbr,
+                                  weight=ch.weight) for ch in lt_channels]
             lin = linearize_tipoc(items)
             refs = np.array([ref_pos[j]] * len(items))
-            bound = cap - lin.value \
+            bound = total_cap - lin.value \
                 + float(np.sum(lin.grads * refs))
             rows.totals.append(([j] * len(items), lin.grads, bound, refs,
-                                lin.xi, nu))
+                                lin.xi, nu_risk))
     return rows
 
 
-def _lt_constraint_nodes(cfg: Config, lt_channels, ref_pos) -> list:
-    nodes = set()
-    for ch in lt_channels:
-        for j in range(len(ch.r_s)):
-            p = ipoc(ref_pos[j] - ch.r_s[j], ch.P3[j], ch.hbr)
-            if ch.weight * p > 1e-3 * cfg.total_limit:
-                nodes.add(j)
-    return sorted(nodes)
-
-
-def _constraint_nodes(cfg, st_channels, lt_channels, ref_pos):
-    nodes = set(ch.node for ch in st_channels)
-    for ch in lt_channels:
-        nodes.update(_lt_active_nodes(ch, ref_pos))
-    return sorted(nodes)
+def _constraint_nodes(channels, ref_pos):
+    return sorted({j for ch in channels for j in ch.cut_nodes(ref_pos)})
 
 
 # ---------------------------------------------------------------------
@@ -760,39 +779,16 @@ def _evaluate_final(scn, cfg, dyn, st_channels, lt_channels, x_val):
         survivors *= 1.0 - ch.p_final
     tipoc = None
     if lt_channels:
-        M = len(lt_channels[0].r_s)
-        for ch in lt_channels:
-            ch.ipoc_prof = np.array([
-                ch.weight * ipoc(x_val[j, :3] - ch.r_s[j], ch.P3[j], ch.hbr)
-                for j in range(M)])
-            ch.p_final = float(ch.ipoc_prof[ch.node])
-        acc = np.prod([1.0 - ch.ipoc_prof for ch in lt_channels], axis=0)
-        tipoc = 1.0 - acc
+        profs, tipoc = _tipoc(lt_channels, x_val[:, :3])
+        for ch, prof in zip(lt_channels, profs):
+            ch.ipoc_prof = prof
+            ch.p_final = float(prof[ch.node])
         survivors *= 1.0 - float(np.max(tipoc))
     return 1.0 - survivors, tipoc
 
 
-def _reports(scl, st_channels, lt_channels, grid, states):
-    out = []
-    for ch in st_channels:
-        # the keep-out constraint acts on the node-level miss, so that is
-        # the point reported against the equivalent keep-out circle
-        y_fin = ch.basis @ (states[ch.node, :3] - ch.xs[:3])
-        out.append(ChannelReport(kind="short", conj=ch.conj, mix=ch.mix,
-                                 enc=ch.enc, weight=ch.weight,
-                                 epoch_s=ch.epoch * scl.time, node=ch.node,
-                                 p_ballistic=ch.p0, p_limit=ch.q_limit,
-                                 p_final=ch.p_final, d2_limit=ch.d2_limit,
-                                 P2=ch.P2 * scl.length ** 2,
-                                 y_ballistic=ch.y0 * scl.length,
-                                 y_final=y_fin * scl.length))
-    for ch in lt_channels:
-        out.append(ChannelReport(kind="long", conj=ch.conj, mix=ch.mix,
-                                 enc=0, weight=ch.weight,
-                                 epoch_s=grid.times[ch.node] * scl.time,
-                                 node=ch.node, p_ballistic=ch.p0,
-                                 p_limit=ch.q_limit, p_final=ch.p_final))
-    return out
+def _reports(scl, channels, grid, states):
+    return [ch.report(scl, grid, states) for ch in channels]
 
 
 def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
@@ -819,7 +815,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     lt_channels = (_build_long_channels(scenario, cfg, scl, dyn, grid, x_ref)
                    if scenario.long_term and scenario.conjunctions else [])
     for ch in st_channels:
-        ch.p0 = ch.weight * _short_poc(ch, x_ref[ch.node, :3])
+        ch.p0 = ch.weight * ch.poc(x_ref[ch.node, :3])
     channels = st_channels + lt_channels
     tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels])) \
         if channels else 0.0
@@ -839,7 +835,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             # the keep-out cuts are supporting planes of the convex
             # ellipses, so the converged subproblem iterate satisfies them
             # exactly; it is the point reported against the circle
-            channels=_reports(scl, st_channels, lt_channels, grid,
+            channels=_reports(scl, channels, grid,
                               x_out if con_states is None else con_states),
             tipoc_nodes=tipoc,
             tipoc_mix=np.column_stack([ch.ipoc_prof for ch in lt_channels])
@@ -860,7 +856,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     def exit_table(i):
         if i not in tables:
             ch = channels[i]
-            tables[i] = _exit_table(*_reference_miss(ch, x_ref[ch.node, :3]),
+            tables[i] = _exit_table(*ch.miss(x_ref[ch.node, :3], ch.node),
                                     ch.M)
         return tables[i]
 
@@ -869,35 +865,23 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn,
                                  tol=cfg.integ_tol)
         r3 = _impulse_responses(segs, grid)
-        for ch in st_channels:
-            ch.M = np.einsum("dr,mrc->mdc", ch.basis, r3(ch.node))
-        for ch in lt_channels:
-            # the maneuver can move the worst instant, so the constrained
-            # node tracks the current reference
-            probs = [ipoc(x_ref[j, :3] - ch.r_s[j], ch.P3[j], ch.hbr)
-                     for j in range(len(grid.times))]
-            ch.node = int(np.argmax(probs))
-            ch.M = r3(ch.node)
+        for ch in channels:
+            ch.relinearize(x_ref[:, :3], r3)
         return segs, r3
 
     def select_anchors(ref_pos):
         items, picked = [], []
         for i, ch in enumerate(channels):
-            ch.anchor = None
-            if isinstance(ch, LongChannel):
-                ch.push = None
+            ch.anchor = ch.push = None
             if not np.isfinite(ch.d2_limit) or ch.d2_limit <= 0.0:
                 continue
-            y, P = _reference_miss(ch, ref_pos[ch.node])
-            if float(y @ np.linalg.solve(P, y)) < ch.d2_limit:
+            if smd_3d(*ch.miss(ref_pos[ch.node], ch.node)) < ch.d2_limit:
                 items.append((exit_table(i), ch.d2_limit, ch.M))
                 picked.append(ch)
         if items:
             anchors, normals = _select_anchors(items, u_scale * grid.dt)
             for ch, z, n in zip(picked, anchors, normals):
-                ch.anchor = z
-                if isinstance(ch, LongChannel):
-                    ch.push = n
+                ch.anchor, ch.push = z, n
 
     segments, resp3 = relinearize(np.zeros((N, 3)))
 
@@ -909,19 +893,14 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         # maneuver has already cleared release their share down to the floor
         nonlocal q_cur
         # a single channel takes the whole budget unpriced
-        rho_fns = [(_st_rho_fn if isinstance(ch, ShortChannel)
-                    else _lt_rho_fn)(ch, exit_table(i))
+        rho_fns = [_rho_fn(ch, exit_table(i))
                    for i, ch in enumerate(channels)] \
             if len(channels) > 1 else []
         q_cur = adapt_limits([ch.p0 for ch in channels], rho_fns,
                              cfg.total_limit, cfg.limit_floor, q_cur)
         for ch, qs in zip(channels, q_cur):
             ch.q_limit = float(qs)
-            p = min(qs / ch.weight, 1.0 - 1e-12)
-            if isinstance(ch, ShortChannel):
-                ch.d2_limit = invert_chan(p, ch.u_chan)
-            else:
-                ch.d2_limit = invert_ipoc(p, ch.P3[ch.node], ch.hbr)
+            ch.d2_limit = ch.limit_d2(min(qs / ch.weight, 1.0 - 1e-12))
 
     adapt()
 
@@ -984,8 +963,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                    f"at major {major}")
                 xsol = res.x
                 states = xsol[prob.var_map["x"]].reshape(N + 1, 6)
-                watch = _constraint_nodes(cfg, st_channels, lt_channels,
-                                          ref_pos)
+                watch = _constraint_nodes(channels, ref_pos)
                 e_m = max((float(np.linalg.norm(states[j, :3] - ref_pos[j]))
                            for j in watch), default=0.0)
                 if watch:

@@ -134,3 +134,16 @@ def split_gaussian(mean: np.ndarray, P: np.ndarray, direction: np.ndarray,
     means = mean[None, :] + lib.means[:, None] * Sa[None, :]
     covs = np.repeat(Pc[None, :, :], n_mix, axis=0)
     return GaussianMixture(weights=lib.weights.copy(), means=means, covs=covs)
+
+
+def split_along_flow(mean: np.ndarray, P: np.ndarray, span: float,
+                     dyn: Dynamics, n_mix: int) -> GaussianMixture:
+    """Split one Gaussian into ``n_mix`` components along the direction in
+    which the flow over ``span`` is most nonlinear, weighted by the
+    covariance size; one component is the Gaussian itself."""
+    if n_mix > 1:
+        nli = nonlinearity_index(mean, span, dyn, tol=1e-9)
+        direction = split_direction(nli, P)
+    else:
+        direction = np.eye(len(P))[0]
+    return split_gaussian(mean, P, direction, n_mix)

@@ -15,7 +15,7 @@ import pytest
 
 from camopt import cli
 from camopt.astro import DegenerateEncounterError, flow, refine_tca
-from camopt.risk import bplane_project, chan_poc, chan_uv
+from camopt.risk import bplane_basis, chan_poc, chan_uv
 from camopt.scenario import Config, load_scenario, scaled_dynamics
 from camopt.scp import _detect_encounters, solve
 from camopt.uncert import nonlinearity_index, split_direction, split_gaussian
@@ -84,7 +84,8 @@ def test_criterion_1_ballistic_risk(case1, emit_line):
         x_cur = flow(x_cur, t_cur, c.tca, np.zeros(3), case1.dynamics)
         t_cur = c.tca
         vp = x_cur[3:]
-        dr2, P2 = bplane_project(c.dr, c.cov, vp, vp - c.dv)
+        M = bplane_basis(vp, vp - c.dv)
+        dr2, P2 = M @ c.dr, M @ c.cov @ M.T
         pocs[i] = chan_poc(*chan_uv(dr2, P2, c.hbr))
     wall = time.perf_counter() - tic
     rel = float(np.max(np.abs(pocs - TABLE1_POC) / TABLE1_POC))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from camopt import cli
+from camopt.scenario import load_scenario
 
 CASE1 = "scenarios/case1.json"
 CASE2 = "scenarios/case2.json"
@@ -179,6 +180,17 @@ class TestSplit:
     def test_position_only_covariance_rejected(self, capsys):
         # the ten-CDM fixture carries no velocity block
         assert cli.main(["split", CASE1, "--nmix", "3"]) == 3
+
+    def test_single_component_keeps_a_position_covariance(self, capsys):
+        # one component needs no velocity block: it is the input Gaussian
+        assert cli.main(["split", CASE1, "--nmix", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        scn = load_scenario(CASE1)
+        assert len(doc["conjunctions"]) == len(scn.conjunctions)
+        for entry, conj in zip(doc["conjunctions"], scn.conjunctions):
+            assert entry["weights"] == [1.0]
+            assert np.allclose(entry["covs"][0], conj.cov, rtol=1e-14,
+                               atol=0.0)
 
 
 class TestSelftest:

@@ -275,7 +275,7 @@ class TestAssembly:
             segs = [double_integrator_segment(10.0)] * N
             prob = assemble(segs, grid, x_ref=np.zeros((N + 1, 6)),
                             x_init=np.zeros(6), risk=RiskRows())
-            assert prob.n_vars == 17 * N + 6
+            assert len(prob.objective) == 17 * N + 6
             assert prob.eq_matrix.shape[0] == 6 * (N + 1)
             assert prob.dims.soc == tuple([4] * N + [7] * N)
             assert prob.dims.nonneg == N  # only the sigma <= 1 rows here

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from camopt.risk import (
     RiskError,
     bplane_basis,
-    bplane_project,
     chan_poc,
     chan_series,
     chan_uv,
@@ -58,13 +57,14 @@ class TestBPlane:
         vp = np.array([0, 7.5, 0.0])
         vs = np.array([0, -7.5, 0.0])
         dr = np.array([0.02, 0.0, 0.01])  # orthogonal to relative velocity
-        dr2, _ = bplane_project(dr, np.eye(3), vp, vs)
+        dr2 = bplane_basis(vp, vs) @ dr
         assert np.linalg.norm(dr2) == pytest.approx(np.linalg.norm(dr), rel=1e-12)
 
     def test_isotropic_covariance_invariant(self):
         rng = np.random.default_rng(0)
         vp, vs = rng.standard_normal(3), rng.standard_normal(3)
-        _, P2 = bplane_project(rng.standard_normal(3), 4.0 * np.eye(3), vp, vs)
+        M = bplane_basis(vp, vs)
+        P2 = M @ (4.0 * np.eye(3)) @ M.T
         assert np.allclose(P2, 4.0 * np.eye(2), atol=1e-12)
 
     def test_basis_orthonormal_and_normal_to_relvel(self):
@@ -367,7 +367,8 @@ class TestFullPipeline:
         sigma2 = 0.01 ** 2
         P3 = sigma2 * np.eye(3)
         hbr = 0.003
-        dr2, P2 = bplane_project(xp[:3] - xs[:3], P3, xp[3:], xs[3:])
+        M = bplane_basis(xp[3:], xs[3:])
+        dr2, P2 = M @ (xp[:3] - xs[:3]), M @ P3 @ M.T
         p = chan_poc(*chan_uv(dr2, P2, hbr))
         u = hbr ** 2 / sigma2
         v = 0.01 ** 2 / sigma2

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from camopt import scp
 from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow
+from camopt.convexify import cut_normal, project_onto_ellipsoid
+from camopt.risk import bplane_basis
 from camopt.scenario import Config, load_scenario
 from camopt.socp import solve as socp_solve
 from camopt.scp import (
+    LongChannel,
     ScpError,
+    ShortChannel,
     _cheapest_exit,
     _exit_table,
     _revisits,
+    _risk_rows,
     _select_anchors,
     _stm_track,
     _table_cost,
@@ -23,6 +28,7 @@ from camopt.scp import (
 )
 
 CASE1 = "scenarios/case1.json"
+CASE3 = "scenarios/case3.json"
 
 
 def two_cdm():
@@ -183,6 +189,111 @@ class TestExitAnchors:
 
 
 # ---------------------------------------------------------------------
+# miss-distance stage keep-out cuts
+
+
+def spd(rng, n):
+    A = rng.standard_normal((n, n))
+    return A @ A.T + 0.5 * np.eye(n)
+
+
+def on_ellipse(P, d2, f, g):
+    """Point at Mahalanobis radius f * sqrt(d2) along the unit-ball
+    direction g."""
+    return np.linalg.cholesky(P) @ (g / np.linalg.norm(g)) * f * math.sqrt(d2)
+
+
+def smd_rows(st_channels, lt_channels, ref_pos, resp3=None):
+    return _risk_rows("smd", Config(), st_channels, lt_channels, ref_pos,
+                      resp3, nu_risk=1.0, total_cap=1e-6).halfspaces
+
+
+def assert_tangent(a, rhs, centre, z, P):
+    """``a . r >= rhs`` is the keep-out plane tangent at centre + z."""
+    n = cut_normal(z, P)
+    assert a @ (centre + z) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    assert abs(a @ n) == pytest.approx(np.linalg.norm(a) * np.linalg.norm(n),
+                                       rel=1e-12)
+    assert a @ n > 0.0
+
+
+class TestSmdRows:
+    def setup_method(self):
+        self.rng = np.random.default_rng(3)
+
+    def short_channel(self, d2):
+        rng = self.rng
+        basis = bplane_basis(rng.standard_normal(3), rng.standard_normal(3))
+        P2 = spd(rng, 2)
+        return ShortChannel(conj=0, mix=0, enc=0, weight=1.0, epoch=0.0,
+                            xs=rng.standard_normal(6), P3=np.eye(3),
+                            basis=basis, P2=P2, u_chan=0.01, hbr=0.1,
+                            node=1, d2_limit=d2,
+                            M=rng.standard_normal((1, 2, 3)))
+
+    def primary_at(self, ch, y):
+        # any offset along the relative velocity leaves the miss unchanged
+        eta = np.cross(ch.basis[0], ch.basis[1])
+        return ch.xs[:3] + ch.basis.T @ y + 0.7 * eta
+
+    def test_short_outside_reference_cut_at_its_projection(self):
+        ch = self.short_channel(9.0)
+        y_ref = on_ellipse(ch.P2, 9.0, 1.6, self.rng.standard_normal(2))
+        ref_pos = np.zeros((3, 3))
+        ref_pos[1] = self.primary_at(ch, y_ref)
+        [(node, a, rhs)] = smd_rows([ch], [], ref_pos)
+        assert node == 1
+        z = project_onto_ellipsoid(y_ref, ch.P2, 9.0)
+        assert_tangent(ch.basis @ a, rhs - a @ ch.xs[:3], np.zeros(2), z,
+                       ch.P2)
+        assert a @ ref_pos[1] >= rhs
+        assert a @ ch.xs[:3] < rhs  # the keep-out centre is cut off
+
+    def test_short_inside_reference_cut_at_its_anchor(self):
+        ch = self.short_channel(9.0)
+        ch.anchor = on_ellipse(ch.P2, 9.0, 1.0, self.rng.standard_normal(2))
+        y_ref = on_ellipse(ch.P2, 9.0, 0.3, self.rng.standard_normal(2))
+        ref_pos = np.zeros((3, 3))
+        ref_pos[1] = self.primary_at(ch, y_ref)
+        [(node, a, rhs)] = smd_rows([ch], [], ref_pos)
+        assert node == 1
+        assert_tangent(ch.basis @ a, rhs - a @ ch.xs[:3], np.zeros(2),
+                       ch.anchor, ch.P2)
+        assert a @ ref_pos[1] < rhs  # the cut pushes the reference out
+
+    def test_long_rows_per_active_node(self):
+        rng = self.rng
+        d2 = 4.0
+        P3 = np.array([spd(rng, 3) for _ in range(4)])
+        r_s = rng.standard_normal((4, 3))
+        M = rng.standard_normal((4, 5, 3, 3))
+        ch = LongChannel(conj=0, mix=0, weight=1.0, hbr=0.1, r_s=r_s, P3=P3,
+                         node=1, d2_limit=d2, M=M[1])
+        ch.anchor = on_ellipse(P3[1], d2, 1.0, rng.standard_normal(3))
+        # node 0 beyond the activity margin, 1 and 2 inside the keep-out,
+        # 3 outside it within the margin
+        f = {0: 3.0, 1: 0.3, 2: 0.3, 3: 1.5}
+        y = {j: on_ellipse(P3[j], d2, f[j], rng.standard_normal(3))
+             for j in range(4)}
+        ref_pos = np.array([r_s[j] + y[j] for j in range(4)])
+        # push against the cut node 2 would pick freely
+        z_free = _cheapest_exit(y[2], P3[2], d2, M[2])
+        n_free = cut_normal(z_free, P3[2])
+        ch.push = -n_free / np.linalg.norm(n_free)
+
+        rows = smd_rows([], [ch], ref_pos, resp3=lambda j: M[j])
+        assert [row[0] for row in rows] == [1, 2, 3]
+        (_, a1, b1), (_, a2, b2), (_, a3, b3) = rows
+        assert_tangent(a1, b1, r_s[1], ch.anchor, P3[1])
+        z2 = _cheapest_exit(y[2], P3[2], d2, M[2], side=ch.push)
+        assert_tangent(a2, b2, r_s[2], z2, P3[2])
+        assert a2 @ ch.push > 0.0 and not np.allclose(z2, z_free)
+        assert_tangent(a3, b3, r_s[3],
+                       project_onto_ellipsoid(y[3], P3[3], d2), P3[3])
+        assert a3 @ ref_pos[3] >= b3
+
+
+# ---------------------------------------------------------------------
 # end-to-end solver behavior on the truncated two-conjunction case
 
 
@@ -242,6 +353,30 @@ class TestSolve:
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm
         assert sol2.e_validation_mm <= 5.0
+
+
+class TestLongTermMixture:
+    """case3's encounter over 10500 s, split into three mixands: limit
+    adaptation prices more than one long-term channel."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        scn = dataclasses.replace(load_scenario(CASE3), horizon=(0.0, 10500.0))
+        assert scn.n_mix == 3
+        return solve(scn, Config())
+
+    def test_converges_within_budget(self, sol):
+        assert sol.status == "converged"
+        assert len(sol.channels) == 3
+        assert float(np.max(sol.tipoc_nodes)) <= 1.05e-6
+
+    def test_limits_multiply_to_budget(self, sol):
+        q = np.array([ch.p_limit for ch in sol.channels])
+        assert abs(np.prod(1.0 - q) - (1.0 - sol.total_limit)) <= 1e-10
+
+    def test_final_probability_read_at_the_constrained_node(self, sol):
+        for k, ch in enumerate(sol.channels):
+            assert ch.p_final == sol.tipoc_mix[ch.node, k]
 
 
 # ---------------------------------------------------------------------
