@@ -417,13 +417,16 @@ def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
 
 def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn_p: Dynamics,
                dyn_s: Dynamics | None = None, tol: float = 1e-6,
-               max_iter: int = 12) -> float:
+               max_iter: int = 12,
+               bracket: tuple[float, float] = (-math.inf, math.inf)) -> float:
     """Time offset from the nominal epoch to the true closest approach.
 
     Newton iteration on g(t) = dr . dv, whose derivative is
     g'(t) = |dv|^2 + dr . da with the accelerations taken from the
     ballistic equations of motion.  Both states are flown by each step, and
-    the iteration stops once a step is no larger than ``tol``.
+    the iteration stops once a step is no larger than ``tol``.  It also
+    stops, unflown, at the first offset outside ``bracket`` (lo, hi) and
+    returns that offset, so every flight stays inside the bracket.
     """
     dyn_s = dyn_s or dyn_p
     xp = np.asarray(xp, float)
@@ -441,7 +444,7 @@ def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn_p: Dynamics,
             raise DegenerateEncounterError("stationary miss-distance equation")
         step = -(dr @ dv) / gdot
         dt_total += step
-        if abs(step) <= tol:
+        if abs(step) <= tol or not bracket[0] <= dt_total <= bracket[1]:
             return dt_total
         xp = flow(xp, 0.0, step, zero, dyn_p)
         xs = flow(xs, 0.0, step, zero, dyn_s)

@@ -32,7 +32,7 @@ from .scenario import (
     rtn_matrix,
     scaled_dynamics,
 )
-from .scp import ScpError, solve
+from .scp import ScpError, _stm_track, solve
 from .socp import SocpProblem, ConeDims, _Cone, solve as socp_solve
 from .uncert import split_along_flow
 
@@ -282,7 +282,9 @@ def _suite_jet_gradients():
 
 
 def _suite_stm():
-    """State-transition matrix against finite differences of the flow."""
+    """State-transition matrices against central differences of the flow:
+    batched segment maps, and an STM track from a TCA back to t0 and on
+    through four grid steps."""
     dyn = Dynamics.two_body(1.0)
     rng = np.random.default_rng(3)
     xs, dts = [], []
@@ -293,16 +295,28 @@ def _suite_stm():
         xs.append(x)
         dts.append(rng.uniform(0.3, 1.5))
     segs = linearize_segment(np.array(xs), np.zeros((3, 3)), np.array(dts), dyn)
+    times = [1.3, 0.0, 0.35, 0.7, 1.05, 1.4]
+    _, track = _stm_track(xs[0], times, dyn, 1e-12)
+
+    def fly(x):
+        out = [x]
+        for ta, tb in zip(times[:-1], times[1:]):
+            out.append(flow(out[-1], ta, tb, np.zeros(3), dyn))
+        return np.array(out)
+
     worst = 0.0
-    for x, dt, seg in zip(xs, dts, segs):
-        h = 3e-6
-        for k in range(6):
-            e = np.zeros(6)
-            e[k] = h
-            fp = flow(x + e, 0.0, dt, np.zeros(3), dyn)
-            fm = flow(x - e, 0.0, dt, np.zeros(3), dyn)
-            fd = (fp - fm) / (2.0 * h)
+    h = 3e-6
+    for k in range(6):
+        e = np.zeros(6)
+        e[k] = h
+        for x, dt, seg in zip(xs, dts, segs):
+            fd = (flow(x + e, 0.0, dt, np.zeros(3), dyn)
+                  - flow(x - e, 0.0, dt, np.zeros(3), dyn)) / (2.0 * h)
             worst = max(worst, float(np.max(np.abs(seg.A[:, k] - fd))) /
+                        max(float(np.max(np.abs(fd))), 1e-12))
+        fds = (fly(xs[0] + e) - fly(xs[0] - e)) / (2.0 * h)
+        for Phi, fd in zip(track[1:], fds[1:]):
+            worst = max(worst, float(np.max(np.abs(Phi[:, k] - fd))) /
                         max(float(np.max(np.abs(fd))), 1e-12))
     return worst <= 1e-5, f"max rel err {worst:.2e} (tol 1e-5)"
 

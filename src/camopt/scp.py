@@ -287,42 +287,83 @@ def _node_states(x0: np.ndarray, times: np.ndarray, dyn, u, tol: float) -> np.nd
     return out
 
 
+# longest span one jet row of an STM track flies: the default grid step
+# (60 nodes per orbit of 2 pi), so a long leg flies as pieces in the same
+# batch as the grid spans instead of alone after them
+_STM_PIECE = 2.0 * math.pi / 60
+
+
+def _coast(x0: np.ndarray, times, dyn, tol: float) -> np.ndarray:
+    """Ballistic float states at each listed epoch, flown span by span;
+    consecutive epochs may run backward in time."""
+    out = np.empty((len(times), 6))
+    out[0] = x0
+    for i in range(len(times) - 1):
+        out[i + 1] = flow(out[i], times[i], times[i + 1], np.zeros(3), dyn, tol)
+    return out
+
+
 def _stm_track(x0: np.ndarray, times, dyn, tol: float):
     """Mean and cumulative state transition matrix at each listed epoch.
 
-    Consecutive epochs may run backward in time (a TCA back to t0)."""
+    Consecutive epochs may run backward in time (a TCA back to t0).  Spans
+    longer than :data:`_STM_PIECE` are cut into equal pieces.  The mean is
+    chained through the pieces with float flows, every piece's own STM comes
+    from one batched order-1 jet flight seeded at its start, and the
+    cumulative STMs are their running product."""
+    times = np.asarray(times, float)
+    pieces = np.maximum(np.ceil(np.abs(np.diff(times)) / _STM_PIECE),
+                        1).astype(int)
+    fine = [times[:1]]
+    for ta, tb, n in zip(times[:-1], times[1:], pieces):
+        fine.append(ta + (tb - ta) * np.arange(1, n + 1) / n)
+        fine[-1][-1] = tb
+    fine = np.concatenate(fine)
+    means = _coast(x0, fine, dyn, tol)
     spc = jet_space(6, 1)
-    y = identity(spc, np.asarray(x0, float)[None])
-    means = [np.asarray(x0, float)]
-    stms = [np.eye(6)]
-    for ta, tb in zip(times[:-1], times[1:]):
-        if tb != ta:
-            y = flow_jets(spc, y, ta, tb, dyn, tol=tol)
-        means.append(y[0, :, 0].copy())
-        stms.append(gradient(spc, y[0]))
-    return np.array(means), np.array(stms)
+    y = flow_jets(spc, identity(spc, means[:-1]), fine[:-1], fine[1:], dyn,
+                  tol=tol)
+    phis = gradient(spc, y)
+    stms = np.empty((len(fine), 6, 6))
+    stms[0] = np.eye(6)
+    for i, phi in enumerate(phis):
+        stms[i + 1] = phi @ stms[i]
+    listed = np.concatenate([[0], np.cumsum(pieces)])
+    return means[listed], stms[listed]
 
 
-def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol):
+def _scan_times(t_start, t_end, period):
+    """Epochs of the coarse encounter scan over [t_start, t_end]: at least
+    120 per period and at least 4 steps."""
+    n = max(int(math.ceil((t_end - t_start) / (period / 120.0))), 4)
+    return np.linspace(t_start, t_end, n + 1)
+
+
+def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol,
+                       primary=None):
     """Epochs of the locally closest approaches over [t_start, t_end].
 
     Coarse distance scan along both ballistic paths, then a Newton
-    refinement (:func:`refine_tca`) of every local minimum.  The starting
-    epoch itself counts when the distance grows away from it.
+    refinement (:func:`refine_tca`) of every local minimum of the scan.
+    The window's first epoch is a candidate when the distance grows away
+    from it, its last when the distance falls into it.  Each candidate is
+    refined only inside its bracket, the scan epochs on either side of it:
+    the first epoch's bracket reaches one scan step back (no earlier than
+    ``lo_bound``) and the last epoch's ends at ``t_end``.  A candidate whose
+    Newton step leaves its bracket is dropped: its minimum lies outside
+    (past ``t_end``, or in a neighbouring bracket) or the iteration heads
+    for a distance maximum.  ``primary`` holds the primary's states on the
+    scan epochs (:func:`_scan_times`) when a caller scans several
+    secondaries against one primary.
     """
     if t_end - t_start < 0.05 * period:
         return [t_start]
-    n = max(int(math.ceil((t_end - t_start) / (period / 120.0))), 4)
-    ts = np.linspace(t_start, t_end, n + 1)
-    xp, xs = np.array(xp0, float), np.array(xs0, float)
-    states_p, states_s, dist = [xp], [xs], [np.linalg.norm(xp[:3] - xs[:3])]
-    for ta, tb in zip(ts[:-1], ts[1:]):
-        xp = flow(xp, ta, tb, np.zeros(3), dyn, tol)
-        xs = flow(xs, ta, tb, np.zeros(3), dyn, tol)
-        states_p.append(xp)
-        states_s.append(xs)
-        dist.append(np.linalg.norm(xp[:3] - xs[:3]))
-    d = np.array(dist)
+    ts = _scan_times(t_start, t_end, period)
+    n = len(ts) - 1
+    states_p = _coast(xp0, ts, dyn, tol) if primary is None else primary
+    states_s = _coast(xs0, ts, dyn, tol)
+    d = np.array([np.linalg.norm(a[:3] - b[:3])
+                  for a, b in zip(states_p, states_s)])
     cand = [j for j in range(1, n) if d[j] <= d[j - 1] and d[j] <= d[j + 1]]
     if d[0] < d[1]:
         cand.insert(0, 0)
@@ -330,14 +371,15 @@ def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol):
         cand.append(n)
     epochs = []
     for j in cand:
+        lo = ts[j - 1] if j else max(2.0 * ts[0] - ts[1], lo_bound)
+        bracket = (lo - ts[j] - 1e-9, ts[min(j + 1, n)] - ts[j] + 1e-9)
         try:
-            dt = refine_tca(states_p[j], states_s[j], dyn)
+            dt = refine_tca(states_p[j], states_s[j], dyn, bracket=bracket)
         except DegenerateEncounterError:
             continue
-        e = ts[j] + dt
-        if not (lo_bound - 1e-9 <= e <= t_end + 1e-9):
+        if not bracket[0] <= dt <= bracket[1]:
             continue
-        e = min(max(e, lo_bound), t_end)
+        e = min(max(ts[j] + dt, lo_bound), t_end)
         if all(abs(e - q) > 1e-6 for q in epochs):
             epochs.append(e)
     return sorted(epochs) if epochs else [t_start]
@@ -392,10 +434,13 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
 
         # one channel per mixture component and per repeated encounter
         gmm = split_along_flow(xs, P, tf - tca, dyn, scn.n_mix)
+        scan_p = _coast(xp, _scan_times(tca, tf, 2.0 * math.pi), dyn,
+                        cfg.integ_tol)
         for mi in range(gmm.n_mix):
             w, mean, Pm = gmm.weights[mi], gmm.means[mi], gmm.covs[mi]
             epochs = _detect_encounters(xp, mean, tca, tf, t0, dyn,
-                                        2.0 * math.pi, cfg.integ_tol)
+                                        2.0 * math.pi, cfg.integ_tol,
+                                        primary=scan_p)
             means, stms = _stm_track(mean, [tca] + epochs, dyn, cfg.integ_tol)
             xp_e, t_prev = np.array(xp), tca
             for ei, te in enumerate(epochs):
@@ -910,6 +955,16 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     vc_max = math.nan
     settings = SolverSettings()
     major = 0
+    checked = (None, None)
+
+    def check(x):
+        """Total risk of a major's end states, kept for the closing report:
+        when no major follows, the final probabilities this evaluation left
+        on the channels are still those of the reported states."""
+        nonlocal checked
+        checked = (x, _evaluate_final(scenario, cfg, dyn, st_channels,
+                                      lt_channels, x))
+        return checked[1][0]
 
     def run_stage(stage):
         nonlocal segments, resp3, u_frac, x_ref, states, major, vc_max
@@ -1005,9 +1060,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                  cfg.integ_tol)
             feasible = True
             if stage != "smd":
-                tp, _ = _evaluate_final(scenario, cfg, dyn, st_channels,
-                                        lt_channels, x_ref)
-                feasible = tp <= cfg.total_limit * 1.02
+                feasible = check(x_ref) <= cfg.total_limit * 1.02
             if e_M <= cfg.major_tol and feasible:
                 return True
             # fuel-flat directions leave the control profile non-unique,
@@ -1023,28 +1076,24 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     if converged and cfg.refine_mode == "tpoc":
         polish = True
         if cfg.short_circuit:
-            x_chk = _node_states(x_init, grid.times, dyn, u_frac * u_scale,
-                                 cfg.integ_tol)
-            tp, _ = _evaluate_final(scenario, cfg, dyn, st_channels,
-                                    lt_channels, x_chk)
-            polish = abs(tp - cfg.total_limit) \
+            polish = abs(check(x_ref) - cfg.total_limit) \
                 > cfg.short_circuit_margin * cfg.total_limit
         if polish:
             converged = run_stage("tpoc")
     status = "converged" if converged else "max_iterations"
 
-    # nonlinear validation of the converged zero-order-hold profile; the
-    # linear prediction is rebuilt from the segment maps in exact arithmetic
-    # so solver roundoff in the subproblem states does not pollute the check
-    x_val = _node_states(x_init, grid.times, dyn, u_frac * u_scale,
-                         cfg.integ_tol)
+    # nonlinear validation of the converged zero-order-hold profile, whose
+    # propagation ended the last major; the linear prediction is rebuilt
+    # from the segment maps in exact arithmetic so solver roundoff in the
+    # subproblem states does not pollute the check
+    x_val = x_ref
     x_lin = [x_init]
     for seg, ui in zip(segments, u_frac * u_scale):
         x_lin.append(seg.A @ x_lin[-1] + seg.B @ ui + seg.c)
     x_lin = np.array(x_lin)
     e_val = float(np.max(np.linalg.norm(x_val[:, :3] - x_lin[:, :3],
                                         axis=1))) * L * 1e6
-    tpoc_final, tipoc = _evaluate_final(scenario, cfg, dyn, st_channels,
-                                        lt_channels, x_val)
+    tpoc_final, tipoc = checked[1] if checked[0] is x_val else \
+        _evaluate_final(scenario, cfg, dyn, st_channels, lt_channels, x_val)
     return package(status, len(log), log, x_val, u_frac, vc_max, e_val,
                    tpoc_final, tipoc, con_states=states)

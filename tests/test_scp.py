@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camopt import scp
-from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow
+from camopt import astro, scp
+from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow, flow_jets
+from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import cut_normal, project_onto_ellipsoid
 from camopt.risk import bplane_basis
 from camopt.scenario import Config, load_scenario
@@ -17,6 +18,7 @@ from camopt.scp import (
     ScpError,
     ShortChannel,
     _cheapest_exit,
+    _detect_encounters,
     _exit_table,
     _revisits,
     _risk_rows,
@@ -63,6 +65,99 @@ class TestStmTrack:
         _, fwd = _stm_track(means[1], [0.0, 2.0], dyn, 1e-12)
         assert np.max(np.abs(stms[1] @ fwd[1] - np.eye(6))) < 1e-9
         assert np.max(np.abs(fwd[1] @ stms[1] - np.eye(6))) < 1e-9
+
+    def test_matches_a_tight_sequential_track(self):
+        # a backward leg of several grid steps, then a uniform grid: the
+        # batched pieces against one order-1 jet row flown span by span at
+        # tol 1e-15
+        dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
+        x_tca = np.array([0.3, 0.95, 0.1, -0.97, 0.28, 0.2])
+        times = [1.9] + list(np.linspace(0.0, 2.5, 25))
+        means, stms = _stm_track(x_tca, times, dyn, 1e-12)
+
+        spc = jet_space(6, 1)
+        y = identity(spc, x_tca[None])
+        for k, (ta, tb) in enumerate(zip(times[:-1], times[1:])):
+            y = flow_jets(spc, y, ta, tb, dyn, tol=1e-15)
+            ref = gradient(spc, y[0])
+            assert np.max(np.abs(means[k + 1] - y[0, :, 0])) < 1e-10
+            assert np.max(np.abs(stms[k + 1] - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------
+# encounter detection
+
+
+def coplanar_circles(phi0):
+    """Primary on the unit circle, secondary on a circle of radius 1.3 in
+    the same plane, trailing by ``phi0``; the distance is least when the
+    primary has gained ``-phi0`` and greatest half a synodic period later.
+    Returns the states and the rate of the phase angle (mu = 1)."""
+    vb = 1.3 ** -0.5
+    xp = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    xs = np.array([1.3 * math.cos(phi0), -1.3 * math.sin(phi0), 0.0,
+                   vb * math.sin(phi0), vb * math.cos(phi0), 0.0])
+    return xp, xs, 1.0 - 1.3 ** -1.5
+
+
+class TestDetectEncounters:
+    dyn = Dynamics.two_body(1.0)
+
+    def refinement_flights(self, monkeypatch):
+        """Record each refinement's bracket and the offsets it flies to."""
+        log, steps = [], []
+        real_flow, real_refine = astro.flow, scp.refine_tca
+
+        def counting_flow(y, t0, t1, *args, **kwargs):
+            steps.append(t1 - t0)
+            return real_flow(y, t0, t1, *args, **kwargs)
+
+        def refine(*args, **kwargs):
+            start = len(steps)
+            dt = real_refine(*args, **kwargs)
+            # both states are flown by every step
+            log.append((kwargs["bracket"], np.cumsum(steps[start::2])))
+            return dt
+
+        monkeypatch.setattr(astro, "flow", counting_flow)
+        monkeypatch.setattr(scp, "refine_tca", refine)
+        return log
+
+    def test_window_ending_on_an_approach(self, monkeypatch):
+        # the distance falls through the whole window, its minimum 0.3 in
+        # phase past the end
+        xp, xs, w = coplanar_circles(-2.5)
+        t_end = 2.2 / w
+        flights = self.refinement_flights(monkeypatch)
+        epochs = _detect_encounters(xp, xs, 0.0, t_end, 0.0, self.dyn,
+                                    2.0 * math.pi, 1e-12)
+        assert epochs == [0.0]
+        assert flights and all(len(offs) == 0 for _, offs in flights)
+
+    def test_no_epoch_at_a_distance_maximum(self, monkeypatch):
+        # minimum at phase 0, maximum at pi, window end 0.3 past it: Newton
+        # from the falling end heads back to the maximum
+        xp, xs, w = coplanar_circles(-0.5)
+        t_min, t_max, t_end = 0.5 / w, (math.pi + 0.5) / w, (math.pi + 0.8) / w
+        flights = self.refinement_flights(monkeypatch)
+        epochs = _detect_encounters(xp, xs, 0.0, t_end, 0.0, self.dyn,
+                                    2.0 * math.pi, 1e-12)
+        assert len(epochs) == 1 and abs(epochs[0] - t_min) < 1e-6
+        assert abs(epochs[0] - t_max) > 1.0
+        assert len(flights) == 2  # the minimum and the end
+        step = t_end / math.ceil(t_end / (2.0 * math.pi / 120.0))
+        for (lo, hi), offs in flights:
+            assert hi - lo <= 2.0 * step + 1e-8
+            assert all(lo <= o <= hi for o in offs)
+
+    def test_shared_primary_scan_changes_nothing(self):
+        xp, xs, w = coplanar_circles(-0.5)
+        t_end = (math.pi + 0.8) / w
+        scan = scp._coast(xp, scp._scan_times(0.0, t_end, 2.0 * math.pi),
+                          self.dyn, 1e-12)
+        args = (xp, xs, 0.0, t_end, 0.0, self.dyn, 2.0 * math.pi, 1e-12)
+        assert _detect_encounters(*args, primary=scan) == \
+            _detect_encounters(*args)
 
 
 # ---------------------------------------------------------------------
@@ -349,6 +444,24 @@ class TestSolve:
             assert len(rec.cone_solves) == rec.minors
             assert rec.ipm_iters == sum(cs["iterations"]
                                         for cs in rec.cone_solves)
+
+    def test_final_states_evaluated_once(self, monkeypatch):
+        # the TPoC polish checks every major's end states; the closing
+        # report reuses the last check instead of evaluating them again
+        sc = load_scenario(CASE1)
+        sc = dataclasses.replace(sc, conjunctions=sc.conjunctions[:1],
+                                 horizon=(4143.0, sc.conjunctions[0].tca),
+                                 u_max=2.5 * sc.u_max)
+        seen, real = [], scp._evaluate_final
+
+        def evaluate(*args):
+            seen.append(args[-1].copy())
+            return real(*args)
+
+        monkeypatch.setattr(scp, "_evaluate_final", evaluate)
+        sol = solve(sc, Config(refine_mode="tpoc"))
+        assert sol.status == "converged" and sol.majors > 1
+        assert sum(np.array_equal(x, seen[-1]) for x in seen) == 1
 
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm
