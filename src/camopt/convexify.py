@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from . import CamoptError
 from .risk import chan_series, ipoc_peak
@@ -29,6 +28,69 @@ class AssemblyError(CamoptError):
 
 # ---------------------------------------------------------------------
 # keep-out zone geometry
+
+
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c``: for the same arguments it
+    evaluates f at the same points and returns the same float as
+    ``scipy.optimize.brentq``, without importing ``scipy.optimize``.
+    """
+    def fx(x):
+        y = f(x)
+        if math.isnan(y):
+            raise AssemblyError(f"root-finding met NaN at {x!r}")
+        return y
+
+    xpre, xcur = xa, xb
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise AssemblyError("root-finding bracket does not change sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            # C's MIN(a, b), a < b ? a : b; min() differs on a NaN
+            lim = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise AssemblyError(f"root-finding failed to converge in {maxiter} "
+                        "iterations")
 
 
 def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import CamoptError
 from .astro import (
@@ -667,6 +666,8 @@ def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
             return 1e3 * (1.0 + abs(qe - total_limit) / total_limit)
         return rho(e, qe) + sum(rho(s, qs) for s, qs in zip(others, q))
 
+    # imported here so one-channel solves, which return above, skip its cost
+    from scipy.optimize import minimize
     res = minimize(objective, x0, method="Nelder-Mead",
                    bounds=[(ylo, yhi)] * (n - 1),
                    options={"maxiter": 600 * (n - 1), "xatol": 1e-4,
@@ -958,9 +959,10 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     checked = (None, None)
 
     def check(x):
-        """Total risk of a major's end states, kept for the closing report:
-        when no major follows, the final probabilities this evaluation left
-        on the channels are still those of the reported states."""
+        """Total risk of a major's end states, kept for the next polish
+        major's risk cap and for the closing report: when no major follows,
+        the final probabilities this evaluation left on the channels are
+        still those of the reported states."""
         nonlocal checked
         checked = (x, _evaluate_final(scenario, cfg, dyn, st_channels,
                                       lt_channels, x))
@@ -983,8 +985,9 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 # refining each closest approach off its grid node shifts
                 # the total slightly; budget the grid-node total so the
                 # refined one lands on the limit
-                tp_ref, _ = _evaluate_final(scenario, cfg, dyn, st_channels,
-                                            lt_channels, x_ref)
+                tp_ref, _ = checked[1] if checked[0] is x_ref else \
+                    _evaluate_final(scenario, cfg, dyn, st_channels,
+                                    lt_channels, x_ref)
                 tp_grid = _grid_tpoc(st_channels, lt_channels, ref_pos)
                 if tp_ref > 0.0 and tp_grid > 0.0:
                     cap = cfg.total_limit * tp_grid / tp_ref

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from camopt import cli
+from camopt import selftest
 from camopt.astro import DegenerateEncounterError, flow, refine_tca
 from camopt.risk import bplane_basis, chan_poc, chan_uv
 from camopt.scenario import Config, load_scenario, scaled_dynamics
@@ -204,7 +204,7 @@ def test_criterion_4c_long_term(emit_line):
 def test_criterion_5_oracle_suites(emit_line):
     details = []
     ok = True
-    for name, fn in cli._SUITES:
+    for name, fn in selftest.SUITES:
         tic = time.perf_counter()
         good, _ = fn()
         wall = time.perf_counter() - tic

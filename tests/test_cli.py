@@ -1,15 +1,37 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from camopt import cli
+from camopt import cli, selftest
 from camopt.scenario import load_scenario
+from test_scenario import mutated_docs
 
 CASE1 = "scenarios/case1.json"
 CASE2 = "scenarios/case2.json"
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _one_cdm_doc():
+    # the ten-CDM fixture's first conjunction with 1500 s of warning and
+    # 2.5 times its thrust: one channel, no limit adaptation
+    doc = json.load(open(CASE1))
+    doc["conjunctions"] = doc["conjunctions"][:1]
+    doc["horizon_s"] = [4143.0, doc["conjunctions"][0]["tca_s"]]
+    doc["primary"]["u_max_mm_s2"] *= 2.5
+    return doc
+
+
+ONE_CDM = _one_cdm_doc()
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +43,13 @@ def two_cdm_file(tmp_path_factory):
     doc["horizon_s"] = [0.0, 7460.0]
     path = tmp_path_factory.mktemp("scn") / "two_cdm.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def one_cdm_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scn") / "one_cdm.json"
+    path.write_text(json.dumps(ONE_CDM))
     return str(path)
 
 
@@ -197,5 +226,49 @@ class TestSelftest:
     def test_every_suite_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == len(cli._SUITES)
+        assert len(lines) == len(selftest.SUITES)
         assert all(line.startswith("pass  ") for line in lines)
+
+
+def _scipy_loaded(code, *args):
+    """scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+                "if m.startswith('scipy.')))", *args],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    return set(out.stdout.splitlines()[-1].split())
+
+
+class TestImportBudget:
+    """Every ``camopt`` process pays for what the command line imports."""
+
+    def test_load_imports_no_oracle_packages(self):
+        loaded = _scipy_loaded(
+            "import sys, camopt.cli\ncamopt.cli.load_scenario(sys.argv[1])",
+            CASE2)
+        assert "scipy.sparse" in loaded
+        assert not loaded & {"scipy.optimize", "scipy.stats",
+                             "scipy.integrate"}
+
+    def test_one_channel_solve_never_imports_optimize(self, one_cdm_file,
+                                                      tmp_path):
+        loaded = _scipy_loaded(
+            "import sys, camopt.cli\n"
+            "assert camopt.cli.main(['solve', sys.argv[1], '--mode', 'tpoc',"
+            " '--out', sys.argv[2]]) == 0", one_cdm_file, str(tmp_path))
+        assert "scipy.optimize" not in loaded
+
+
+class TestSolveFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(doc=mutated_docs([ONE_CDM]))
+    def test_solves_or_fails_cleanly(self, tmp_path_factory, doc):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / "sc.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["solve", str(path), "--out", str(tmp / "out")])
+        assert code in (0, 2, 3)

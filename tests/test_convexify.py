@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from camopt import convexify
 from camopt.astro import NodeGrid, SegmentMaps
 from camopt.convexify import (
     AssemblyError,
@@ -10,6 +12,7 @@ from camopt.convexify import (
     RiskRows,
     ShortTermItem,
     assemble,
+    brentq,
     cut_normal,
     linearize_tipoc,
     linearize_tpoc,
@@ -70,6 +73,46 @@ class TestProjection:
     def test_degenerate_rejected(self):
         with pytest.raises(AssemblyError):
             project_onto_ellipsoid(np.ones(2), np.zeros((2, 2)), 1.0)
+
+
+class TestBrent:
+    """The port of scipy's brentq.c against scipy.optimize.brentq."""
+
+    def test_matches_scipy_on_secular_equations(self, monkeypatch):
+        # capture the secular equation and bracket of every projection
+        calls = []
+
+        def spy(f, a, b, **kw):
+            calls.append((f, a, b, kw))
+            return brentq(f, a, b, **kw)
+
+        monkeypatch.setattr(convexify, "brentq", spy)
+        rng = np.random.default_rng(31)
+        for k in range(1200):
+            n = 2 + k % 2
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            # squared semiaxes spread over 12 decades
+            P = Q @ np.diag(10.0 ** rng.uniform(-6.0, 6.0, n)) @ Q.T
+            p = rng.standard_normal(n) * 10.0 ** rng.uniform(-4.0, 4.0)
+            convexify.project_onto_ellipsoid(p, P, rng.uniform(0.5, 30.0))
+        assert len(calls) == 1200
+        for f, a, b, kw in calls:
+            seen, ref_seen = [], []
+            got = brentq(lambda x: seen.append(x) or f(x), a, b, **kw)
+            ref = optimize.brentq(lambda x: ref_seen.append(x) or f(x),
+                                  a, b, **kw)
+            assert got == ref
+            assert seen == ref_seen
+
+    def test_no_convergence_raises(self):
+        # a sign jump bracketed over 600 decades needs ~1000 bisections
+        def step(x):
+            return -1.0 if x < 1.0 / 3.0 else 1.0
+
+        with pytest.raises(RuntimeError):
+            optimize.brentq(step, -1e300, 1e300, xtol=1e-15, rtol=1e-14)
+        with pytest.raises(AssemblyError, match="converge"):
+            brentq(step, -1e300, 1e300, xtol=1e-15, rtol=1e-14)
 
 
 class TestCutNormal:

@@ -359,8 +359,9 @@ def _mutate(value, kind, other):
 
 
 @st.composite
-def mutated_docs(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(_DOCS)))
+def mutated_docs(draw, docs=_DOCS):
+    """One to three mutations of a copy of one of ``docs``."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
     for _ in range(draw(st.integers(1, 3))):
         locations = _locations(doc)
         if not locations:

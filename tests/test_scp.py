@@ -463,6 +463,22 @@ class TestSolve:
         assert sol.status == "converged" and sol.majors > 1
         assert sum(np.array_equal(x, seen[-1]) for x in seen) == 1
 
+    def test_polish_reuses_checked_states(self, monkeypatch):
+        # each polish major after the first budgets its risk cap at the
+        # states the previous major's check has just evaluated
+        seen, real = [], scp._evaluate_final
+
+        def evaluate(*args):
+            seen.append(args[-1].copy())
+            return real(*args)
+
+        monkeypatch.setattr(scp, "_evaluate_final", evaluate)
+        sol = solve(two_cdm(), Config(refine_mode="tpoc"))
+        # two polish majors or more: one opening evaluation plus a check each
+        assert sol.status == "converged" and len(seen) >= 3
+        assert not any(np.array_equal(a, b)
+                       for i, a in enumerate(seen) for b in seen[:i])
+
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm
         assert sol2.e_validation_mm <= 5.0
