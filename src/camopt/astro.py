@@ -314,29 +314,31 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
 
 @dataclass
 class SegmentMaps:
-    """First-order transition maps of one discretization segment.
+    """First-order transition maps of N discretization segments, stacked.
 
-    ``A`` (6x6) and ``B`` (6x3) map state and control perturbations at the
-    start node to state perturbations at the end node; ``c`` is the
-    linearization residual so that A x + B u + c reproduces the reference
-    endpoint exactly.  ``xi`` holds the per-variable nonlinearity ratios
-    (6 state + 3 control entries) used to size trust regions.
+    ``A`` (N, 6, 6) and ``B`` (N, 6, 3) map state and control perturbations
+    at each segment's start node to state perturbations at its end node;
+    ``c`` (N, 6) is the linearization residual so that A x + B u + c
+    reproduces the reference endpoint exactly.  ``xi`` (N, 9) holds the
+    per-variable nonlinearity ratios (6 state + 3 control entries) used to
+    size trust regions.
     """
 
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
-    xbar: np.ndarray
     xi: np.ndarray
 
 
 def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
-                      dyn: Dynamics, tol: float = 1e-12) -> list[SegmentMaps]:
+                      dyn: Dynamics, tol: float = 1e-12) -> SegmentMaps:
     """Second-order jet propagation of (x + dx, u + du) over N segments.
 
     ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)
-    durations are flown in one batch; returns one :class:`SegmentMaps` per
-    row, the same bit for bit as that row linearized on its own.
+    durations are flown in one batch; returns the stacked
+    :class:`SegmentMaps` (``A`` (N, 6, 6), ``B`` (N, 6, 3), ``c`` (N, 6),
+    ``xi`` (N, 9)), each row the same bit for bit as that row linearized
+    on its own.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -349,15 +351,12 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     xu = dajet.identity(sp, np.concatenate([x, u], axis=1))
     yend = flow_jets(sp, xu[:, :6], 0.0, dt, dyn, u=xu[:, 6:], tol=tol)
 
-    maps = []
-    for i, ye in enumerate(yend):
-        xbar = ye[:, 0].copy()
-        G = dajet.gradient(sp, ye)  # 6 x 9
-        A, B = G[:, :6], G[:, 6:9]
-        c = xbar - A @ x[i] - B @ u[i]
-        maps.append(SegmentMaps(A=A, B=B, c=c, xbar=xbar,
-                                xi=dajet.second_order_ratio(sp, ye)))
-    return maps
+    G = dajet.gradient(sp, yend)  # N x 6 x 9
+    A, B = G[..., :6], G[..., 6:9]
+    c = yend[..., 0] - (A @ x[..., None])[..., 0] - (B @ u[..., None])[..., 0]
+    # one norm per row: a batched norm rounds differently
+    xi = np.array([dajet.second_order_ratio(sp, ye) for ye in yend])
+    return SegmentMaps(A=A, B=B, c=c, xi=xi.reshape(len(dt), sp.n_vars))
 
 
 # ---------------------------------------------------------------------

@@ -215,6 +215,36 @@ def _cmd_split(args):
     return 0
 
 
+class SolutionFormatError(CamoptError):
+    """An emitted solution document that cannot be re-propagated."""
+
+
+def _solution_arrays(doc):
+    """Times (T,), states (T, 6) and controls (T - 1, 3) of an emitted
+    solution, all finite numbers, with T >= 2."""
+    def numbers(name, rows):
+        try:
+            arr = np.array([[float(v) for v in row] for row in doc[name]]
+                           if rows else [float(v) for v in doc[name]])
+        except (TypeError, ValueError) as exc:
+            raise SolutionFormatError(f"{name}: {exc}") from None
+        if not np.all(np.isfinite(arr)):
+            raise SolutionFormatError(f"{name}: values must be finite")
+        return arr
+
+    times = numbers("times_s", False)
+    if len(times) < 2:
+        raise SolutionFormatError("times_s: need at least 2 epochs")
+    states = numbers("states_km", True)
+    controls = numbers("controls_km_s2", True)
+    for name, arr, shape in (("states_km", states, (len(times), 6)),
+                             ("controls_km_s2", controls, (len(times) - 1, 3))):
+        if arr.shape != shape:
+            raise SolutionFormatError(f"{name}: shape {arr.shape}, "
+                                      f"need {shape}")
+    return times, states, controls
+
+
 def _cmd_validate(args):
     scn = load_scenario(args.scenario)
     path = args.solution
@@ -222,10 +252,7 @@ def _cmd_validate(args):
         path = os.path.join(path, "summary.json")
     with open(path) as fh:
         doc = json.load(fh)
-    times = np.array([float(t) for t in doc["times_s"]])
-    controls = np.array([[float(v) for v in row]
-                         for row in doc["controls_km_s2"]])
-    states = np.array([[float(v) for v in row] for row in doc["states_km"]])
+    times, states, controls = _solution_arrays(doc)
     x = scn.primary_at(times[0])
     err = float(np.linalg.norm(x[:3] - states[0, :3]))
     for i in range(len(times) - 1):

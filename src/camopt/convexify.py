@@ -286,7 +286,8 @@ class RiskRows:
     ``halfspaces``: list of (node, a, rhs) meaning a . r_node >= rhs.
     ``totals``: list of (nodes, grads, rhs, ref, xi, nu_bar) meaning
     sum_k grads[k] . r_{nodes[k]} <= rhs with an optional risk trust region
-    |r - ref| <= nu_bar / xi per component.
+    |r - ref| <= nu_bar / xi per component.  ``a`` is a 3-array; ``grads``,
+    ``ref`` and ``xi`` are (len(nodes), 3) arrays.
     """
 
     halfspaces: list = field(default_factory=list)
@@ -306,7 +307,7 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     degeneracy of the fuel objective.
     """
     N = grid.n_segments
-    if len(segments) != N:
+    if len(segments.A) != N:
         raise AssemblyError("one segment map needed per grid interval")
     dts = grid.dt
 
@@ -333,125 +334,88 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     if with_prox:
         c[off_pn:off_pn + N] = prox * dts * u_scale
 
-    # equalities: initial state, then x_{i+1} = A x_i + B u_i + c_i + vc_i
-    rows, cols, vals, rhs = [], [], [], []
+    # column of every variable, one row per node or segment
+    col_x = off_x + np.arange(nx).reshape(N + 1, 6)
+    col_u = off_u + np.arange(nu).reshape(N, 3)
+    col_sig = off_sig + np.arange(N)
+    col_vc = off_vc + np.arange(6 * N).reshape(N, 6)
 
-    def add(r, cidx, v):
-        rows.append(r)
-        cols.append(cidx)
-        vals.append(v)
-
-    r = 0
-    for j in range(6):
-        add(r, off_x + j, 1.0)
-        rhs.append(x_init[j])
-        r += 1
-    for i, seg in enumerate(segments):
-        for j in range(6):
-            add(r, off_x + 6 * (i + 1) + j, 1.0)
-            for k in range(6):
-                if seg.A[j, k] != 0.0:
-                    add(r, off_x + 6 * i + k, -seg.A[j, k])
-            for k in range(3):
-                if seg.B[j, k] != 0.0:
-                    add(r, off_u + 3 * i + k, -seg.B[j, k] * u_scale)
-            add(r, off_vc + 6 * i + j, -1.0)
-            rhs.append(seg.c[j])
-            r += 1
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(r, n_var))
-    b = np.array(rhs)
+    # equalities: initial state, then x_{i+1} = A x_i + B u_i + c_i + vc_i;
+    # entry (i, j, :) of the (N, 6, 11) stack is row j of segment i over
+    # [x_{i+1,j}, x_i, u_i, vc_{i,j}], zero map entries left out
+    one = np.ones((N, 6, 1))
+    vals = np.concatenate([one, -segments.A, -segments.B, -one], axis=2)
+    keep = vals != 0.0
+    vals[..., 7:10] *= u_scale
+    cols = np.concatenate([col_x[1:, :, None],
+                           np.broadcast_to(col_x[:-1, None], (N, 6, 6)),
+                           np.broadcast_to(col_u[:, None], (N, 6, 3)),
+                           col_vc[..., None]], axis=2)
+    rows = np.broadcast_to(6 + np.arange(6 * N).reshape(N, 6, 1), (N, 6, 11))
+    A = sp.csc_matrix((np.concatenate([np.ones(6), vals[keep]]),
+                       (np.concatenate([np.arange(6), rows[keep]]),
+                        np.concatenate([col_x[0], cols[keep]]))),
+                      shape=(6 * (N + 1), n_var))
+    b = np.concatenate([x_init, segments.c.ravel()])
 
     # inequality rows, nonnegative orthant first
     g_rows, g_cols, g_vals, h = [], [], [], []
     gr = 0
 
-    def gadd(cidx, v):
-        g_rows.append(gr)
-        g_cols.append(cidx)
-        g_vals.append(v)
+    def put(rows, cols, vals, rhs):
+        """Entries at rows gr + ``rows``, then len(rhs) rows appended."""
+        nonlocal gr
+        g_rows.append(gr + rows)
+        g_cols.append(cols)
+        g_vals.append(np.broadcast_to(vals, len(cols)))
+        h.append(rhs)
+        gr += len(rhs)
+
+    def single(cols, vals, rhs):
+        """Rows of one entry each."""
+        put(np.arange(len(cols)), cols, vals, rhs)
+
+    def trust(cols, ref, xi, nu):
+        """Row pairs +-(x - ref) <= nu / xi for every variable with a
+        nonzero nonlinearity ratio."""
+        on = xi > 1e-14
+        w, ref = nu / xi[on], ref[on]
+        single(np.repeat(cols[on], 2), np.tile([1.0, -1.0], len(w)),
+               np.column_stack([ref + w, w - ref]).ravel())
 
     # control magnitude bound sig_i <= 1
-    for i in range(N):
-        gadd(off_sig + i, 1.0)
-        h.append(1.0)
-        gr += 1
+    single(col_sig, 1.0, np.ones(N))
     # nonlinearity trust region on the states feeding each segment
-    for i, seg in enumerate(segments):
-        for k in range(6):
-            xi = seg.xi[k]
-            if xi <= 1e-14:
-                continue
-            bound = nu_bar / xi
-            ref = x_ref[i, k]
-            gadd(off_x + 6 * i + k, 1.0)
-            h.append(ref + bound)
-            gr += 1
-            gadd(off_x + 6 * i + k, -1.0)
-            h.append(bound - ref)
-            gr += 1
+    trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar)
     # keep-out half-spaces: a . r_node >= rhs
     for node, a, ar in risk.halfspaces:
-        for k in range(3):
-            if a[k] != 0.0:
-                gadd(off_x + 6 * node + k, -a[k])
-        h.append(-ar)
-        gr += 1
+        on = a != 0.0
+        put(np.zeros(on.sum(), int), col_x[node, :3][on], -a[on], [-ar])
     # linearized total-probability rows with their trust regions
     for nodes, grads, bound, ref, xi, nu_risk in risk.totals:
-        for nd, gvec in zip(nodes, grads):
-            for k in range(3):
-                if gvec[k] != 0.0:
-                    gadd(off_x + 6 * nd + k, gvec[k])
-        h.append(bound)
-        gr += 1
+        cols = col_x[nodes, :3]
+        on = grads != 0.0
+        put(np.zeros(on.sum(), int), cols[on], grads[on], [bound])
         if xi is not None:
-            for nd, rvec, xvec in zip(nodes, ref, xi):
-                for k in range(3):
-                    if xvec[k] <= 1e-14:
-                        continue
-                    w = nu_risk / xvec[k]
-                    gadd(off_x + 6 * nd + k, 1.0)
-                    h.append(rvec[k] + w)
-                    gr += 1
-                    gadd(off_x + 6 * nd + k, -1.0)
-                    h.append(w - rvec[k])
-                    gr += 1
+            trust(cols, ref, xi, nu_risk)
     n_nonneg = gr
 
-    # second-order cones: ||u_i|| <= sig_i, ||vc_i|| <= vnorm_i
-    socs = []
-    for i in range(N):
-        gadd(off_sig + i, -1.0)
-        h.append(0.0)
-        gr += 1
-        for k in range(3):
-            gadd(off_u + 3 * i + k, -1.0)
-            h.append(0.0)
-            gr += 1
-        socs.append(4)
-    for i in range(N):
-        gadd(off_vn + i, -1.0)
-        h.append(0.0)
-        gr += 1
-        for k in range(6):
-            gadd(off_vc + 6 * i + k, -1.0)
-            h.append(0.0)
-            gr += 1
-        socs.append(7)
+    # second-order cones: ||u_i|| <= sig_i, ||vc_i|| <= vnorm_i, and with
+    # the proximal term ||u_i - u_prev_i|| <= pn_i; cone i's rows are its
+    # bound, then its vector
+    single(np.column_stack([col_sig, col_u]).ravel(), -1.0, np.zeros(4 * N))
+    single(np.column_stack([off_vn + np.arange(N), col_vc]).ravel(), -1.0,
+           np.zeros(7 * N))
+    socs = (4,) * N + (7,) * N
     if with_prox:
-        # ||u_i - u_prev_i|| <= pn_i
-        for i in range(N):
-            gadd(off_pn + i, -1.0)
-            h.append(0.0)
-            gr += 1
-            for k in range(3):
-                gadd(off_u + 3 * i + k, -1.0)
-                h.append(-u_prev[i, k])
-                gr += 1
-            socs.append(4)
+        single(np.column_stack([off_pn + np.arange(N), col_u]).ravel(), -1.0,
+               np.column_stack([np.zeros(N), -u_prev]).ravel())
+        socs += (4,) * N
 
-    G = sp.csc_matrix((g_vals, (g_rows, g_cols)), shape=(gr, n_var))
+    G = sp.csc_matrix((np.concatenate(g_vals),
+                       (np.concatenate(g_rows), np.concatenate(g_cols))),
+                      shape=(gr, n_var))
     return ConicProblem(objective=c, eq_matrix=A, eq_rhs=b, ineq_matrix=G,
-                        ineq_rhs=np.array(h),
-                        dims=ConeDims(nonneg=n_nonneg, soc=tuple(socs)),
+                        ineq_rhs=np.concatenate(h),
+                        dims=ConeDims(nonneg=n_nonneg, soc=socs),
                         var_map=var_map)

@@ -168,8 +168,9 @@ class Config:
     max_minor: int = 30
     limit_floor: float = 1e-9
     refine_mode: str = "smd"  # {"smd", "tpoc"}
-    short_circuit: bool = False  # skip refinement if already within 2%
-    short_circuit_margin: float = 0.02
+    # return the ballistic evaluation, without optimizing, when the
+    # ballistic total is already within the budget
+    short_circuit: bool = False
 
     def validated(self) -> "Config":
         if self.nodes_per_orbit < 8:

@@ -492,20 +492,17 @@ def _build_long_channels(scn: Scenario, cfg: Config, scl, dyn, grid, x_ref):
 def _impulse_responses(segments, grid):
     """Per-node stacks of the position response at the node to a unit
     delta-v impulse applied on each earlier segment."""
-    Phis = [np.eye(6)]
-    for seg in segments:
-        Phis.append(seg.A @ Phis[-1])
-    inv = [np.linalg.inv(P) for P in Phis]
+    Phi = np.empty((len(segments.A) + 1, 6, 6))
+    Phi[0] = np.eye(6)
+    for i, A in enumerate(segments.A):
+        Phi[i + 1] = A @ Phi[i]
+    inv = np.linalg.inv(Phi)
     cache = {}
 
     def resp(c: int) -> np.ndarray:
         if c not in cache:
-            if c == 0:
-                cache[c] = np.zeros((0, 3, 3))
-            else:
-                cache[c] = np.stack(
-                    [(Phis[c] @ inv[i + 1] @ segments[i].B)[:3] / grid.dt[i]
-                     for i in range(c)])
+            cache[c] = (Phi[c] @ inv[1:c + 1] @ segments.B[:c])[:, :3] \
+                / grid.dt[:c, None, None]
         return cache[c]
 
     return resp
@@ -1077,12 +1074,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
 
     converged = run_stage("smd")
     if converged and cfg.refine_mode == "tpoc":
-        polish = True
-        if cfg.short_circuit:
-            polish = abs(check(x_ref) - cfg.total_limit) \
-                > cfg.short_circuit_margin * cfg.total_limit
-        if polish:
-            converged = run_stage("tpoc")
+        converged = run_stage("tpoc")
     status = "converged" if converged else "max_iterations"
 
     # nonlinear validation of the converged zero-order-hold profile, whose
@@ -1091,8 +1083,9 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     # subproblem states does not pollute the check
     x_val = x_ref
     x_lin = [x_init]
-    for seg, ui in zip(segments, u_frac * u_scale):
-        x_lin.append(seg.A @ x_lin[-1] + seg.B @ ui + seg.c)
+    for A, B, c, ui in zip(segments.A, segments.B, segments.c,
+                           u_frac * u_scale):
+        x_lin.append(A @ x_lin[-1] + B @ ui + c)
     x_lin = np.array(x_lin)
     e_val = float(np.max(np.linalg.norm(x_val[:, :3] - x_lin[:, :3],
                                         axis=1))) * L * 1e6

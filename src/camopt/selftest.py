@@ -85,10 +85,10 @@ def _suite_stm():
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
-        for x, dt, seg in zip(xs, dts, segs):
+        for x, dt, A in zip(xs, dts, segs.A):
             fd = (flow(x + e, 0.0, dt, np.zeros(3), dyn)
                   - flow(x - e, 0.0, dt, np.zeros(3), dyn)) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(seg.A[:, k] - fd))) /
+            worst = max(worst, float(np.max(np.abs(A[:, k] - fd))) /
                         max(float(np.max(np.abs(fd))), 1e-12))
         fds = (fly(xs[0] + e) - fly(xs[0] - e)) / (2.0 * h)
         for Phi, fd in zip(track[1:], fds[1:]):

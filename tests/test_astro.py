@@ -102,8 +102,8 @@ class TestLinearization:
         self.dt = 300.0
 
     def test_stm_matches_finite_differences(self):
-        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
-                                tol=1e-13)[0]
+        maps = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)
         eps = 1e-4
         Afd = np.zeros((6, 6))
         for j in range(6):
@@ -114,39 +114,39 @@ class TestLinearization:
                 flow(xp, 0, self.dt, self.u0, self.dyn, 1e-13)
                 - flow(xm, 0, self.dt, self.u0, self.dyn, 1e-13)
             ) / (2 * eps)
-        assert np.linalg.norm(seg.A - Afd) / np.linalg.norm(Afd) < 1e-5
+        assert np.linalg.norm(maps.A[0] - Afd) / np.linalg.norm(Afd) < 1e-5
 
     def test_control_map_impulse_pattern(self):
         # for a short segment B ~ [dt^2/2 I; dt I]
-        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
-                                tol=1e-13)[0]
-        assert np.allclose(np.diag(seg.B[:3]), 0.5 * self.dt ** 2, rtol=0.05)
-        assert np.allclose(np.diag(seg.B[3:]), self.dt, rtol=0.05)
+        maps = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)
+        assert np.allclose(np.diag(maps.B[0][:3]), 0.5 * self.dt ** 2, rtol=0.05)
+        assert np.allclose(np.diag(maps.B[0][3:]), self.dt, rtol=0.05)
 
     def test_residual_closes_reference(self):
-        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
-                                tol=1e-13)[0]
+        maps = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)
         xref = flow(self.x0, 0, self.dt, self.u0, self.dyn, 1e-13)
-        recon = seg.A @ self.x0 + seg.B @ self.u0 + seg.c
+        recon = maps.A[0] @ self.x0 + maps.B[0] @ self.u0 + maps.c[0]
         assert np.max(np.abs(recon - xref)) < 1e-7
 
     def test_endpoint_prediction_second_order(self):
         # the linear maps should predict a perturbed endpoint to first order
-        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
-                                tol=1e-13)[0]
+        maps = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-13)
         dx = np.array([0.5, -0.3, 0.2, 1e-4, -2e-4, 1e-4])
         xpert = flow(self.x0 + dx, 0, self.dt, self.u0, self.dyn, 1e-13)
-        pred = seg.A @ (self.x0 + dx) + seg.c
+        pred = maps.A[0] @ (self.x0 + dx) + maps.c[0]
         assert np.linalg.norm(xpert - pred) < 1e-3 * np.linalg.norm(dx)
 
     def test_nonlinearity_index_shape_and_sign(self):
-        seg = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
-                                tol=1e-12)[0]
-        assert seg.xi.shape == (9,)
-        assert np.all(seg.xi >= 0)
+        maps = linearize_segment(self.x0[None], self.u0[None], [self.dt], self.dyn,
+                                tol=1e-12)
+        assert maps.xi[0].shape == (9,)
+        assert np.all(maps.xi[0] >= 0)
         # position perturbations excite nonlinearity more weakly per km
         # than control per unit acceleration over a short arc
-        assert seg.xi[0] < seg.xi[6]
+        assert maps.xi[0][0] < maps.xi[0][6]
 
 
 class TestBatchedLinearization:
@@ -174,10 +174,10 @@ class TestBatchedLinearization:
         evals = []
         for i in range(7):
             calls.clear()
-            one = linearize_segment(x[i:i + 1], u[i:i + 1], dt[i:i + 1], dyn)[0]
+            one = linearize_segment(x[i:i + 1], u[i:i + 1], dt[i:i + 1], dyn)
             evals.append(len(calls))
-            for name in ("A", "B", "c", "xbar", "xi"):
-                assert np.array_equal(getattr(batch[i], name), getattr(one, name)), \
+            for name in ("A", "B", "c", "xi"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)[0]), \
                     (i, name)
         # the first trial step spans the whole segment and takes 13
         # evaluations: the short TCA segment is done in it, the long row
@@ -194,11 +194,11 @@ class TestBatchedLinearization:
         z = np.array([z0] + [z0 + s * h * e for e in np.eye(9) for s in (1.0, -1.0)])
         segs = linearize_segment(z[:, :6], z[:, 6:], np.full(len(z), 0.4), dyn,
                                  tol=1e-13)
-        G = [np.hstack([seg.A, seg.B]) for seg in segs]
+        G = [np.hstack([A, B]) for A, B in zip(segs.A, segs.B)]
         H = np.stack([(G[1 + 2 * b] - G[2 + 2 * b]) / (2.0 * h) for b in range(9)],
                      axis=2)
         xi = np.sqrt((H ** 2).sum(axis=(0, 1))) / np.linalg.norm(G[0])
-        assert np.allclose(segs[0].xi, xi, rtol=1e-5, atol=0.0)
+        assert np.allclose(segs.xi[0], xi, rtol=1e-5, atol=0.0)
 
     def test_bad_shapes_rejected(self):
         x = circular_state(6928.0)

@@ -161,6 +161,24 @@ class TestValidate:
         assert cli.main(["validate", two_cdm_file,
                          str(tmp_path / "nope.json")]) == 3
 
+    @pytest.mark.parametrize("field, mutate", [
+        ("times_s", lambda d: d["times_s"].__setitem__(1, "abc")),
+        ("states_km", lambda d: d["states_km"].pop()),
+        ("controls_km_s2", lambda d: d["controls_km_s2"].pop()),
+        ("controls_km_s2", lambda d: d["controls_km_s2"][0].pop()),
+        ("times_s", lambda d: d["times_s"].clear()),
+    ], ids=["non_numeric_time", "short_states", "short_controls",
+            "ragged_control", "empty_times"])
+    def test_malformed_solution_fails_cleanly(self, two_cdm_file, solved_dir,
+                                              tmp_path, capsys, field, mutate):
+        doc = json.load(open(solved_dir / "summary.json"))
+        mutate(doc)
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", two_cdm_file, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
 
 class TestRisk:
     def test_report_matches_summary(self, two_cdm_file, solved_dir, capsys):

@@ -291,19 +291,20 @@ class TestRiskOracle:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def double_integrator_segment(dt):
+def double_integrator_segment(dt, n=1):
+    """Maps of n double-integrator segments of duration dt, stacked."""
     A = np.eye(6)
     A[:3, 3:] = dt * np.eye(3)
     B = np.vstack([0.5 * dt ** 2 * np.eye(3), dt * np.eye(3)])
-    return SegmentMaps(A=A, B=B, c=np.zeros(6), xbar=np.zeros(6),
-                       xi=np.zeros(9))
+    return SegmentMaps(A=np.tile(A, (n, 1, 1)), B=np.tile(B, (n, 1, 1)),
+                       c=np.zeros((n, 6)), xi=np.zeros((n, 9)))
 
 
 class TestAssembly:
     def test_zero_conjunction_gives_zero_control(self):
         dt = 10.0
         grid = NodeGrid(times=np.array([0.0, dt, 2 * dt]))
-        segs = [double_integrator_segment(dt)] * 2
+        segs = double_integrator_segment(dt, 2)
         prob = assemble(segs, grid, x_ref=np.zeros((3, 6)), x_init=np.zeros(6),
                         risk=RiskRows())
         res = solve(prob.to_socp())
@@ -315,7 +316,7 @@ class TestAssembly:
         # n_var = 17 N + 6; equalities = 6(N+1); cones: N Q4 + N Q7
         for N in (1, 3, 7):
             grid = NodeGrid(times=np.linspace(0, 10 * N, N + 1))
-            segs = [double_integrator_segment(10.0)] * N
+            segs = double_integrator_segment(10.0, N)
             prob = assemble(segs, grid, x_ref=np.zeros((N + 1, 6)),
                             x_init=np.zeros(6), risk=RiskRows())
             assert len(prob.objective) == 17 * N + 6
@@ -330,7 +331,7 @@ class TestAssembly:
         a = np.array([0.0, 1.0, 0.0])
         rho = 0.5
         grid = NodeGrid(times=np.array([0.0, dt]))
-        segs = [double_integrator_segment(dt)]
+        segs = double_integrator_segment(dt)
         risk = RiskRows(halfspaces=[(1, a, rho)])
         prob = assemble(segs, grid, x_ref=np.zeros((2, 6)),
                         x_init=np.zeros(6), risk=risk)
@@ -344,7 +345,7 @@ class TestAssembly:
     def test_halfspace_constraint_enforced(self):
         dt = 10.0
         grid = NodeGrid(times=np.array([0.0, dt]))
-        segs = [double_integrator_segment(dt)]
+        segs = double_integrator_segment(dt)
         risk = RiskRows(halfspaces=[(1, np.array([1.0, 1.0, 0.0]), 0.3)])
         prob = assemble(segs, grid, x_ref=np.zeros((2, 6)),
                         x_init=np.zeros(6), risk=risk)
@@ -356,17 +357,118 @@ class TestAssembly:
         dt = 10.0
         grid = NodeGrid(times=np.array([0.0, dt]))
         seg = double_integrator_segment(dt)
-        seg.xi = np.concatenate([np.full(6, 0.1), np.zeros(3)])
+        seg.xi[0] = np.concatenate([np.full(6, 0.1), np.zeros(3)])
         x_ref = np.zeros((2, 6))
         risk = RiskRows(halfspaces=[(1, np.array([0.0, 1.0, 0.0]), 100.0)])
-        prob = assemble([seg], grid, x_ref=x_ref, x_init=np.zeros(6),
+        prob = assemble(seg, grid, x_ref=x_ref, x_init=np.zeros(6),
                         risk=risk, nu_bar=1e-2)
         # the half-space wants a huge displacement; trust region on node 0
         # does not stop node 1, but the count of nonneg rows must grow
         assert prob.dims.nonneg == 1 + 12 + 1
 
+    def test_rows_match_dense_oracle(self):
+        # N = 2 with every row family: proximal cones, a short-term total
+        # with its risk trust region, a long-term total with 3 items at one
+        # node, and a half-space with a zero component
+        N, dt, u_scale, nu_bar, prox, kappa = 2, 3.0, 0.5, 1e-2, 0.05, 1e4
+        rng = np.random.default_rng(11)
+        grid = NodeGrid(times=dt * np.arange(N + 1.0))
+        seg = double_integrator_segment(dt, N)
+        seg.c = rng.normal(size=(N, 6))
+        seg.xi[:, :6] = rng.uniform(0.1, 1.0, (N, 6))
+        seg.xi[0, 2] = seg.xi[1, 4] = 0.0
+        x_ref = rng.normal(size=(N + 1, 6))
+        x_init = rng.normal(size=6)
+        u_prev = rng.normal(size=(N, 3))
+        st_grads, st_ref = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        st_xi = rng.uniform(0.1, 1.0, (2, 3))
+        st_xi[1, 0] = 0.0
+        lt_grads = rng.normal(size=(3, 3))
+        risk = RiskRows(
+            halfspaces=[(2, np.array([1.5, 0.0, -2.0]), 0.3)],
+            totals=[([1, 2], st_grads, 1e-6, st_ref, st_xi, 0.02),
+                    ([2, 2, 2], lt_grads, 2e-6, None, None, 0.0)])
+        prob = assemble(seg, grid, x_ref, x_init, risk, kappa_vc=kappa,
+                        nu_bar=nu_bar, u_scale=u_scale, u_prev=u_prev,
+                        prox=prox)
+
+        # variables: x 0-17, u 18-23, sigma 24-25, vc 26-37, vnorm 38-39,
+        # pn 40-41
+        def x(i, k):
+            return 6 * i + k
+
+        def u(i, k):
+            return 18 + 3 * i + k
+
+        n_var = 42
+        c = np.zeros(n_var)
+        c[24:26] = dt * u_scale
+        c[38:40] = kappa
+        c[40:42] = prox * dt * u_scale
+        A = np.zeros((18, n_var))
+        A[np.arange(6), np.arange(6)] = 1.0
+        b = np.concatenate([x_init, seg.c.ravel()])
+        for i in range(N):
+            for j in range(6):
+                r = 6 + 6 * i + j
+                A[r, x(i + 1, j)] = 1.0
+                A[r, x(i, 0):x(i, 6)] = -seg.A[i, j]
+                A[r, u(i, 0):u(i, 3)] = -seg.B[i, j] * u_scale
+                A[r, 26 + 6 * i + j] = -1.0
+        G, h = [], []
+
+        def row(entries, rhs):
+            g = np.zeros(n_var)
+            for col, v in entries:
+                g[col] += v
+            G.append(g)
+            h.append(rhs)
+
+        def trust(col, ref, xi, nu):
+            if xi > 1e-14:
+                row([(col, 1.0)], ref + nu / xi)
+                row([(col, -1.0)], nu / xi - ref)
+
+        for i in range(N):
+            row([(24 + i, 1.0)], 1.0)
+        for i in range(N):
+            for k in range(6):
+                trust(x(i, k), x_ref[i, k], seg.xi[i, k], nu_bar)
+        row([(x(2, 0), -1.5), (x(2, 2), 2.0)], -0.3)
+        row([(x(nd, k), st_grads[m, k]) for m, nd in enumerate([1, 2])
+             for k in range(3)], 1e-6)
+        for m, nd in enumerate([1, 2]):
+            for k in range(3):
+                trust(x(nd, k), st_ref[m, k], st_xi[m, k], 0.02)
+        row([(x(2, k), lt_grads[m, k]) for m in range(3) for k in range(3)],
+            2e-6)
+        n_nonneg = len(h)
+        for i in range(N):
+            row([(24 + i, -1.0)], 0.0)
+            for k in range(3):
+                row([(u(i, k), -1.0)], 0.0)
+        for i in range(N):
+            row([(38 + i, -1.0)], 0.0)
+            for k in range(6):
+                row([(26 + 6 * i + k, -1.0)], 0.0)
+        for i in range(N):
+            row([(40 + i, -1.0)], 0.0)
+            for k in range(3):
+                row([(u(i, k), -1.0)], -u_prev[i, k])
+
+        assert np.array_equal(prob.objective, c)
+        assert np.array_equal(prob.eq_matrix.toarray(), A)
+        assert np.array_equal(prob.eq_rhs, b)
+        assert np.array_equal(prob.ineq_matrix.toarray(), np.array(G))
+        assert np.array_equal(prob.ineq_rhs, np.array(h))
+        assert prob.dims.nonneg == n_nonneg == 2 + 2 * 10 + 1 + 1 + 2 * 5 + 1
+        assert prob.dims.soc == (4, 4, 7, 7, 4, 4)
+        # zero map and half-space entries are left out, not stored
+        assert np.all(prob.eq_matrix.data != 0.0)
+        assert np.all(prob.ineq_matrix.data != 0.0)
+
     def test_segment_count_mismatch_rejected(self):
         grid = NodeGrid(times=np.array([0.0, 1.0, 2.0]))
         with pytest.raises(AssemblyError):
-            assemble([double_integrator_segment(1.0)], grid,
+            assemble(double_integrator_segment(1.0), grid,
                      x_ref=np.zeros((3, 6)), x_init=np.zeros(6), risk=RiskRows())

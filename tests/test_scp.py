@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camopt import astro, scp
-from camopt.astro import J2_EARTH, R_EARTH, Dynamics, flow, flow_jets
+from camopt.astro import J2_EARTH, R_EARTH, Dynamics, NodeGrid, flow, flow_jets
 from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import cut_normal, project_onto_ellipsoid
 from camopt.risk import bplane_basis
@@ -20,6 +21,7 @@ from camopt.scp import (
     _cheapest_exit,
     _detect_encounters,
     _exit_table,
+    _impulse_responses,
     _revisits,
     _risk_rows,
     _select_anchors,
@@ -28,6 +30,8 @@ from camopt.scp import (
     adapt_limits,
     solve,
 )
+
+from test_convexify import double_integrator_segment
 
 CASE1 = "scenarios/case1.json"
 CASE3 = "scenarios/case3.json"
@@ -312,6 +316,20 @@ def assert_tangent(a, rhs, centre, z, P):
     assert a @ n > 0.0
 
 
+class TestImpulseResponses:
+    def test_double_integrator_closed_form(self):
+        # Phi_c Phi_{i+1}^{-1} B_i has position block dt^2 (c - i - 1/2) I,
+        # so the response per unit delta-v is dt (c - i - 1/2) I
+        dt, N = 7.0, 4
+        grid = NodeGrid(times=dt * np.arange(N + 1.0))
+        resp = _impulse_responses(double_integrator_segment(dt, N), grid)
+        assert resp(0).shape == (0, 3, 3)
+        for c in range(1, N + 1):
+            want = np.array([dt * (c - i - 0.5) * np.eye(3) for i in range(c)])
+            assert resp(c).shape == (c, 3, 3)
+            assert np.allclose(resp(c), want, rtol=1e-13, atol=1e-13)
+
+
 class TestSmdRows:
     def setup_method(self):
         self.rng = np.random.default_rng(3)
@@ -534,3 +552,17 @@ class TestRevisits:
     def test_tolerance_is_relative(self):
         assert _revisits(1e6 + 5.0, [1e6])
         assert not _revisits(1.0 + 5e-5, [1.0])
+
+
+# ---------------------------------------------------------------------
+# names the benchmark traces
+
+
+class TestBenchmarkLayers:
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # the tracer raises MissingLayerError for a layer function that is
+        # no longer where perfbench/layertrace.py looks it up
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        import layertrace
+        layertrace.Tracer()

@@ -119,13 +119,13 @@ class TestNonlinearity:
         dyn = Dynamics.two_body()
         r = 6928.0
         x = np.array([r, 0, 0, 0, math.sqrt(GM_EARTH / r), 0.0])
-        seg = linearize_segment(x[None], np.zeros((1, 3)), [300.0], dyn)[0]
+        maps = linearize_segment(x[None], np.zeros((1, 3)), [300.0], dyn)
         nli = nonlinearity_index(x, 300.0, dyn)
         # the 9-variable segment index adds control cross terms and a larger
         # first-order norm, but the state ranking must agree and the two
         # vectors must stay roughly proportional
-        assert np.argmax(nli) == np.argmax(seg.xi[:6])
-        ratio = nli / seg.xi[:6]
+        assert np.argmax(nli) == np.argmax(maps.xi[0, :6])
+        ratio = nli / maps.xi[0, :6]
         assert ratio.max() / ratio.min() < 1.5
 
 
@@ -136,8 +136,8 @@ class TestCovariancePropagation:
         x = np.array([r, 0, 0, 0, math.sqrt(GM_EARTH / r), 0.0])
         dt = 600.0
         P0 = np.diag([1e-4, 1e-4, 1e-4, 1e-10, 1e-10, 1e-10])
-        seg = linearize_segment(x[None], np.zeros((1, 3)), [dt], dyn)[0]
-        P1 = seg.A @ P0 @ seg.A.T
+        maps = linearize_segment(x[None], np.zeros((1, 3)), [dt], dyn)
+        P1 = maps.A[0] @ P0 @ maps.A[0].T
 
         rng = np.random.default_rng(0)
         samples = rng.multivariate_normal(x, P0, size=400)
