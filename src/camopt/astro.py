@@ -17,6 +17,8 @@ from .dajet import DomainError, jet_space
 GM_EARTH = 398600.4418  # km^3/s^2
 R_EARTH = 6378.137  # km
 J2_EARTH = 1.08262668e-3
+# local error tolerance per RKF7(8) step, max-norm over the components
+INTEG_TOL = 1e-12
 
 
 class PropagationError(CamoptError):
@@ -151,7 +153,7 @@ _ERR_W = 41.0 / 840  # on f0 + f10 - f11 - f12
 _MAX_STEPS = 100000  # accepted steps per propagation
 
 
-def propagate(y0, t0: float, t1: float, deriv, tol: float = 1e-12):
+def propagate(y0, t0: float, t1: float, deriv, tol: float = INTEG_TOL):
     """Adaptive RKF7(8) from t0 to t1; ``deriv(t, y)`` gives the derivative.
 
     Works on float state arrays.  The local error per step is kept below
@@ -200,7 +202,7 @@ def propagate(y0, t0: float, t1: float, deriv, tol: float = 1e-12):
     raise StiffnessError("maximum number of steps exceeded")
 
 
-def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = 1e-12):
+def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = INTEG_TOL):
     """Propagate under constant control ``u`` over [t0, t1].
 
     Backward spans are handled by integrating the time-reversed system
@@ -219,7 +221,7 @@ def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = 1e-12):
 # stacked jet propagation
 
 
-def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = 1e-12):
+def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = INTEG_TOL):
     """:func:`flow` of stacked jets, every row over its own span [t0, t1].
 
     ``y`` holds (N, 6, space.size) state coefficients, ``t0`` and ``t1``
@@ -331,7 +333,7 @@ class SegmentMaps:
 
 
 def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
-                      dyn: Dynamics, tol: float = 1e-12) -> SegmentMaps:
+                      dyn: Dynamics, tol: float = INTEG_TOL) -> SegmentMaps:
     """Second-order jet propagation of (x + dx, u + du) over N segments.
 
     ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)

@@ -106,9 +106,6 @@ class JetSpace:
             self._bins = (np.arange(rows)[:, None] * self.size + self.mul_k).ravel()
         return self._bins[:n]
 
-    def __repr__(self):
-        return f"JetSpace(n_vars={self.n_vars}, order={self.order})"
-
 
 def jet_space(n_vars: int, order: int) -> JetSpace:
     return _space(n_vars, order)

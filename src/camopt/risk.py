@@ -120,12 +120,17 @@ def _chan_sums(half_u: float, half_v: np.ndarray, order: int) -> list:
     # the Poisson mode v/2 otherwise, and carries all its mass within a few
     # Poisson standard deviations of that peak; the inner factors are
     # bounded by one, which bounds the neglected tails.  For v below about
-    # 404 the window starts at m = 0 either way.
+    # 404 the window starts at m = 0 either way.  It ends a spread past v/2,
+    # but never more than 1e4 terms further past the peak: a far miss
+    # (v/2 = 5e9 at 1e5 sigma) would otherwise sum billions of negligible
+    # terms, while every window that stays within the cap sums the same
+    # terms in the same order, bit for bit.
     spread = 12.0 * np.sqrt(half_v) + 30.0
     peak = np.minimum(half_v, np.sqrt(half_u * half_v))
     lo = np.maximum(0, (peak - spread).astype(np.int64))
     # a head-on element holds the single term m = 0 with unit weight
-    hi = np.where(half_v > 0.0, (half_v + spread).astype(np.int64), 0)
+    end = np.minimum(half_v, peak + 1e4) + spread
+    hi = np.where(half_v > 0.0, end.astype(np.int64), 0)
     log_hv = _log(np.where(half_v > 0.0, half_v, 1.0))
     # all windows end to end, each behind one zero slot: np.sum adds a
     # window pairwise onto a zero start, reduceat onto the first slot of a

@@ -142,10 +142,6 @@ class Scenario:
         energy = 0.5 * v @ v - self.mu / np.linalg.norm(r)
         return -self.mu / (2.0 * energy)
 
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi * math.sqrt(self.sma ** 3 / self.mu)
-
     def scaling(self) -> Scaling:
         return Scaling.from_sma(self.sma, self.mu)
 
@@ -157,28 +153,17 @@ class Scenario:
 
 @dataclass
 class Config:
-    nodes_per_orbit: int = 60
+    """What the operator chooses for a solve: the refinement mode of the
+    risk constraints and the total probability budget.  The solver's
+    tuning values are constants of :mod:`camopt.scp` and
+    :mod:`camopt.socp`."""
+
     total_limit: float = 1e-6
-    major_tol: float = 1e-3  # scaled acceleration
-    minor_tol: float = 1e-6  # scaled position
-    kappa_vc: float = 1e4
-    nu_bar: float = 1e-2
-    integ_tol: float = 1e-12
-    max_major: int = 30
-    max_minor: int = 30
-    limit_floor: float = 1e-9
     refine_mode: str = "smd"  # {"smd", "tpoc"}
-    # return the ballistic evaluation, without optimizing, when the
-    # ballistic total is already within the budget
-    short_circuit: bool = False
 
     def validated(self) -> "Config":
-        if self.nodes_per_orbit < 8:
-            raise ScenarioFormatError("nodes_per_orbit must be >= 8")
-        for name in ("total_limit", "major_tol", "minor_tol", "kappa_vc",
-                     "nu_bar", "integ_tol", "limit_floor"):
-            if getattr(self, name) <= 0:
-                raise ScenarioFormatError(f"config.{name} must be positive")
+        if self.total_limit <= 0:
+            raise ScenarioFormatError("config.total_limit must be positive")
         if self.refine_mode not in ("smd", "tpoc"):
             raise ScenarioFormatError("refine_mode must be 'smd' or 'tpoc'")
         return self

@@ -9,6 +9,7 @@ nonlinear validation of the converged control profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,12 +45,22 @@ from .risk import (
     smd_3d,
 )
 from .scenario import Config, Scenario, scaled_dynamics
-from .socp import SolverSettings, solve as socp_solve
+from .socp import solve as socp_solve
 from .uncert import split_along_flow
 
 
 class ScpError(CamoptError):
     pass
+
+
+NODES_PER_ORBIT = 60  # grid step of one orbital period (2 pi scaled)
+MAJOR_TOL = 1e-3  # scaled acceleration
+MINOR_TOL = 1e-6  # scaled position
+KAPPA_VC = 1e4  # objective weight of the virtual controls
+NU_BAR = 1e-2  # state trust region |x - x_ref| <= NU_BAR / xi
+MAX_MAJOR = 30
+MAX_MINOR = 30
+LIMIT_FLOOR = 1e-9  # smallest probability limit of a channel
 
 
 # ---------------------------------------------------------------------
@@ -239,7 +250,6 @@ class TrajectorySolution:
     controls_km_s2: np.ndarray  # (M-1, 3)
     u_frac: np.ndarray
     dv_mm_s: float
-    objective: float
     vc_max: float
     e_validation_mm: float
     total_limit: float
@@ -259,13 +269,6 @@ def _scale_state(x: np.ndarray, L: float, V: float) -> np.ndarray:
                            np.asarray(x[3:6], float) / V])
 
 
-def _unscale_states(xs: np.ndarray, L: float, V: float) -> np.ndarray:
-    out = np.array(xs, float)
-    out[..., :3] *= L
-    out[..., 3:] *= V
-    return out
-
-
 def _scale_cov(P: np.ndarray, L: float, V: float) -> np.ndarray:
     P = np.asarray(P, float)
     if P.shape == (3, 3):
@@ -274,7 +277,7 @@ def _scale_cov(P: np.ndarray, L: float, V: float) -> np.ndarray:
     return S @ P @ S
 
 
-def _node_states(x0: np.ndarray, times: np.ndarray, dyn, u, tol: float) -> np.ndarray:
+def _node_states(x0: np.ndarray, times: np.ndarray, dyn, u) -> np.ndarray:
     """Sequential propagation through every grid epoch; ``u`` is either a
     single acceleration for the whole span or one row per segment."""
     u = np.atleast_2d(np.asarray(u, float))
@@ -282,27 +285,27 @@ def _node_states(x0: np.ndarray, times: np.ndarray, dyn, u, tol: float) -> np.nd
     out[0] = x0
     for i in range(len(times) - 1):
         ui = u[0] if len(u) == 1 else u[i]
-        out[i + 1] = flow(out[i], times[i], times[i + 1], ui, dyn, tol)
+        out[i + 1] = flow(out[i], times[i], times[i + 1], ui, dyn)
     return out
 
 
-# longest span one jet row of an STM track flies: the default grid step
-# (60 nodes per orbit of 2 pi), so a long leg flies as pieces in the same
-# batch as the grid spans instead of alone after them
-_STM_PIECE = 2.0 * math.pi / 60
+# longest span one jet row of an STM track flies: the grid step, so a long
+# leg flies as pieces in the same batch as the grid spans instead of alone
+# after them
+_STM_PIECE = 2.0 * math.pi / NODES_PER_ORBIT
 
 
-def _coast(x0: np.ndarray, times, dyn, tol: float) -> np.ndarray:
+def _coast(x0: np.ndarray, times, dyn) -> np.ndarray:
     """Ballistic float states at each listed epoch, flown span by span;
     consecutive epochs may run backward in time."""
     out = np.empty((len(times), 6))
     out[0] = x0
     for i in range(len(times) - 1):
-        out[i + 1] = flow(out[i], times[i], times[i + 1], np.zeros(3), dyn, tol)
+        out[i + 1] = flow(out[i], times[i], times[i + 1], np.zeros(3), dyn)
     return out
 
 
-def _stm_track(x0: np.ndarray, times, dyn, tol: float):
+def _stm_track(x0: np.ndarray, times, dyn):
     """Mean and cumulative state transition matrix at each listed epoch.
 
     Consecutive epochs may run backward in time (a TCA back to t0).  Spans
@@ -318,10 +321,9 @@ def _stm_track(x0: np.ndarray, times, dyn, tol: float):
         fine.append(ta + (tb - ta) * np.arange(1, n + 1) / n)
         fine[-1][-1] = tb
     fine = np.concatenate(fine)
-    means = _coast(x0, fine, dyn, tol)
+    means = _coast(x0, fine, dyn)
     spc = jet_space(6, 1)
-    y = flow_jets(spc, identity(spc, means[:-1]), fine[:-1], fine[1:], dyn,
-                  tol=tol)
+    y = flow_jets(spc, identity(spc, means[:-1]), fine[:-1], fine[1:], dyn)
     phis = gradient(spc, y)
     stms = np.empty((len(fine), 6, 6))
     stms[0] = np.eye(6)
@@ -338,7 +340,7 @@ def _scan_times(t_start, t_end, period):
     return np.linspace(t_start, t_end, n + 1)
 
 
-def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol,
+def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period,
                        primary=None):
     """Epochs of the locally closest approaches over [t_start, t_end].
 
@@ -359,8 +361,8 @@ def _detect_encounters(xp0, xs0, t_start, t_end, lo_bound, dyn, period, tol,
         return [t_start]
     ts = _scan_times(t_start, t_end, period)
     n = len(ts) - 1
-    states_p = _coast(xp0, ts, dyn, tol) if primary is None else primary
-    states_s = _coast(xs0, ts, dyn, tol)
+    states_p = _coast(xp0, ts, dyn) if primary is None else primary
+    states_s = _coast(xs0, ts, dyn)
     d = np.array([np.linalg.norm(a[:3] - b[:3])
                   for a, b in zip(states_p, states_s)])
     cand = [j for j in range(1, n) if d[j] <= d[j - 1] and d[j] <= d[j + 1]]
@@ -410,7 +412,7 @@ def _tca_states(scn: Scenario, conj, scl):
         conj.hbr / L
 
 
-def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
+def _build_short_channels(scn: Scenario, scl, dyn, t0, tf):
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
         tca, xp, xs, P, hbr = _tca_states(scn, conj, scl)
@@ -420,8 +422,8 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
             dt = 0.0
         dt = min(max(tca + dt, t0), tf) - tca
         tca += dt
-        xp = flow(xp, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
-        xs = flow(xs, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
+        xp = flow(xp, 0.0, dt, np.zeros(3), dyn)
+        xs = flow(xs, 0.0, dt, np.zeros(3), dyn)
 
         if P.shape == (3, 3):
             if scn.n_mix > 1:
@@ -433,29 +435,27 @@ def _build_short_channels(scn: Scenario, cfg: Config, scl, dyn, t0, tf):
 
         # one channel per mixture component and per repeated encounter
         gmm = split_along_flow(xs, P, tf - tca, dyn, scn.n_mix)
-        scan_p = _coast(xp, _scan_times(tca, tf, 2.0 * math.pi), dyn,
-                        cfg.integ_tol)
+        scan_p = _coast(xp, _scan_times(tca, tf, 2.0 * math.pi), dyn)
         for mi in range(gmm.n_mix):
             w, mean, Pm = gmm.weights[mi], gmm.means[mi], gmm.covs[mi]
             epochs = _detect_encounters(xp, mean, tca, tf, t0, dyn,
-                                        2.0 * math.pi, cfg.integ_tol,
-                                        primary=scan_p)
-            means, stms = _stm_track(mean, [tca] + epochs, dyn, cfg.integ_tol)
+                                        2.0 * math.pi, primary=scan_p)
+            means, stms = _stm_track(mean, [tca] + epochs, dyn)
             xp_e, t_prev = np.array(xp), tca
             for ei, te in enumerate(epochs):
-                xp_e = flow(xp_e, t_prev, te, np.zeros(3), dyn, cfg.integ_tol)
+                xp_e = flow(xp_e, t_prev, te, np.zeros(3), dyn)
                 t_prev = te
                 Phi = stms[ei + 1]
                 P3 = (Phi @ Pm @ Phi.T)[:3, :3]
                 ch = _make_short_channel(ci, mi, ei, w, xp_e, means[ei + 1],
                                          P3, hbr)
                 ch.epoch = te
-                if ei == 0 or w * ch.poc(xp_e[:3]) >= 1e-3 * cfg.limit_floor:
+                if ei == 0 or w * ch.poc(xp_e[:3]) >= 1e-3 * LIMIT_FLOOR:
                     channels.append(ch)
     return channels
 
 
-def _build_long_channels(scn: Scenario, cfg: Config, scl, dyn, grid, x_ref):
+def _build_long_channels(scn: Scenario, scl, dyn, grid, x_ref):
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
         tca, _, xs, P, hbr = _tca_states(scn, conj, scl)
@@ -464,7 +464,7 @@ def _build_long_channels(scn: Scenario, cfg: Config, scl, dyn, grid, x_ref):
         gmm = split_along_flow(xs, P, grid.times[-1] - tca, dyn, scn.n_mix)
         for mi in range(gmm.n_mix):
             means, stms = _stm_track(gmm.means[mi], [tca] + list(grid.times),
-                                     dyn, cfg.integ_tol)
+                                     dyn)
             P3 = np.array([(Phi @ gmm.covs[mi] @ Phi.T)[:3, :3]
                            for Phi in stms[1:]])
             ch = LongChannel(conj=ci, mix=mi, weight=gmm.weights[mi],
@@ -508,23 +508,17 @@ def _impulse_responses(segments, grid):
     return resp
 
 
-_DIR_CACHE: dict = {}
-
-
+@functools.cache
 def _exit_directions(dim: int) -> np.ndarray:
-    if dim not in _DIR_CACHE:
-        if dim == 2:
-            th = np.linspace(0.0, 2.0 * np.pi, 721)[:-1]
-            _DIR_CACHE[dim] = np.column_stack([np.cos(th), np.sin(th)])
-        else:
-            # Fibonacci lattice on the sphere
-            k = np.arange(1024) + 0.5
-            phi = np.arccos(1.0 - 2.0 * k / 1024.0)
-            lam = np.pi * (1.0 + math.sqrt(5.0)) * k
-            _DIR_CACHE[dim] = np.column_stack(
-                [np.sin(phi) * np.cos(lam), np.sin(phi) * np.sin(lam),
-                 np.cos(phi)])
-    return _DIR_CACHE[dim]
+    if dim == 2:
+        th = np.linspace(0.0, 2.0 * np.pi, 721)[:-1]
+        return np.column_stack([np.cos(th), np.sin(th)])
+    # Fibonacci lattice on the sphere
+    k = np.arange(1024) + 0.5
+    phi = np.arccos(1.0 - 2.0 * k / 1024.0)
+    lam = np.pi * (1.0 + math.sqrt(5.0)) * k
+    return np.column_stack([np.sin(phi) * np.cos(lam),
+                            np.sin(phi) * np.sin(lam), np.cos(phi)])
 
 
 def _exit_table(y0: np.ndarray, P: np.ndarray, M: np.ndarray):
@@ -622,7 +616,7 @@ def _select_anchors(items, caps):
 # probability budget allocation
 
 
-def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
+def adapt_limits(p0, rho_fns, total_limit, guesses=None):
     """Per-channel probability limits whose joint survival matches the
     total budget exactly, minimizing the summed displacement each channel
     needs to reach its own keep-out boundary.
@@ -631,7 +625,7 @@ def adapt_limits(p0, rho_fns, total_limit, floor=1e-9, guesses=None):
     identity and the remainder is searched over in log space.
     """
     p0 = np.asarray(p0, float)
-    n = len(p0)
+    n, floor = len(p0), LIMIT_FLOOR
     if n == 0:
         return np.zeros(0)
     hi = 1.0 - (1.0 - total_limit) / (1.0 - floor) ** (n - 1)
@@ -734,8 +728,8 @@ def _grid_tpoc(st_channels, lt_channels, ref_pos) -> float:
     return 1.0 - surv
 
 
-def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
-               resp3, nu_risk: float, total_cap: float) -> RiskRows:
+def _risk_rows(stage: str, total_limit: float, st_channels, lt_channels,
+               ref_pos, resp3, nu_risk: float, total_cap: float) -> RiskRows:
     """Risk constraints for one subproblem around node positions ref_pos.
 
     In the miss-distance stage, references still inside a keep-out surface
@@ -781,7 +775,7 @@ def _risk_rows(stage: str, cfg: Config, st_channels, lt_channels, ref_pos,
         hot = set()
         for ch in lt_channels:
             hot.update(np.flatnonzero(
-                ch.profile(ref_pos) > 1e-3 * cfg.total_limit).tolist())
+                ch.profile(ref_pos) > 1e-3 * total_limit).tolist())
         for j in sorted(hot):
             items = [LongTermItem(*ch.miss(ref_pos[j], j), hbr=ch.hbr,
                                   weight=ch.weight) for ch in lt_channels]
@@ -802,7 +796,7 @@ def _constraint_nodes(channels, ref_pos):
 # main driver
 
 
-def _evaluate_final(scn, cfg, dyn, st_channels, lt_channels, x_val):
+def _evaluate_final(dyn, st_channels, lt_channels, x_val):
     """Probabilities of the maneuvered trajectory, closest approaches
     re-refined against each channel's ballistic component."""
     survivors = 1.0
@@ -812,8 +806,8 @@ def _evaluate_final(scn, cfg, dyn, st_channels, lt_channels, x_val):
             dt = refine_tca(xp, ch.xs, dyn)
         except DegenerateEncounterError:
             dt = 0.0
-        xpe = flow(xp, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
-        xse = flow(ch.xs, 0.0, dt, np.zeros(3), dyn, cfg.integ_tol)
+        xpe = flow(xp, 0.0, dt, np.zeros(3), dyn)
+        xse = flow(ch.xs, 0.0, dt, np.zeros(3), dyn)
         dr = xpe[:3] - xse[:3]
         B = bplane_basis(xpe[3:], xse[3:])
         P2 = B @ ch.P3 @ B.T
@@ -834,8 +828,10 @@ def _reports(scl, channels, grid, states):
     return [ch.report(scl, grid, states) for ch in channels]
 
 
-def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
-    cfg = (config or Config()).validated()
+def _start(scenario: Scenario, total_limit: float):
+    """What a solve starts from, in scaled units: dynamics, node grid,
+    ballistic node states, the short- and long-term channels around them,
+    and the ``package`` that reports a trajectory against them."""
     if not (scenario.short_term or scenario.long_term):
         raise ScpError("scenario enables neither short- nor long-term mode")
     scl = scenario.scaling()
@@ -847,49 +843,70 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         raise ScpError("maximum acceleration must be positive")
     x_init = _scale_state(scenario.primary_at(scenario.horizon[0]), L, V)
 
-    st_channels = (_build_short_channels(scenario, cfg, scl, dyn, t0, tf)
+    st_channels = (_build_short_channels(scenario, scl, dyn, t0, tf)
                    if scenario.short_term and scenario.conjunctions else [])
     epochs = {(i, 0): ch.epoch for i, ch in enumerate(st_channels)}
-    grid = build_grid(t0, tf, 2.0 * math.pi, cfg.nodes_per_orbit, epochs)
+    grid = build_grid(t0, tf, 2.0 * math.pi, NODES_PER_ORBIT, epochs)
     for i, ch in enumerate(st_channels):
         ch.node = grid.conjunction_nodes[(i, 0)]
-    N = grid.n_segments
-    x_ref = _node_states(x_init, grid.times, dyn, np.zeros(3), cfg.integ_tol)
-    lt_channels = (_build_long_channels(scenario, cfg, scl, dyn, grid, x_ref)
+    x_ref = _node_states(x_init, grid.times, dyn, np.zeros(3))
+    lt_channels = (_build_long_channels(scenario, scl, dyn, grid, x_ref)
                    if scenario.long_term and scenario.conjunctions else [])
     for ch in st_channels:
         ch.p0 = ch.weight * ch.poc(x_ref[ch.node, :3])
     channels = st_channels + lt_channels
-    tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels])) \
-        if channels else 0.0
+    tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels]))
 
-    def package(status, majors, log, x_out, u_frac, vc_max, e_val,
-                tpoc_final, tipoc, con_states=None):
+    def package(status, majors, log, x_out, u_frac, vc_max, e_val, final,
+                con_states=None):
+        """The solution for node states ``x_out`` and their evaluation
+        ``final``, a (total probability, TIPoC per node) pair."""
         controls = u_frac * scenario.u_max
-        dts = grid.dt * T
-        dv = float(np.sum(np.linalg.norm(controls, axis=1) * dts)) * 1e6
+        dv = float(np.sum(np.linalg.norm(controls, axis=1) * (grid.dt * T))) \
+            * 1e6
         return TrajectorySolution(
             status=status, majors=majors, log=log,
-            times_s=grid.times * T, states_km=_unscale_states(x_out, L, V),
+            times_s=grid.times * T, states_km=x_out * np.repeat([L, V], 3),
             controls_km_s2=controls, u_frac=u_frac, dv_mm_s=dv,
-            objective=dv, vc_max=vc_max, e_validation_mm=e_val,
-            total_limit=cfg.total_limit, tpoc_ballistic=tpoc_ball,
-            tpoc_final=tpoc_final,
+            vc_max=vc_max, e_validation_mm=e_val,
+            total_limit=total_limit, tpoc_ballistic=tpoc_ball,
+            tpoc_final=final[0],
             # the keep-out cuts are supporting planes of the convex
             # ellipses, so the converged subproblem iterate satisfies them
             # exactly; it is the point reported against the circle
             channels=_reports(scl, channels, grid,
                               x_out if con_states is None else con_states),
-            tipoc_nodes=tipoc,
+            tipoc_nodes=final[1],
             tipoc_mix=np.column_stack([ch.ipoc_prof for ch in lt_channels])
             if lt_channels else None)
 
-    no_maneuver_needed = tpoc_ball <= cfg.total_limit
-    if not channels or (cfg.short_circuit and no_maneuver_needed):
-        tpoc_final, tipoc = _evaluate_final(scenario, cfg, dyn, st_channels,
-                                            lt_channels, x_ref)
-        return package("ballistic", 0, [], x_ref, np.zeros((N, 3)), 0.0,
-                       0.0, tpoc_final, tipoc)
+    return dyn, grid, u_scale, x_ref, st_channels, lt_channels, package
+
+
+def ballistic(scenario: Scenario,
+              config: Config | None = None) -> TrajectorySolution:
+    """The unmaneuvered trajectory and its risk, evaluated as :func:`solve`
+    evaluates its answer, without entering the optimizer."""
+    cfg = (config or Config()).validated()
+    dyn, grid, _, x_ref, st_channels, lt_channels, package = \
+        _start(scenario, cfg.total_limit)
+    return package("ballistic", 0, [], x_ref, np.zeros((grid.n_segments, 3)),
+                   0.0, 0.0,
+                   _evaluate_final(dyn, st_channels, lt_channels, x_ref))
+
+
+def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
+    cfg = (config or Config()).validated()
+    if not scenario.conjunctions:
+        # every conjunction makes at least one channel; without any there
+        # is nothing to optimize
+        return ballistic(scenario, cfg)
+    dyn, grid, u_scale, x_ref, st_channels, lt_channels, package = \
+        _start(scenario, cfg.total_limit)
+    channels = st_channels + lt_channels
+    scl = scenario.scaling()
+    x_init = x_ref[0]
+    N = grid.n_segments
 
     # channel index -> exit table at the reference of this major, shared
     # by its limit adaptation and anchor selection; relinearization starts
@@ -905,8 +922,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
 
     def relinearize(uf):
         tables.clear()
-        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn,
-                                 tol=cfg.integ_tol)
+        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn)
         r3 = _impulse_responses(segs, grid)
         for ch in channels:
             ch.relinearize(x_ref[:, :3], r3)
@@ -940,7 +956,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                    for i, ch in enumerate(channels)] \
             if len(channels) > 1 else []
         q_cur = adapt_limits([ch.p0 for ch in channels], rho_fns,
-                             cfg.total_limit, cfg.limit_floor, q_cur)
+                             cfg.total_limit, guesses=q_cur)
         for ch, qs in zip(channels, q_cur):
             ch.q_limit = float(qs)
             ch.d2_limit = ch.limit_d2(min(qs / ch.weight, 1.0 - 1e-12))
@@ -951,7 +967,6 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     states = x_ref.copy()
     log = []
     vc_max = math.nan
-    settings = SolverSettings()
     major = 0
     checked = (None, None)
 
@@ -961,14 +976,13 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         the final probabilities this evaluation left on the channels are
         still those of the reported states."""
         nonlocal checked
-        checked = (x, _evaluate_final(scenario, cfg, dyn, st_channels,
-                                      lt_channels, x))
+        checked = (x, _evaluate_final(dyn, st_channels, lt_channels, x))
         return checked[1][0]
 
     def run_stage(stage):
         nonlocal segments, resp3, u_frac, x_ref, states, major, vc_max
         prev_dv = None
-        while major < cfg.max_major:
+        while major < MAX_MAJOR:
             major += 1
             if major > 1:
                 segments, resp3 = relinearize(u_frac)
@@ -983,24 +997,22 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 # the total slightly; budget the grid-node total so the
                 # refined one lands on the limit
                 tp_ref, _ = checked[1] if checked[0] is x_ref else \
-                    _evaluate_final(scenario, cfg, dyn, st_channels,
-                                    lt_channels, x_ref)
+                    _evaluate_final(dyn, st_channels, lt_channels, x_ref)
                 tp_grid = _grid_tpoc(st_channels, lt_channels, ref_pos)
                 if tp_ref > 0.0 and tp_grid > 0.0:
                     cap = cfg.total_limit * tp_grid / tp_ref
             minors, e_m, cone_solves = 0, math.inf, []
             u_anchor, obj_hist, nu_mult = u_frac, [], 1.0
             while True:
-                rows = _risk_rows(stage, cfg, st_channels, lt_channels,
-                                  ref_pos, resp3,
-                                  nu_risk=cfg.nu_bar * nu_mult,
-                                  total_cap=cap)
+                rows = _risk_rows(stage, cfg.total_limit, st_channels,
+                                  lt_channels, ref_pos, resp3,
+                                  nu_risk=NU_BAR * nu_mult, total_cap=cap)
                 prob = assemble(segments, grid, x_ref, x_init, rows,
-                                kappa_vc=cfg.kappa_vc, nu_bar=cfg.nu_bar,
+                                kappa_vc=KAPPA_VC, nu_bar=NU_BAR,
                                 u_scale=u_scale,
                                 u_prev=u_anchor if stage != "smd" else None,
                                 prox=0.05)
-                res = socp_solve(prob.to_socp(), settings)
+                res = socp_solve(prob.to_socp())
                 cone_solves.append({"status": res.status,
                                     "iterations": res.iterations,
                                     "pres": res.pres, "dres": res.dres,
@@ -1012,7 +1024,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         # demand a step beyond the trust region
                         nu_mult *= 4.0
                         minors += 1
-                        if minors < cfg.max_minor:
+                        if minors < MAX_MINOR:
                             continue
                     raise ScpError(f"conic subproblem ended {res.status} "
                                    f"at major {major}")
@@ -1024,10 +1036,10 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 if watch:
                     ref_pos[watch] = states[watch, :3]
                 minors += 1
-                if minors >= cfg.max_minor:
+                if minors >= MAX_MINOR:
                     break
                 if stage == "smd":
-                    if e_m <= cfg.minor_tol:
+                    if e_m <= MINOR_TOL:
                         break
                 else:
                     # trust region caps each step; walk on the objective,
@@ -1045,7 +1057,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             vc_max = float(np.max(xsol[prob.var_map["vnorm"]]))
             e_M = float(np.max(np.linalg.norm(u_new - u_frac, axis=1)))
             dv = float(np.sum(np.linalg.norm(u_new, axis=1) * grid.dt)
-                       * u_scale * V) * 1e6
+                       * u_scale * scl.velocity) * 1e6
             log.append(IterationRecord(major=major, minors=minors,
                                        e_major=e_M, e_minor=e_m,
                                        objective=res.obj, dv_mm_s=dv,
@@ -1056,12 +1068,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate
-            x_ref = _node_states(x_init, grid.times, dyn, u_frac * u_scale,
-                                 cfg.integ_tol)
+            x_ref = _node_states(x_init, grid.times, dyn, u_frac * u_scale)
             feasible = True
             if stage != "smd":
                 feasible = check(x_ref) <= cfg.total_limit * 1.02
-            if e_M <= cfg.major_tol and feasible:
+            if e_M <= MAJOR_TOL and feasible:
                 return True
             # fuel-flat directions leave the control profile non-unique,
             # so the refinement stage also accepts cost stationarity, as
@@ -1088,8 +1099,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         x_lin.append(A @ x_lin[-1] + B @ ui + c)
     x_lin = np.array(x_lin)
     e_val = float(np.max(np.linalg.norm(x_val[:, :3] - x_lin[:, :3],
-                                        axis=1))) * L * 1e6
-    tpoc_final, tipoc = checked[1] if checked[0] is x_val else \
-        _evaluate_final(scenario, cfg, dyn, st_channels, lt_channels, x_val)
-    return package(status, len(log), log, x_val, u_frac, vc_max, e_val,
-                   tpoc_final, tipoc, con_states=states)
+                                        axis=1))) * scl.length * 1e6
+    final = checked[1] if checked[0] is x_val else \
+        _evaluate_final(dyn, st_channels, lt_channels, x_val)
+    return package(status, len(log), log, x_val, u_frac, vc_max, e_val, final,
+                   con_states=states)

@@ -72,7 +72,7 @@ def _suite_stm():
         dts.append(rng.uniform(0.3, 1.5))
     segs = linearize_segment(np.array(xs), np.zeros((3, 3)), np.array(dts), dyn)
     times = [1.3, 0.0, 0.35, 0.7, 1.05, 1.4]
-    _, track = _stm_track(xs[0], times, dyn, 1e-12)
+    _, track = _stm_track(xs[0], times, dyn)
 
     def fly(x):
         out = [x]

@@ -71,14 +71,14 @@ class SocpProblem:
             raise SolverError("cone sizes do not cover the inequality rows")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    abstol: float = 1e-9
-    reltol: float = 1e-9
-    feastol: float = 1e-9
-    max_iter: int = 200
-    kkt_reg: float = 1e-9
-    step_frac: float = 0.99
+# stopping tolerances: absolute and relative duality gap, and the
+# feasibility residuals, also used by the infeasibility certificates
+ABSTOL = 1e-9
+RELTOL = 1e-9
+FEASTOL = 1e-9
+MAX_ITER = 200
+KKT_REG = 1e-9  # static regularization of the KKT diagonal
+STEP_FRAC = 0.99  # fraction of the step to the cone boundary taken
 
 
 @dataclass
@@ -297,10 +297,8 @@ class _Kkt:
         return sol
 
 
-def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> SolveResult:
+def solve(prob: SocpProblem) -> SolveResult:
     prob.validate()
-    if settings.max_iter < 1:
-        raise SolverError("max_iter must be at least 1")
     c = np.asarray(prob.c, float)
     b = np.asarray(prob.b, float)
     h = np.asarray(prob.h, float)
@@ -321,7 +319,7 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
 
     # -- initial point from two least-squares KKT solves with W = I
     diag = np.arange(m)
-    kkt = _Kkt(A, G, settings.kkt_reg, diag, diag)
+    kkt = _Kkt(A, G, KKT_REG, diag, diag)
     kkt.factor(np.ones(m))
     init = kkt.solve(np.column_stack([
         np.concatenate([np.zeros(n), b, h]),
@@ -342,12 +340,12 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
     resy0 = max(1.0, np.linalg.norm(b))
     resz0 = max(1.0, np.linalg.norm(h))
 
-    kkt = _Kkt(A, G, settings.kkt_reg, cone.w2_rows, cone.w2_cols)
+    kkt = _Kkt(A, G, KKT_REG, cone.w2_rows, cone.w2_cols)
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # the step or tau/kappa degenerated
     status = "numerical"
     pres = dres = gap = np.inf
-    for it in range(settings.max_iter):
+    for it in range(MAX_ITER):
         # residuals of the embedding, stacked as (rx, ry, rz)
         r = M @ xyz - tau * const
         r[iz] += s
@@ -362,20 +360,20 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         dres = np.linalg.norm(rx) / resx0 / tau
         relgap = gap / tau ** 2 / max(1.0, abs(pcost))
 
-        if pres <= settings.feastol and dres <= settings.feastol and (
-                gap / tau ** 2 <= settings.abstol or relgap <= settings.reltol):
+        if pres <= FEASTOL and dres <= FEASTOL and (
+                gap / tau ** 2 <= ABSTOL or relgap <= RELTOL):
             status = "optimal"
             break
         # infeasibility certificates: A'y + G'z = rx - c tau,
         # A x = ry + b tau, G x + s = rz + h tau
         if hz_by < -1e-12:
-            if np.linalg.norm(rx - c * tau) / resx0 <= -settings.feastol * hz_by:
+            if np.linalg.norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
                 return SolveResult(status="infeasible", x=None, obj=np.nan,
                                    iterations=it, pres=pres, dres=dres, gap=gap)
         if cx < -1e-12:
             unb = max(np.linalg.norm(ry + b * tau) / resy0,
                       np.linalg.norm(rz + h * tau) / resz0)
-            if unb <= -settings.feastol * cx:
+            if unb <= -FEASTOL * cx:
                 return SolveResult(status="unbounded", x=None, obj=-np.inf,
                                    iterations=it, pres=pres, dres=dres, gap=gap)
 
@@ -424,7 +422,7 @@ def solve(prob: SocpProblem, settings: SolverSettings = SolverSettings()) -> Sol
         d, ds, dtau, dkappa, a, _ = step(sigma, ws, kkt.solve(col)[:, 0],
                                          -dta * dka)
 
-        a = min(1.0, settings.step_frac * a)
+        a = min(1.0, STEP_FRAC * a)
         if not np.isfinite(a) or a <= 0:
             break
         xyz += a * d

@@ -71,10 +71,6 @@ class GaussianMixture:
         return P
 
 
-def covariance_column_norms(P: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(P, axis=0)
-
-
 def nonlinearity_index(x: np.ndarray, dt: float, dyn: Dynamics,
                        tol: float = 1e-11) -> np.ndarray:
     """Per-variable nonlinearity of the flow over [0, dt].
@@ -96,8 +92,7 @@ def split_direction(nli: np.ndarray, P: np.ndarray) -> np.ndarray:
     Hadamard product of the nonlinearity vector with the per-column norms
     of the covariance, renormalized to a unit vector.
     """
-    phi = covariance_column_norms(P)
-    a = np.asarray(nli, float) * phi
+    a = np.asarray(nli, float) * np.linalg.norm(P, axis=0)
     na = np.linalg.norm(a)
     if na == 0.0:
         raise UncertaintyError("degenerate splitting direction")

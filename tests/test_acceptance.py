@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from camopt import selftest
+from camopt import scp, selftest
 from camopt.astro import DegenerateEncounterError, flow, refine_tca
 from camopt.risk import bplane_basis, chan_poc, chan_uv
 from camopt.scenario import Config, load_scenario, scaled_dynamics
@@ -172,7 +172,7 @@ def test_criterion_4b_mixand_tca_offsets(emit_line):
                                                    tol=1e-9), P)
     gmm = split_gaussian(xs, P, direction, 3)
     epochs = [_detect_encounters(xp, gmm.means[mi], tca, tf, 0.0, dyn,
-                                 2.0 * math.pi, 1e-12) for mi in range(3)]
+                                 2.0 * math.pi) for mi in range(3)]
     assert all(len(e) > 7 for e in epochs)
     # the central component sets the reference encounter times
     first = [abs(epochs[mi][0] - epochs[1][0]) * T for mi in (0, 2)]
@@ -186,8 +186,7 @@ def test_criterion_4b_mixand_tca_offsets(emit_line):
 
 def test_criterion_4c_long_term(emit_line):
     scn = load_scenario(CASE3)
-    ballistic = solve(scn, Config(total_limit=0.999999, short_circuit=True))
-    prof = ballistic.tipoc_nodes
+    prof = scp.ballistic(scn).tipoc_nodes
     peaks = [j for j in range(1, len(prof) - 1)
              if prof[j] >= prof[j - 1] and prof[j] >= prof[j + 1]
              and prof[j] >= 0.02 * np.max(prof)]

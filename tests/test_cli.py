@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from camopt import cli, selftest
+from camopt import cli, scp, selftest
 from camopt.scenario import load_scenario
 from test_scenario import mutated_docs
 
@@ -167,8 +167,13 @@ class TestValidate:
         ("controls_km_s2", lambda d: d["controls_km_s2"].pop()),
         ("controls_km_s2", lambda d: d["controls_km_s2"][0].pop()),
         ("times_s", lambda d: d["times_s"].clear()),
+        ("e_validation_mm", lambda d: d.__setitem__("e_validation_mm", None)),
+        ("e_validation_mm", lambda d: d.__setitem__("e_validation_mm", "x")),
+        ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", None)),
+        ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", "x")),
     ], ids=["non_numeric_time", "short_states", "short_controls",
-            "ragged_control", "empty_times"])
+            "ragged_control", "empty_times", "null_e_validation",
+            "string_e_validation", "null_dv", "string_dv"])
     def test_malformed_solution_fails_cleanly(self, two_cdm_file, solved_dir,
                                               tmp_path, capsys, field, mutate):
         doc = json.load(open(solved_dir / "summary.json"))
@@ -190,6 +195,19 @@ class TestRisk:
         # the report prints seven significant digits
         assert tpoc == pytest.approx(doc["tpoc_ballistic"], rel=1e-6)
 
+
+    def test_never_enters_the_optimizer(self, two_cdm_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the risk report entered the optimizer")
+
+        for name in ("assemble", "socp_solve", "adapt_limits"):
+            monkeypatch.setattr(scp, name, refuse)
+        assert cli.main(["risk", two_cdm_file]) == 0
+
+    def test_far_mixand_encounters_report(self, capsys):
+        # a mixand's eighth encounter misses by about 1e5 sigma
+        assert cli.main(["risk", CASE2]) == 0
+        assert "TPoC (ballistic)" in capsys.readouterr().out
 
     def test_zero_relative_velocity_fails_cleanly(self, tmp_path, capsys):
         doc = json.load(open(CASE2))

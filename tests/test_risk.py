@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,14 @@ class TestChanPoc:
                                          + 30.0))
         assert ref > 0.0
         assert chan_poc(u, v) == pytest.approx(ref, rel=1e-12)
+
+    def test_far_miss_sums_a_short_window(self):
+        # case2's first mixand at its eighth encounter: u/2 = 0.2032 and
+        # v/2 = 8.34e9, where a window up to v/2 would take 62 GiB
+        tic = time.perf_counter()
+        out = chan_series(2.0 * 0.2032, 2.0 * 8.34e9)
+        assert time.perf_counter() - tic < 1.0
+        assert out == [0.0, 0.0, 0.0]
 
     def test_array_matches_scalar_calls(self):
         rng = np.random.default_rng(3)

@@ -268,7 +268,7 @@ class TestBundledScenarios:
         sc = load_scenario(f"{SCENARIOS}/case2.json")
         c = sc.conjunctions[0]
         xs = sc.primary_at(c.tca) - np.concatenate([c.dr, c.dv])
-        T = sc.period
+        T = 2.0 * math.pi * sc.scaling().time
         xp6 = sc.primary_at(c.tca + 6 * T)
         xs6 = flow(xs, c.tca, c.tca + 6 * T, np.zeros(3), sc.dynamics)
         assert np.linalg.norm(xp6[:3] - xs6[:3]) < 0.050
@@ -288,7 +288,7 @@ class TestBundledScenarios:
             b = flow(xs, c.tca, t, np.zeros(3), sc.dynamics)
             return rtn_matrix(a).T @ (a[:3] - b[:3])
 
-        T = sc.period
+        T = 2.0 * math.pi * sc.scaling().time
         drifts = []
         for phase in (0.0, 0.3, 0.6):
             rows = [rel_rtn(phase * T + k * T) for k in range(3)]
@@ -310,10 +310,6 @@ class TestConfig:
     def test_nonpositive_limit(self):
         with pytest.raises(ScenarioFormatError):
             Config(total_limit=0.0).validated()
-
-    def test_coarse_grid(self):
-        with pytest.raises(ScenarioFormatError):
-            Config(nodes_per_orbit=4).validated()
 
 
 # ---------------------------------------------------------------------

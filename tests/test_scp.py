@@ -59,14 +59,14 @@ class TestStmTrack:
         dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
         x_tca = np.array([0.3, 0.95, 0.1, -0.97, 0.28, 0.2])
         times = [2.0, 0.0, 0.7, 1.4, 2.0, 2.6]
-        means, stms = _stm_track(x_tca, times, dyn, 1e-12)
+        means, stms = _stm_track(x_tca, times, dyn)
 
         x = x_tca
         for k, (ta, tb) in enumerate(zip(times[:-1], times[1:])):
             x = flow(x, ta, tb, np.zeros(3), dyn)
             assert np.max(np.abs(means[k + 1] - x)) < 1e-10
 
-        _, fwd = _stm_track(means[1], [0.0, 2.0], dyn, 1e-12)
+        _, fwd = _stm_track(means[1], [0.0, 2.0], dyn)
         assert np.max(np.abs(stms[1] @ fwd[1] - np.eye(6))) < 1e-9
         assert np.max(np.abs(fwd[1] @ stms[1] - np.eye(6))) < 1e-9
 
@@ -77,7 +77,7 @@ class TestStmTrack:
         dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
         x_tca = np.array([0.3, 0.95, 0.1, -0.97, 0.28, 0.2])
         times = [1.9] + list(np.linspace(0.0, 2.5, 25))
-        means, stms = _stm_track(x_tca, times, dyn, 1e-12)
+        means, stms = _stm_track(x_tca, times, dyn)
 
         spc = jet_space(6, 1)
         y = identity(spc, x_tca[None])
@@ -134,7 +134,7 @@ class TestDetectEncounters:
         t_end = 2.2 / w
         flights = self.refinement_flights(monkeypatch)
         epochs = _detect_encounters(xp, xs, 0.0, t_end, 0.0, self.dyn,
-                                    2.0 * math.pi, 1e-12)
+                                    2.0 * math.pi)
         assert epochs == [0.0]
         assert flights and all(len(offs) == 0 for _, offs in flights)
 
@@ -145,7 +145,7 @@ class TestDetectEncounters:
         t_min, t_max, t_end = 0.5 / w, (math.pi + 0.5) / w, (math.pi + 0.8) / w
         flights = self.refinement_flights(monkeypatch)
         epochs = _detect_encounters(xp, xs, 0.0, t_end, 0.0, self.dyn,
-                                    2.0 * math.pi, 1e-12)
+                                    2.0 * math.pi)
         assert len(epochs) == 1 and abs(epochs[0] - t_min) < 1e-6
         assert abs(epochs[0] - t_max) > 1.0
         assert len(flights) == 2  # the minimum and the end
@@ -158,8 +158,8 @@ class TestDetectEncounters:
         xp, xs, w = coplanar_circles(-0.5)
         t_end = (math.pi + 0.8) / w
         scan = scp._coast(xp, scp._scan_times(0.0, t_end, 2.0 * math.pi),
-                          self.dyn, 1e-12)
-        args = (xp, xs, 0.0, t_end, 0.0, self.dyn, 2.0 * math.pi, 1e-12)
+                          self.dyn)
+        args = (xp, xs, 0.0, t_end, 0.0, self.dyn, 2.0 * math.pi)
         assert _detect_encounters(*args, primary=scan) == \
             _detect_encounters(*args)
 
@@ -215,7 +215,7 @@ class TestAdaptLimits:
     def test_floor_too_large_rejected(self):
         fns = [log_rho(1.0)] * 3
         with pytest.raises(ScpError):
-            adapt_limits(np.full(3, 1e-5), fns, 1e-9, floor=1e-9)
+            adapt_limits(np.full(3, 1e-5), fns, 1e-9)
 
 
 # ---------------------------------------------------------------------
@@ -303,7 +303,7 @@ def on_ellipse(P, d2, f, g):
 
 
 def smd_rows(st_channels, lt_channels, ref_pos, resp3=None):
-    return _risk_rows("smd", Config(), st_channels, lt_channels, ref_pos,
+    return _risk_rows("smd", 1e-6, st_channels, lt_channels, ref_pos,
                       resp3, nu_risk=1.0, total_cap=1e-6).halfspaces
 
 
@@ -447,8 +447,8 @@ class TestSolve:
     def test_ipm_iters_sum_each_majors_cone_solves(self, monkeypatch):
         calls = []
 
-        def counted(prob, settings):
-            res = socp_solve(prob, settings)
+        def counted(prob):
+            res = socp_solve(prob)
             calls.append(res.iterations)
             return res
 

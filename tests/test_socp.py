@@ -9,7 +9,6 @@ from camopt.socp import (
     ConeDims,
     SocpProblem,
     SolverError,
-    SolverSettings,
     solve,
 )
 
@@ -195,8 +194,9 @@ class TestValidation:
         with pytest.raises(SolverError):
             solve(prob)
 
-    def test_never_crashes_on_hard_problem(self):
+    def test_never_crashes_on_hard_problem(self, monkeypatch):
         # nearly-degenerate rows: must return a status, not raise
+        monkeypatch.setattr(socp, "MAX_ITER", 30)
         rng = np.random.default_rng(1)
         G = rng.standard_normal((6, 4))
         G[5] = G[4] + 1e-13
@@ -204,13 +204,9 @@ class TestValidation:
                            A=sp.csc_matrix((0, 4)), b=np.zeros(0),
                            G=sp.csc_matrix(G), h=np.abs(rng.standard_normal(6)),
                            dims=ConeDims(nonneg=6))
-        r = solve(prob, SolverSettings(max_iter=30))
+        r = solve(prob)
         assert r.status in {"optimal", "infeasible", "unbounded", "max_iter",
                             "numerical"}
-
-    def test_zero_iteration_limit_rejected(self):
-        with pytest.raises(SolverError):
-            solve(lp_ge([1.0], [[1.0]], [1.0]), SolverSettings(max_iter=0))
 
 
 class TestEarlyStop:
@@ -224,10 +220,10 @@ class TestEarlyStop:
         assert r.status == "numerical"
         assert r.iterations == 1
 
-    def test_iteration_limit_reports_max_iter(self):
+    def test_iteration_limit_reports_max_iter(self, monkeypatch):
         rng = np.random.default_rng(3)
-        r = solve(random_feasible(rng, 12, 3, 4, [3, 4]),
-                  SolverSettings(max_iter=2))
+        monkeypatch.setattr(socp, "MAX_ITER", 2)
+        r = solve(random_feasible(rng, 12, 3, 4, [3, 4]))
         assert r.status == "max_iter"
         assert r.iterations == 2
 
@@ -297,7 +293,7 @@ class TestCachedKkt:
     @pytest.mark.parametrize("p", [0, 4])
     def test_matches_bmat_assembly(self, p, kind):
         rng = np.random.default_rng(11 + p)
-        reg = SolverSettings().kkt_reg
+        reg = socp.KKT_REG
         for density in (1.0, 0.4):
             prob = random_feasible(rng, 15, p, 5, MIXED_SOCS, density)
             A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
@@ -472,7 +468,7 @@ class TestTwoColumnSolve:
         prob = random_feasible(rng, 14, p, 4, MIXED_SOCS, 0.5)
         A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
         rows, cols, w2 = block_pattern(rng, prob, "nt")
-        kkt = socp._Kkt(A, G, SolverSettings().kkt_reg, rows, cols)
+        kkt = socp._Kkt(A, G, socp.KKT_REG, rows, cols)
         kkt.factor(w2)
         rhs = rng.standard_normal((kkt.shape[0], 2))
         both = kkt.solve(rhs)
