@@ -10,7 +10,15 @@ workload's mode and reported through ``camopt risk``.  Each output line is
 with one line per ``summary.json``, ``maneuver.csv``, ``bplane.csv`` and
 ``tipoc.csv`` the solve writes, and one for the standard output of the risk
 report.  Two checkouts that print the same lines compute the same answers
-bit for bit.  camopt is imported from this checkout's ``src``.
+bit for bit.  A ``summary.json`` line goes on with the numbers behind its
+solve,
+
+    status=<s> dv_mm_s=<f> tpoc_final=<f> majors=<n> minors=<n> ipm=<n>
+    e_validation_mm=<f>
+
+(floats at full precision; minors and IPM iterations summed over the
+majors), so answers that moved in the last bits can be compared against
+tolerances from one run.  camopt is imported from this checkout's ``src``.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1
@@ -57,9 +65,22 @@ def _quiet(argv):
     return code, out.getvalue()
 
 
+def numbers(summary: dict) -> str:
+    """The solve's status, cost, risk and iteration counts as one field
+    list."""
+    log = summary["iteration_log"]
+    return (f"status={summary['status']} dv_mm_s={summary['dv_mm_s']!r} "
+            f"tpoc_final={summary['tpoc_final']!r} "
+            f"majors={summary['iterations']} "
+            f"minors={sum(rec['minors'] for rec in log)} "
+            f"ipm={sum(rec['ipm_iters'] for rec in log)} "
+            f"e_validation_mm={summary['e_validation_mm']!r}")
+
+
 def digests(name: str, seed: int, work: Path):
     """(label, exit code, sha256) of every artifact and risk report of one
-    workload's variants for ``seed``; ``work`` is an empty directory."""
+    workload's variants for ``seed``, the ``summary.json`` sha256 followed
+    by its numbers; ``work`` is an empty directory."""
     mode = workloads.WORKLOADS[name]["mode"]
     for k, doc in enumerate(workloads.scenario_pool(name, seed)):
         label = f"{name} seed{seed} v{k}"
@@ -70,7 +91,11 @@ def digests(name: str, seed: int, work: Path):
         for art in ARTIFACTS:
             path = work / out / art
             if path.is_file():
-                yield f"{label} {art}", code, _sha(path.read_bytes())
+                data = path.read_bytes()
+                sha = _sha(data)
+                if art == "summary.json":
+                    sha += " " + numbers(json.loads(data))
+                yield f"{label} {art}", code, sha
         code, report = _quiet(["risk", scenario])
         yield f"{label} risk", code, _sha(report.encode())
 

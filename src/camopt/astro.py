@@ -19,6 +19,9 @@ R_EARTH = 6378.137  # km
 J2_EARTH = 1.08262668e-3
 # local error tolerance per RKF7(8) step, max-norm over the components
 INTEG_TOL = 1e-12
+MERGE_TOL = 1e-6  # a TCA this close to a grid node takes the node
+TCA_TOL = 1e-6  # Newton step at which refine_tca stops
+TCA_MAX_ITER = 12
 
 
 class PropagationError(CamoptError):
@@ -386,8 +389,8 @@ class NodeGrid:
 
 
 def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
-               tca_epochs: dict[tuple[int, int], float] | None = None,
-               merge_tol: float = 1e-6) -> NodeGrid:
+               tca_epochs: dict[tuple[int, int], float] | None = None
+               ) -> NodeGrid:
     """Uniform grid at period/nodes_per_orbit with nodes inserted at TCAs."""
     if nodes_per_orbit < 8:
         raise ScenarioError("nodes_per_orbit must be >= 8")
@@ -402,7 +405,7 @@ def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
     times = list(t0 + np.arange(n + 1) * (tf - t0) / n)
     for tca in sorted(set(tca_epochs.values())):
         k = int(np.argmin(np.abs(np.asarray(times) - tca)))
-        if abs(times[k] - tca) > merge_tol:
+        if abs(times[k] - tca) > MERGE_TOL:
             times.append(tca)
     times = np.array(sorted(times))
     grid = NodeGrid(times=times)
@@ -416,20 +419,17 @@ def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
 # closest-approach refinement
 
 
-def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn_p: Dynamics,
-               dyn_s: Dynamics | None = None, tol: float = 1e-6,
-               max_iter: int = 12,
+def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn: Dynamics,
                bracket: tuple[float, float] = (-math.inf, math.inf)) -> float:
     """Time offset from the nominal epoch to the true closest approach.
 
     Newton iteration on g(t) = dr . dv, whose derivative is
     g'(t) = |dv|^2 + dr . da with the accelerations taken from the
     ballistic equations of motion.  Both states are flown by each step, and
-    the iteration stops once a step is no larger than ``tol``.  It also
+    the iteration stops once a step is no larger than ``TCA_TOL``.  It also
     stops, unflown, at the first offset outside ``bracket`` (lo, hi) and
     returns that offset, so every flight stays inside the bracket.
     """
-    dyn_s = dyn_s or dyn_p
     xp = np.asarray(xp, float)
     xs = np.asarray(xs, float)
     if np.linalg.norm(xp[3:] - xs[3:]) == 0.0:
@@ -437,16 +437,16 @@ def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn_p: Dynamics,
 
     zero = np.zeros(3)
     dt_total = 0.0
-    for _ in range(max_iter):
+    for _ in range(TCA_MAX_ITER):
         dr, dv = xp[:3] - xs[:3], xp[3:] - xs[3:]
-        da = eom(xp, zero, dyn_p)[3:] - eom(xs, zero, dyn_s)[3:]
+        da = eom(xp, zero, dyn)[3:] - eom(xs, zero, dyn)[3:]
         gdot = dv @ dv + dr @ da
         if gdot == 0.0:
             raise DegenerateEncounterError("stationary miss-distance equation")
         step = -(dr @ dv) / gdot
         dt_total += step
-        if abs(step) <= tol or not bracket[0] <= dt_total <= bracket[1]:
+        if abs(step) <= TCA_TOL or not bracket[0] <= dt_total <= bracket[1]:
             return dt_total
-        xp = flow(xp, 0.0, step, zero, dyn_p)
-        xs = flow(xs, 0.0, step, zero, dyn_s)
+        xp = flow(xp, 0.0, step, zero, dyn)
+        xs = flow(xs, 0.0, step, zero, dyn)
     return dt_total

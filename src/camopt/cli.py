@@ -72,7 +72,7 @@ def emit(sol, scenario, out_dir):
             # plain whitening still gives a useful picture
             d2 = ch.d2_limit if math.isfinite(ch.d2_limit) and \
                 ch.d2_limit > 0.0 else 1.0
-            pts, _ = equivalent_bplane(
+            pts = equivalent_bplane(
                 np.vstack([ch.y_ballistic, ch.y_final]), ch.P2, d2)
             w.writerow([ch.conj, ch.mix, ch.enc,
                         _r(pts[0, 0]), _r(pts[0, 1]),

@@ -30,75 +30,21 @@ class AssemblyError(CamoptError):
 # keep-out zone geometry
 
 
-def brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of scipy's ``brentq.c``: for the same arguments it
-    evaluates f at the same points and returns the same float as
-    ``scipy.optimize.brentq``, without importing ``scipy.optimize``.
-    """
-    def fx(x):
-        y = f(x)
-        if math.isnan(y):
-            raise AssemblyError(f"root-finding met NaN at {x!r}")
-        return y
-
-    xpre, xcur = xa, xb
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise AssemblyError("root-finding bracket does not change sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 * delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            # C's MIN(a, b), a < b ? a : b; min() differs on a NaN
-            lim = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < lim else lim):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise AssemblyError(f"root-finding failed to converge in {maxiter} "
-                        "iterations")
-
-
 def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarray:
     """Closest point to p on the surface z' P^{-1} z = d2.
 
-    Solved in the frame that diagonalizes P by one-dimensional root-finding
-    on the Lagrange multiplier.  Interior points are projected outward onto
-    the boundary as well, so a violated reference still yields a cut.
+    In the frame that diagonalizes P, with squared semiaxes q and
+    components pc of p, the point is pc q / (q + nu): the multiplier nu is
+    the root, right of the last pole, of the secular equation
+    S(nu) = sum pc^2 q / (q + nu)^2 = 1.  Newton on h = 1/sqrt(S) - 1,
+    concave and increasing there (More & Sorensen 1983), rises
+    monotonically to it from any start on its left: nu = 0 for a reference
+    on or outside the surface, where S(0) = p' P^{-1} p / d2 >= 1, and for
+    one inside, the largest single-term root |pc_i| sqrt(q_i) - q_i over
+    the components that are not negligible.  Interior points are projected
+    outward onto the boundary as well, so a violated reference still yields
+    a cut; one lying on the principal plane of the shortest axis (the hard
+    case) gets a stationary point of the distance, not the closest one.
     """
     p = np.asarray(p, float)
     evals, V = np.linalg.eigh(np.asarray(P, float))
@@ -114,28 +60,23 @@ def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarra
         z[k] = math.sqrt(q[k])
         return V @ z
 
-    def g(nu):
-        return float(np.sum(pc ** 2 * q / (q + nu) ** 2)) - 1.0
-
-    # g decreases from +inf (at the pole -min active q) to -1; bracket it
-    active = np.abs(pc) > 1e-14 * np.linalg.norm(pc)
-    q_min = np.min(q[active])
-    lo, t = -q_min, 1e-8
-    while t > 1e-17:
-        lo = -q_min * (1.0 - t)
-        if g(lo) > 0.0:
+    w = pc ** 2 * q
+    nu = 0.0
+    if np.sum(w / q ** 2) < 1.0:  # S(0) < 1: the reference is inside
+        active = np.abs(pc) > 1e-14 * np.linalg.norm(pc)
+        nu = float(np.max((np.abs(pc) * np.sqrt(q) - q)[active]))
+    for _ in range(100):
+        r = 1.0 / (q + nu)
+        S = float(np.sum(w * r ** 2))
+        if S <= 1.0:
             break
-        t *= 1e-2
+        step = (S ** 1.5 - S) / float(np.sum(w * r ** 3))
+        nu += step
+        if step <= 1e-15 + 4e-16 * abs(nu):
+            break
     else:
-        raise AssemblyError("projection root-finding failed to bracket the pole")
-    hi = max(1.0, float(np.max(q)))
-    while g(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e300:
-            raise AssemblyError("projection root-finding failed to bracket")
-    nu = brentq(g, lo, hi, xtol=1e-15, rtol=1e-14)
-    zc = pc * q / (q + nu)
-    return V @ zc
+        raise AssemblyError("projection multiplier failed to converge")
+    return V @ (pc * q / (q + nu))
 
 
 def cut_normal(z: np.ndarray, P: np.ndarray) -> np.ndarray:

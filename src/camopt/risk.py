@@ -161,7 +161,10 @@ def chan_poc(u: float, v):
     return chan_series(u, v, order=0)[0]
 
 
-def invert_chan(p_target, u: float, v_max: float = 1e6):
+V_MAX = 1e6  # squared Mahalanobis distance beyond which no limit is sought
+
+
+def invert_chan(p_target, u: float):
     """Squared Mahalanobis distance at which Chan's series equals p_target,
     for a scalar target (a float) or an array of targets.
 
@@ -193,7 +196,7 @@ def invert_chan(p_target, u: float, v_max: float = 1e6):
         above = P > t
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
-        if np.any(lo > v_max):
+        if np.any(lo > V_MAX):
             raise RiskError("could not bracket the miss-distance limit")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x - (np.log(P) - np.log(t)) * P / dP
@@ -252,17 +255,16 @@ def invert_ipoc(p_target, P3: np.ndarray, hbr: float):
 
 
 def equivalent_bplane(points: np.ndarray, P2: np.ndarray,
-                      d2_limit: float) -> tuple[np.ndarray, float]:
-    """Normalize B-plane points so the keep-out ellipse becomes a unit circle.
+                      d2_limit: float) -> np.ndarray:
+    """Normalize B-plane points so the keep-out ellipse becomes the unit
+    circle.
 
     Rotates by the eigenvectors of the covariance and stretches by the
-    semiaxes of the ellipse at the given miss-distance limit.  Returns the
-    transformed points and the circle radius (1 by construction).
+    semiaxes of the ellipse at the given miss-distance limit.
     """
     evals, V = np.linalg.eigh(np.asarray(P2, float))
     if np.any(evals <= 0.0) or d2_limit <= 0.0:
         raise RiskError("degenerate keep-out ellipse")
     semiaxes = np.sqrt(evals * d2_limit)
     pts = np.atleast_2d(np.asarray(points, float))
-    out = (pts @ V) / semiaxes
-    return out, 1.0
+    return (pts @ V) / semiaxes

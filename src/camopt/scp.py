@@ -61,6 +61,7 @@ NU_BAR = 1e-2  # state trust region |x - x_ref| <= NU_BAR / xi
 MAX_MAJOR = 30
 MAX_MINOR = 30
 LIMIT_FLOOR = 1e-9  # smallest probability limit of a channel
+REVISIT_RTOL = 1e-5  # a minor objective this close to an earlier one cycles
 
 
 # ---------------------------------------------------------------------
@@ -704,10 +705,11 @@ _st_rho_fn = _lt_rho_fn = _rho_fn
 # constraint generation per iteration
 
 
-def _revisits(obj: float, history, rtol: float = 1e-5) -> bool:
+def _revisits(obj: float, history) -> bool:
     """True when ``obj`` repeats an earlier objective of ``history`` to
-    ``rtol``: the minor iterations run a limit cycle, of any period."""
-    tol = rtol * max(abs(obj), 1e-12)
+    ``REVISIT_RTOL``: the minor iterations run a limit cycle, of any
+    period."""
+    tol = REVISIT_RTOL * max(abs(obj), 1e-12)
     return any(abs(obj - past) <= tol for past in history)
 
 

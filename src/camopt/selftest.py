@@ -169,9 +169,9 @@ def _suite_projection():
         # points with squared Mahalanobis distance exactly d2 must land
         # on the unit circle
         pts = (S @ np.vstack([np.cos(th), np.sin(th)])).T * math.sqrt(d2)
-        out, radius = equivalent_bplane(pts, P2, d2)
+        out = equivalent_bplane(pts, P2, d2)
         worst = max(worst,
-                    float(np.max(np.abs(np.linalg.norm(out, axis=1) - radius))))
+                    float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))))
     return worst <= 1e-4, f"max boundary err {worst:.2e} (tol 1e-4)"
 
 

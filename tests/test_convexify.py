@@ -1,8 +1,8 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from camopt import convexify
 from camopt.astro import NodeGrid, SegmentMaps
@@ -12,7 +12,6 @@ from camopt.convexify import (
     RiskRows,
     ShortTermItem,
     assemble,
-    brentq,
     cut_normal,
     linearize_tipoc,
     linearize_tpoc,
@@ -74,45 +73,44 @@ class TestProjection:
         with pytest.raises(AssemblyError):
             project_onto_ellipsoid(np.ones(2), np.zeros((2, 2)), 1.0)
 
+    def test_vanishing_component_on_short_axis(self):
+        # the single-term root of the third component rounds onto its pole
+        P = np.diag([1.0, 1.0, 0.1])
+        z = project_onto_ellipsoid(np.array([0.75, 0.75, 1e-20]), P, 1.0)
+        assert np.all(np.isfinite(z))
+        assert z @ np.linalg.solve(P, z) == pytest.approx(1.0, abs=1e-12)
 
-class TestBrent:
-    """The port of scipy's brentq.c against scipy.optimize.brentq."""
-
-    def test_matches_scipy_on_secular_equations(self, monkeypatch):
-        # capture the secular equation and bracket of every projection
-        calls = []
-
-        def spy(f, a, b, **kw):
-            calls.append((f, a, b, kw))
-            return brentq(f, a, b, **kw)
-
-        monkeypatch.setattr(convexify, "brentq", spy)
+    def test_matches_high_precision_root(self):
         rng = np.random.default_rng(31)
+        worst = 0.0
         for k in range(1200):
             n = 2 + k % 2
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             # squared semiaxes spread over 12 decades
             P = Q @ np.diag(10.0 ** rng.uniform(-6.0, 6.0, n)) @ Q.T
             p = rng.standard_normal(n) * 10.0 ** rng.uniform(-4.0, 4.0)
-            convexify.project_onto_ellipsoid(p, P, rng.uniform(0.5, 30.0))
-        assert len(calls) == 1200
-        for f, a, b, kw in calls:
-            seen, ref_seen = [], []
-            got = brentq(lambda x: seen.append(x) or f(x), a, b, **kw)
-            ref = optimize.brentq(lambda x: ref_seen.append(x) or f(x),
-                                  a, b, **kw)
-            assert got == ref
-            assert seen == ref_seen
-
-    def test_no_convergence_raises(self):
-        # a sign jump bracketed over 600 decades needs ~1000 bisections
-        def step(x):
-            return -1.0 if x < 1.0 / 3.0 else 1.0
-
-        with pytest.raises(RuntimeError):
-            optimize.brentq(step, -1e300, 1e300, xtol=1e-15, rtol=1e-14)
-        with pytest.raises(AssemblyError, match="converge"):
-            brentq(step, -1e300, 1e300, xtol=1e-15, rtol=1e-14)
+            d2 = rng.uniform(0.5, 30.0)
+            z = project_onto_ellipsoid(p, P, d2)
+            # the secular equation of the same float eigenframe, solved by
+            # bisection in 40 digits right of its last pole
+            evals, V = np.linalg.eigh(P)
+            q = [Decimal(float(x)) for x in evals * d2]
+            pc = [Decimal(float(x)) for x in V.T @ p]
+            with localcontext() as ctx:
+                ctx.prec = 40
+                w = [c * c * qi for c, qi in zip(pc, q)]
+                lo = max(abs(c) * qi.sqrt() - qi for c, qi in zip(pc, q))
+                hi = max(lo, sum(w).sqrt() - min(q))
+                for _ in range(150):
+                    mid = (lo + hi) / 2
+                    if sum(wi / (qi + mid) ** 2 for wi, qi in zip(w, q)) > 1:
+                        lo = mid
+                    else:
+                        hi = mid
+                zc = [float(c * qi / (qi + lo)) for c, qi in zip(pc, q)]
+            ref = V @ np.array(zc)
+            worst = max(worst, np.linalg.norm(z - ref) / np.linalg.norm(ref))
+        assert worst < 2e-10
 
 
 class TestCutNormal:

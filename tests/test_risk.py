@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, special
 from scipy.optimize import brentq
 
+from camopt import risk
 from camopt.risk import (
     RiskError,
     bplane_basis,
@@ -264,9 +265,10 @@ class TestInvertChan:
     def test_scalar_target_returns_float(self):
         assert type(invert_chan(1e-6, 1e-3)) is float
 
-    def test_failed_bracket_raises(self):
+    def test_failed_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(risk, "V_MAX", 10.0)
         with pytest.raises(RiskError, match="bracket"):
-            invert_chan(1e-12, 2.0, v_max=10.0)
+            invert_chan(1e-12, 2.0)
 
     def test_unattainable_limit_clamps_to_zero(self):
         u = 1e-6
@@ -358,13 +360,12 @@ class TestEquivalentBPlane:
         th = np.linspace(0, 2 * math.pi, 17)
         L = np.linalg.cholesky(P2)
         pts = (L @ (math.sqrt(d2) * np.vstack([np.cos(th), np.sin(th)]))).T
-        out, radius = equivalent_bplane(pts, P2, d2)
-        assert radius == 1.0
+        out = equivalent_bplane(pts, P2, d2)
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-10)
 
     def test_interior_maps_inside(self):
         P2 = np.diag([4.0, 1.0])
-        out, _ = equivalent_bplane(np.array([[0.1, 0.1]]), P2, 9.0)
+        out = equivalent_bplane(np.array([[0.1, 0.1]]), P2, 9.0)
         assert np.linalg.norm(out[0]) < 1.0
 
 
