@@ -20,8 +20,15 @@ solve,
 majors), so answers that moved in the last bits can be compared against
 tolerances from one run.  camopt is imported from this checkout's ``src``.
 
+With ``--against OLD.txt`` the lines are also compared with those of an
+earlier run, and per workload one more line reports how many summaries are
+byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
+and ``e_validation_mm``, the majors, minors and IPM iterations summed on
+each side, and every solve whose status or exit code changed.
+
 Run from the repository root:
-    python3 scripts/artifact_digest.py --seeds 0 1
+    python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
+    python3 scripts/artifact_digest.py --seeds 0 1 --against old.txt
 """
 
 from __future__ import annotations
@@ -100,22 +107,77 @@ def digests(name: str, seed: int, work: Path):
         yield f"{label} risk", code, _sha(report.encode())
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    args = p.parse_args(argv)
+RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
+COUNTS = ("majors", "minors", "ipm")
+
+
+def summaries(lines) -> dict:
+    """Label -> (exit code, sha256, numbers) of every ``summary.json``
+    line of a digest."""
+    out = {}
+    for line in lines:
+        f = line.split()
+        if len(f) > 5 and f[3] == "summary.json":
+            nums = dict(kv.split("=", 1) for kv in f[6:])
+            out[" ".join(f[:3])] = (f[4], f[5], nums)
+    return out
+
+
+def compare(old_lines, new_lines):
+    """One report line per workload on the solves both digests hold, and
+    one per solve whose status or exit code changed."""
+    old, new = summaries(old_lines), summaries(new_lines)
+    report = []
+    for name in dict.fromkeys(k.split()[0] for k in new):
+        keys = [k for k in new if k.split()[0] == name and k in old]
+        same = sum(old[k][:2] == new[k][:2] for k in keys)
+        parts = [f"{name}: {same}/{len(keys)} summaries identical"]
+        for field in RELATIVE:
+            worst = max((abs(float(new[k][2][field]) / float(old[k][2][field])
+                             - 1.0) for k in keys
+                         if float(old[k][2][field]) != 0.0), default=0.0)
+            parts.append(f"{field} max rel change {worst:.3g}")
+        for field in COUNTS:
+            parts.append(f"{field} {sum(int(old[k][2][field]) for k in keys)}"
+                         f" -> {sum(int(new[k][2][field]) for k in keys)}")
+        report.append(", ".join(parts))
+        for k in keys:
+            (c0, _, n0), (c1, _, n1) = old[k], new[k]
+            if (c0, n0["status"]) != (c1, n1["status"]):
+                report.append(f"  {k}: status {n0['status']} (exit {c0}) -> "
+                              f"{n1['status']} (exit {c1})")
+    return report
+
+
+def run(seeds):
+    """Print and return the digest lines of this checkout for ``seeds``."""
+    lines = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            for seed in args.seeds:
+            for seed in seeds:
                 for name in workloads.WORKLOADS:
                     work = Path(tmp) / f"{name}-{seed}"
                     work.mkdir()
                     os.chdir(work)
                     for label, code, sha in digests(name, seed, work):
-                        print(label, code, sha, flush=True)
+                        lines.append(f"{label} {code} {sha}")
+                        print(lines[-1], flush=True)
         finally:
             os.chdir(here)
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    p.add_argument("--against", type=Path, metavar="OLD.txt",
+                   help="an earlier run's lines to compare with")
+    args = p.parse_args(argv)
+    lines = run(args.seeds)
+    if args.against:
+        for line in compare(args.against.read_text().splitlines(), lines):
+            print(line)
     return 0
 
 

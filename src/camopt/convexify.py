@@ -53,8 +53,9 @@ def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarra
     q = evals * d2  # squared semiaxes
     pc = V.T @ p
 
-    if np.allclose(pc, 0.0):
-        # center: nearest boundary point along the shortest semiaxis
+    if np.all(np.abs(pc) <= 1e-12 * np.sqrt(q)):
+        # center, to roundoff of the semiaxes: nearest boundary point along
+        # the shortest semiaxis
         k = int(np.argmin(q))
         z = np.zeros(len(p))
         z[k] = math.sqrt(q[k])

@@ -62,6 +62,7 @@ MAX_MAJOR = 30
 MAX_MINOR = 30
 LIMIT_FLOOR = 1e-9  # smallest probability limit of a channel
 REVISIT_RTOL = 1e-5  # a minor objective this close to an earlier one cycles
+STALL_RTOL = 1e-3  # a polish minor gaining less than this has stalled
 
 
 # ---------------------------------------------------------------------
@@ -713,6 +714,14 @@ def _revisits(obj: float, history) -> bool:
     return any(abs(obj - past) <= tol for past in history)
 
 
+def _stalls(obj: float, history) -> bool:
+    """True when ``obj`` moved from the last objective of ``history`` by
+    at most ``STALL_RTOL`` of it: the next minor would not pay its cone
+    solve."""
+    return bool(history) and \
+        abs(obj - history[-1]) <= STALL_RTOL * abs(history[-1])
+
+
 def _tipoc(lt_channels, pos):
     """Each long-term channel's weighted instantaneous PoC per node, and
     their total per node, for node positions ``pos``."""
@@ -1046,9 +1055,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 else:
                     # trust region caps each step; walk on the objective,
                     # widening the risk trust while progress is monotone,
-                    # and stop once it returns to an earlier objective
+                    # and stop once it returns to an earlier objective or
+                    # stops moving
                     u_anchor = xsol[prob.var_map["u"]].reshape(N, 3)
-                    if _revisits(res.obj, obj_hist):
+                    if _revisits(res.obj, obj_hist) or \
+                            _stalls(res.obj, obj_hist):
                         break
                     if obj_hist and res.obj < obj_hist[-1]:
                         nu_mult = min(nu_mult * 2.0, 256.0)
@@ -1077,9 +1088,9 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             if e_M <= MAJOR_TOL and feasible:
                 return True
             # fuel-flat directions leave the control profile non-unique,
-            # so the refinement stage also accepts cost stationarity, as
-            # long as the nonlinear total risk respects the budget
-            if stage != "smd" and feasible and prev_dv is not None and \
+            # so both stages also accept cost stationarity, the refinement
+            # stage as long as the nonlinear total risk respects the budget
+            if feasible and prev_dv is not None and \
                     abs(dv - prev_dv) <= 3e-4 * max(abs(prev_dv), 1e-12):
                 return True
             prev_dv = dv

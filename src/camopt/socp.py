@@ -18,7 +18,11 @@ KKT system is factored sparse with a small static regularization and
 polished by one step of iterative refinement; its CSC pattern is built once
 per solve, each iteration refills only the values of the scaling block
 before the LU, and the constant and predictor right-hand sides are solved
-together as one two-column system.
+together as one two-column system.  The fill-reducing column order is
+computed once per pattern too, as ECOS does: the first LU runs COLAMD, and
+every later one factors the columns in that order without searching again.
+That gives the LU of a fresh COLAMD bit for bit, except where partial
+pivoting meets a tie (see ``_Kkt``).
 """
 
 from __future__ import annotations
@@ -248,6 +252,15 @@ class _Kkt:
     factorization writes only that block's values into their slots.  The
     factored K is kept: ``K @ sol`` plus reg (x, -y, -z) is the product with
     the unregularized matrix, the residual of the refinement step.
+
+    The first factorization lets SuperLU order the columns by COLAMD and
+    keeps that order.  Later ones refill Kq, a copy of K with its columns
+    in that order, and factor it in natural order: the same elimination,
+    without the ordering.  The pivots are chosen as before, the largest
+    entry of each column, with one exception.  On a tie SuperLU prefers the
+    diagonal entry, and the diagonal of Kq is not that of K, so a tie can
+    pick another pivot row.  The solution then differs in its last bits; in
+    one long-term solve it did in 1 of its 33 factorizations.
     """
 
     def __init__(self, A, G, reg, rows, cols):
@@ -272,6 +285,10 @@ class _Kkt:
                                      np.full(p + m, -reg)])[:, None]
         self.shape = (n + p + m, n + p + m)
         self.K = self.lu = None
+        # the column order of the first factorization, and the K with its
+        # columns in that order, whose (3,3) values later ones refill
+        self.order = self.Kq = self.qslots = None
+        self.permuted = False  # whether ``lu`` factors Kq instead of K
 
     def matrix(self, w2: np.ndarray) -> sp.csc_matrix:
         """K for the (3,3) block values ``w2`` given in pattern order."""
@@ -284,17 +301,50 @@ class _Kkt:
         # release the previous factors before the next ones are built
         self.K = self.lu = None
         self.K = self.matrix(w2)
-        self.lu = splu(self.K)
+        if self.order is None:
+            self.lu = splu(self.K)
+            self._keep_order()
+            return
+        self.Kq.data[self.qslots] = self.K.data[self.slots]
+        self.lu = splu(self.Kq, permc_spec="NATURAL")
+        self.permuted = True
+
+    def _keep_order(self):
+        """Lay out Kq = K[:, order] for the column order COLAMD chose."""
+        # SuperLU factors Pr K Pc with Pc[k, j] = 1 for perm_c[k] = j
+        self.order = np.argsort(self.lu.perm_c)
+        lens = np.diff(self.indptr)[self.order]
+        indptr = np.zeros(len(lens) + 1, np.int32)
+        np.cumsum(lens, out=indptr[1:])
+        # each column moves whole, so its rows stay sorted
+        gather = np.repeat(self.indptr[self.order] - indptr[:-1], lens) \
+            + np.arange(indptr[-1])
+        self.Kq = sp.csc_matrix((self.K.data[gather], self.indices[gather],
+                                 indptr), shape=self.shape)
+        pos = np.empty(len(gather), np.intp)
+        pos[gather] = np.arange(len(gather))
+        self.qslots = pos[self.slots]
 
     def solve(self, rhs: np.ndarray, refine=1) -> np.ndarray:
         """Solutions of the unregularized system for the columns of
         ``rhs`` (shape (n + p + m, k)), stacked as (x, y, z)."""
         rhs = rhs.reshape(len(rhs), -1)
-        sol = self.lu.solve(rhs)
+        sol = self._lu_solve(rhs)
         for _ in range(refine):
+            # the unpermuted K: permuted columns would sum in another order
             res = rhs - self.K @ sol + self.unreg * sol
-            sol = sol + self.lu.solve(res)
+            sol = sol + self._lu_solve(res)
         return sol
+
+    def _lu_solve(self, rhs):
+        sol = self.lu.solve(rhs)
+        if not self.permuted:
+            return sol
+        # in SuperLU's own (Fortran) layout: BLAS sums over the columns of
+        # a C-ordered copy in another order
+        out = np.empty_like(sol, order="F")
+        out[self.order] = sol
+        return out
 
 
 def solve(prob: SocpProblem) -> SolveResult:

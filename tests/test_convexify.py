@@ -54,6 +54,13 @@ class TestProjection:
         assert z @ np.linalg.solve(P, z) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(z) == pytest.approx(1.0)  # short semiaxis
 
+    def test_small_ellipsoid_is_not_its_center(self):
+        # semiaxes 1e-9 and 2e-9: a reference 5e-9 out on the long axis is
+        # far outside, so the nearest point is that axis's vertex
+        P = np.diag([1e-18, 4e-18])
+        z = project_onto_ellipsoid(np.array([0.0, 5e-9]), P, 1.0)
+        assert np.allclose(z, [0.0, 2e-9], rtol=0.0, atol=1e-20)
+
     def test_3d_scan(self):
         rng = np.random.default_rng(4)
         M = rng.standard_normal((3, 3))

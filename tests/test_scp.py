@@ -25,6 +25,7 @@ from camopt.scp import (
     _revisits,
     _risk_rows,
     _select_anchors,
+    _stalls,
     _stm_track,
     _table_cost,
     adapt_limits,
@@ -552,6 +553,27 @@ class TestRevisits:
     def test_tolerance_is_relative(self):
         assert _revisits(1e6 + 5.0, [1e6])
         assert not _revisits(1.0 + 5e-5, [1.0])
+
+
+class TestStalls:
+    def test_at_the_tolerance(self, monkeypatch):
+        # a binary tolerance, so that prev +- tol is exact
+        monkeypatch.setattr(scp, "STALL_RTOL", 0.125)
+        assert _stalls(7.0, [5.0, 8.0]) and _stalls(9.0, [5.0, 8.0])
+        assert not _stalls(math.nextafter(7.0, 0.0), [8.0])
+        assert not _stalls(math.nextafter(9.0, 10.0), [8.0])
+
+    @pytest.mark.parametrize("prev", [36.07, -2.5e-3])
+    def test_just_inside_and_outside(self, prev):
+        tol = scp.STALL_RTOL * abs(prev)
+        for sign in (-1.0, 1.0):
+            assert _stalls(prev + sign * tol * (1 - 1e-6), [prev])
+            assert not _stalls(prev + sign * tol * (1 + 1e-6), [prev])
+
+    def test_against_the_last_objective_only(self):
+        assert not _stalls(1.0, [])
+        assert _stalls(1.0, [2.0, 1.0 + 1e-4])
+        assert not _stalls(1.0, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------

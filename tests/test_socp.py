@@ -322,6 +322,35 @@ class TestCachedKkt:
             for a, b in ((r.x, ref.x), (r.y, ref.y), (r.z, ref.z)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_reused_order_bit_identical_to_fresh_lu(self, p, monkeypatch):
+        specs = []
+
+        def counting_splu(K, permc_spec="COLAMD"):
+            specs.append(permc_spec)
+            return splu(K, permc_spec=permc_spec)
+
+        monkeypatch.setattr(socp, "splu", counting_splu)
+        rng = np.random.default_rng(37 + p)
+        prob = random_feasible(rng, 14, p, 4, MIXED_SOCS, 0.5)
+        A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+        cone = socp._Cone(prob.dims)
+        kkt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+        for _ in range(4):
+            _, _, w2 = block_pattern(rng, prob, "nt")
+            kkt.factor(w2)
+            fresh = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+            fresh.K, fresh.lu = kkt.K, splu(kkt.K)
+            rhs = rng.standard_normal((kkt.shape[0], 2))
+            assert np.array_equal(kkt.solve(rhs), fresh.solve(rhs))
+            assert np.array_equal(kkt.solve(rhs[:, 1]), fresh.solve(rhs[:, 1]))
+        # COLAMD once per pattern: here one, and in a solve the initial
+        # point's and the iterations'
+        assert specs == ["COLAMD"] + ["NATURAL"] * 3
+        specs.clear()
+        assert solve(prob).status == "optimal"
+        assert specs.count("COLAMD") == 2 and len(specs) > 3
+
 
 # ---------------------------------------------------------------------
 # the flat cone layout against per-block references
