@@ -14,17 +14,20 @@ bit for bit.  A ``summary.json`` line goes on with the numbers behind its
 solve,
 
     status=<s> dv_mm_s=<f> tpoc_final=<f> majors=<n> minors=<n> ipm=<n>
-    e_validation_mm=<f>
+    e_validation_mm=<f> fallbacks=<n> order2=<n>
 
 (floats at full precision; minors and IPM iterations summed over the
-majors), so answers that moved in the last bits can be compared against
-tolerances from one run.  camopt is imported from this checkout's ``src``.
+majors; ``fallbacks`` counts the cone solves that needed virtual controls
+and ``order2`` the majors relinearized with second-order jets), so answers
+that moved in the last bits can be compared against tolerances from one
+run.  camopt is imported from this checkout's ``src``.
 
 With ``--against OLD.txt`` the lines are also compared with those of an
 earlier run, and per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
-and ``e_validation_mm``, the majors, minors and IPM iterations summed on
-each side, and every solve whose status or exit code changed.
+and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks and
+order-2 majors summed on each side (``?`` where the earlier lines do not
+have the field), and every solve whose status or exit code changed.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
@@ -76,12 +79,15 @@ def numbers(summary: dict) -> str:
     """The solve's status, cost, risk and iteration counts as one field
     list."""
     log = summary["iteration_log"]
+    fallbacks = sum(cs["virtual"] for rec in log for cs in rec["cone_solves"])
     return (f"status={summary['status']} dv_mm_s={summary['dv_mm_s']!r} "
             f"tpoc_final={summary['tpoc_final']!r} "
             f"majors={summary['iterations']} "
             f"minors={sum(rec['minors'] for rec in log)} "
             f"ipm={sum(rec['ipm_iters'] for rec in log)} "
-            f"e_validation_mm={summary['e_validation_mm']!r}")
+            f"e_validation_mm={summary['e_validation_mm']!r} "
+            f"fallbacks={fallbacks} "
+            f"order2={sum(rec['jet_order'] == 2 for rec in log)}")
 
 
 def digests(name: str, seed: int, work: Path):
@@ -108,7 +114,7 @@ def digests(name: str, seed: int, work: Path):
 
 
 RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
-COUNTS = ("majors", "minors", "ipm")
+COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2")
 
 
 def summaries(lines) -> dict:
@@ -121,6 +127,13 @@ def summaries(lines) -> dict:
             nums = dict(kv.split("=", 1) for kv in f[6:])
             out[" ".join(f[:3])] = (f[4], f[5], nums)
     return out
+
+
+def _total(side, keys, field) -> str:
+    """Sum of an integer field over the solves ``keys``, or ``?`` when a
+    line does not have it."""
+    vals = [side[k][2].get(field) for k in keys]
+    return "?" if None in vals else str(sum(int(v) for v in vals))
 
 
 def compare(old_lines, new_lines):
@@ -138,8 +151,8 @@ def compare(old_lines, new_lines):
                          if float(old[k][2][field]) != 0.0), default=0.0)
             parts.append(f"{field} max rel change {worst:.3g}")
         for field in COUNTS:
-            parts.append(f"{field} {sum(int(old[k][2][field]) for k in keys)}"
-                         f" -> {sum(int(new[k][2][field]) for k in keys)}")
+            parts.append(f"{field} {_total(old, keys, field)} -> "
+                         f"{_total(new, keys, field)}")
         report.append(", ".join(parts))
         for k in keys:
             (c0, _, n0), (c1, _, n1) = old[k], new[k]

@@ -326,7 +326,8 @@ class SegmentMaps:
     ``c`` (N, 6) is the linearization residual so that A x + B u + c
     reproduces the reference endpoint exactly.  ``xi`` (N, 9) holds the
     per-variable nonlinearity ratios (6 state + 3 control entries) used to
-    size trust regions.
+    size trust regions: measured by an order-2 flight, or carried over
+    from an earlier one when the maps come from order-1 jets.
     """
 
     A: np.ndarray
@@ -336,32 +337,39 @@ class SegmentMaps:
 
 
 def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
-                      dyn: Dynamics, tol: float = INTEG_TOL) -> SegmentMaps:
-    """Second-order jet propagation of (x + dx, u + du) over N segments.
+                      dyn: Dynamics, tol: float = INTEG_TOL,
+                      xi: np.ndarray | None = None) -> SegmentMaps:
+    """Jet propagation of (x + dx, u + du) over N segments.
 
     ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)
     durations are flown in one batch; returns the stacked
     :class:`SegmentMaps` (``A`` (N, 6, 6), ``B`` (N, 6, 3), ``c`` (N, 6),
     ``xi`` (N, 9)), each row the same bit for bit as that row linearized
-    on its own.
+    on its own.  Without ``xi`` the jets are of order 2 and ``xi`` is
+    measured from their second derivatives; with an (N, 9) ``xi`` they are
+    of order 1, which is all A, B and c need, and ``xi`` is handed back
+    as it came.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if dt.ndim != 1 or x.shape != (len(dt), 6) or u.shape != (len(dt), 3):
         raise PropagationError("need x (N, 6), u (N, 3) and dt (N,)")
+    if xi is not None and np.shape(xi) != (len(dt), 9):
+        raise PropagationError("need xi (N, 9)")
     if np.any(dt <= 0):
         raise PropagationError("segment duration must be positive")
-    sp = jet_space(9, 2)
+    sp = jet_space(9, 2 if xi is None else 1)
     xu = dajet.identity(sp, np.concatenate([x, u], axis=1))
     yend = flow_jets(sp, xu[:, :6], 0.0, dt, dyn, u=xu[:, 6:], tol=tol)
 
     G = dajet.gradient(sp, yend)  # N x 6 x 9
     A, B = G[..., :6], G[..., 6:9]
     c = yend[..., 0] - (A @ x[..., None])[..., 0] - (B @ u[..., None])[..., 0]
-    # one norm per row: a batched norm rounds differently
-    xi = np.array([dajet.second_order_ratio(sp, ye) for ye in yend])
-    return SegmentMaps(A=A, B=B, c=c, xi=xi.reshape(len(dt), sp.n_vars))
+    if xi is None:
+        # one norm per row: a batched norm rounds differently
+        xi = np.array([dajet.second_order_ratio(sp, ye) for ye in yend])
+    return SegmentMaps(A=A, B=B, c=c, xi=xi)
 
 
 # ---------------------------------------------------------------------

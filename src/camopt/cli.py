@@ -116,11 +116,11 @@ def emit(sol, scenario, out_dir):
             "e_major": _num(rec.e_major), "e_minor": _num(rec.e_minor),
             "objective": _num(rec.objective),
             "dv_mm_s": _num(rec.dv_mm_s), "vc_max": _num(rec.vc_max),
-            "ipm_iters": rec.ipm_iters,
+            "ipm_iters": rec.ipm_iters, "jet_order": rec.jet_order,
             "cone_solves": [{
                 "status": cs["status"], "iterations": cs["iterations"],
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
-                "gap": _num(cs["gap"]),
+                "gap": _num(cs["gap"]), "virtual": cs["virtual"],
             } for cs in rec.cone_solves],
             "limits": [{"q_limit": _num(q), "d2_limit": _num(d2)}
                        for q, d2 in rec.limits],

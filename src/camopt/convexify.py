@@ -4,9 +4,10 @@ Contains the projection of a reference point onto the keep-out ellipsoid,
 the tangent half-space cut, the closed-form linearization of the total
 collision probability (short-term at the conjunction nodes, long-term
 node-wise), and
-the assembly of the full second-order-cone program: linearized dynamics
-with virtual controls, lossless control relaxation, nonlinearity trust
-regions and the risk rows.
+the assembly of the full second-order-cone program: linearized dynamics,
+lossless control relaxation, nonlinearity trust regions and the risk rows,
+with or without the virtual controls that keep a subproblem feasible when
+the linearization cannot reach its constraints.
 """
 
 from __future__ import annotations
@@ -239,14 +240,17 @@ class RiskRows:
 def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
              risk: RiskRows, kappa_vc: float = 1e4, nu_bar: float = 1e-2,
              u_scale: float = 1.0, u_prev: np.ndarray | None = None,
-             prox: float = 0.0) -> ConicProblem:
+             prox: float = 0.0, virtual: bool = True) -> ConicProblem:
     """Build the conic subproblem over one major iteration's linearization.
 
     Variables per segment i: state x_i (6), control u_i (3, fraction of the
-    maximum acceleration), control slack sig_i, virtual control vc_i (6) and
-    its slack vnorm_i; plus the terminal state x_N.  With ``prox`` > 0 a
-    small penalty on the control change from ``u_prev`` removes the profile
-    degeneracy of the fuel objective.
+    maximum acceleration), control slack sig_i, and with ``virtual`` a
+    virtual control vc_i (6) in the dynamics with its slack vnorm_i, priced
+    at ``kappa_vc``; plus the terminal state x_N.  ``virtual=False`` leaves
+    out vc and vnorm, their dynamics entries and their cones: 7N variables
+    and 7N cone rows fewer, for subproblems that are feasible without them.
+    With ``prox`` > 0 a small penalty on the control change from ``u_prev``
+    removes the profile degeneracy of the fuel objective.
     """
     N = grid.n_segments
     if len(segments.A) != N:
@@ -254,25 +258,27 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     dts = grid.dt
 
     with_prox = u_prev is not None and prox > 0.0
+    n_vc = N if virtual else 0
     nx, nu = 6 * (N + 1), 3 * N
     off_x, off_u = 0, nx
     off_sig = off_u + nu
     off_vc = off_sig + N
-    off_vn = off_vc + 6 * N
-    off_pn = off_vn + N
+    off_vn = off_vc + 6 * n_vc
+    off_pn = off_vn + n_vc
     n_var = off_pn + (N if with_prox else 0)
 
     var_map = {
         "x": slice(off_x, off_x + nx),
         "u": slice(off_u, off_u + nu),
         "sigma": slice(off_sig, off_sig + N),
-        "vc": slice(off_vc, off_vc + 6 * N),
-        "vnorm": slice(off_vn, off_vn + N),
     }
+    if virtual:
+        var_map["vc"] = slice(off_vc, off_vn)
+        var_map["vnorm"] = slice(off_vn, off_pn)
 
     c = np.zeros(n_var)
     c[off_sig:off_sig + N] = dts * u_scale
-    c[off_vn:off_vn + N] = kappa_vc
+    c[off_vn:off_pn] = kappa_vc
     if with_prox:
         c[off_pn:off_pn + N] = prox * dts * u_scale
 
@@ -280,20 +286,22 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     col_x = off_x + np.arange(nx).reshape(N + 1, 6)
     col_u = off_u + np.arange(nu).reshape(N, 3)
     col_sig = off_sig + np.arange(N)
-    col_vc = off_vc + np.arange(6 * N).reshape(N, 6)
+    col_vc = off_vc + np.arange(6 * n_vc).reshape(n_vc, 6)
 
     # equalities: initial state, then x_{i+1} = A x_i + B u_i + c_i + vc_i;
-    # entry (i, j, :) of the (N, 6, 11) stack is row j of segment i over
-    # [x_{i+1,j}, x_i, u_i, vc_{i,j}], zero map entries left out
+    # entry (i, j, :) of the (N, 6, 11) stack (10 without vc) is row j of
+    # segment i over [x_{i+1,j}, x_i, u_i, vc_{i,j}], zero map entries left
+    # out
     one = np.ones((N, 6, 1))
-    vals = np.concatenate([one, -segments.A, -segments.B, -one], axis=2)
+    vals = np.concatenate([one, -segments.A, -segments.B]
+                          + ([-one] if virtual else []), axis=2)
     keep = vals != 0.0
     vals[..., 7:10] *= u_scale
     cols = np.concatenate([col_x[1:, :, None],
                            np.broadcast_to(col_x[:-1, None], (N, 6, 6)),
-                           np.broadcast_to(col_u[:, None], (N, 6, 3)),
-                           col_vc[..., None]], axis=2)
-    rows = np.broadcast_to(6 + np.arange(6 * N).reshape(N, 6, 1), (N, 6, 11))
+                           np.broadcast_to(col_u[:, None], (N, 6, 3))]
+                          + ([col_vc[..., None]] if virtual else []), axis=2)
+    rows = np.broadcast_to(6 + np.arange(6 * N).reshape(N, 6, 1), vals.shape)
     A = sp.csc_matrix((np.concatenate([np.ones(6), vals[keep]]),
                        (np.concatenate([np.arange(6), rows[keep]]),
                         np.concatenate([col_x[0], cols[keep]]))),
@@ -346,9 +354,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     # the proximal term ||u_i - u_prev_i|| <= pn_i; cone i's rows are its
     # bound, then its vector
     single(np.column_stack([col_sig, col_u]).ravel(), -1.0, np.zeros(4 * N))
-    single(np.column_stack([off_vn + np.arange(N), col_vc]).ravel(), -1.0,
-           np.zeros(7 * N))
-    socs = (4,) * N + (7,) * N
+    single(np.column_stack([off_vn + np.arange(n_vc), col_vc]).ravel(), -1.0,
+           np.zeros(7 * n_vc))
+    socs = (4,) * N + (7,) * n_vc
     if with_prox:
         single(np.column_stack([off_pn + np.arange(N), col_u]).ravel(), -1.0,
                np.column_stack([np.zeros(N), -u_prev]).ravel())

@@ -230,11 +230,13 @@ class IterationRecord:
     e_minor: float
     objective: float
     dv_mm_s: float
-    vc_max: float
-    # one {status, iterations, pres, dres, gap} per cone solve of the major
+    vc_max: float  # 0.0 when the last minor solved without virtual controls
+    # one {status, iterations, pres, dres, gap, virtual} per cone solve of
+    # the major
     cone_solves: list
     # one (q_limit, d2_limit) per channel, the limits the major ran with
     limits: list
+    jet_order: int  # of the relinearization the major ran on (1 or 2)
 
     @property
     def ipm_iters(self) -> int:
@@ -722,6 +724,33 @@ def _stalls(obj: float, history) -> bool:
         abs(obj - history[-1]) <= STALL_RTOL * abs(history[-1])
 
 
+def _xi_stale(x_ref: np.ndarray, x_at: np.ndarray, xi: np.ndarray) -> bool:
+    """True when some node of ``x_ref`` has left the node states ``x_at``
+    that the nonlinearity ratios ``xi`` were measured at by more than that
+    entry's own trust-region half-width ``NU_BAR / xi``; an entry with
+    xi = 0 has none."""
+    with np.errstate(divide="ignore"):
+        return bool(np.any(np.abs(x_ref - x_at) > NU_BAR / xi[:, :6]))
+
+
+def _cone_solve(build, cone_solves: list):
+    """Solve ``build(virtual=False)``, the subproblem without virtual
+    controls, and when that ends other than optimal, ``build(virtual=True)``
+    too: the virtual controls absorb a linearization that cannot reach the
+    constraints (Mao, Szmuk & Acikmese, CDC 2016).  Each cone solve is
+    appended to ``cone_solves``; returns the last problem and result."""
+    for virtual in (False, True):
+        prob = build(virtual=virtual)
+        res = socp_solve(prob.to_socp())
+        cone_solves.append({"status": res.status,
+                            "iterations": res.iterations,
+                            "pres": res.pres, "dres": res.dres,
+                            "gap": res.gap, "virtual": virtual})
+        if res.status == "optimal":
+            break
+    return prob, res
+
+
 def _tipoc(lt_channels, pos):
     """Each long-term channel's weighted instantaneous PoC per node, and
     their total per node, for node positions ``pos``."""
@@ -931,13 +960,25 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                     ch.M)
         return tables[i]
 
+    # the second-order jets only size the trust regions, and their ratios
+    # barely move during a solve: keep the ones of the last order-2 flight
+    # with the node states they were measured at, and fly order 1 until the
+    # reference leaves the trust region they set
+    xi_at = None
+
     def relinearize(uf):
+        nonlocal xi_at
         tables.clear()
-        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn)
+        xi = None
+        if xi_at is not None and not _xi_stale(x_ref[:N], *xi_at):
+            xi = xi_at[1]
+        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn, xi=xi)
+        if xi is None:
+            xi_at = (x_ref[:N], segs.xi)
         r3 = _impulse_responses(segs, grid)
         for ch in channels:
             ch.relinearize(x_ref[:, :3], r3)
-        return segs, r3
+        return segs, r3, 2 if xi is None else 1
 
     def select_anchors(ref_pos):
         items, picked = [], []
@@ -953,7 +994,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             for ch, z, n in zip(picked, anchors, normals):
                 ch.anchor, ch.push = z, n
 
-    segments, resp3 = relinearize(np.zeros((N, 3)))
+    segments, resp3, jet_order = relinearize(np.zeros((N, 3)))
 
     weights = np.array([ch.weight for ch in channels])
     q_cur = cfg.total_limit * weights / float(np.sum(weights))
@@ -991,12 +1032,13 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         return checked[1][0]
 
     def run_stage(stage):
-        nonlocal segments, resp3, u_frac, x_ref, states, major, vc_max
+        nonlocal segments, resp3, jet_order, u_frac, x_ref, states, major, \
+            vc_max
         prev_dv = None
         while major < MAX_MAJOR:
             major += 1
             if major > 1:
-                segments, resp3 = relinearize(u_frac)
+                segments, resp3, jet_order = relinearize(u_frac)
             ref_pos = x_ref[:, :3].copy()
             cap = cfg.total_limit
             if stage == "smd":
@@ -1018,16 +1060,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 rows = _risk_rows(stage, cfg.total_limit, st_channels,
                                   lt_channels, ref_pos, resp3,
                                   nu_risk=NU_BAR * nu_mult, total_cap=cap)
-                prob = assemble(segments, grid, x_ref, x_init, rows,
-                                kappa_vc=KAPPA_VC, nu_bar=NU_BAR,
-                                u_scale=u_scale,
-                                u_prev=u_anchor if stage != "smd" else None,
-                                prox=0.05)
-                res = socp_solve(prob.to_socp())
-                cone_solves.append({"status": res.status,
-                                    "iterations": res.iterations,
-                                    "pres": res.pres, "dres": res.dres,
-                                    "gap": res.gap})
+                prob, res = _cone_solve(functools.partial(
+                    assemble, segments, grid, x_ref, x_init, rows,
+                    kappa_vc=KAPPA_VC, nu_bar=NU_BAR, u_scale=u_scale,
+                    u_prev=u_anchor if stage != "smd" else None, prox=0.05),
+                    cone_solves)
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -1067,7 +1104,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         nu_mult = max(nu_mult * 0.25, 1.0)
                     obj_hist.append(res.obj)
             u_new = xsol[prob.var_map["u"]].reshape(N, 3)
-            vc_max = float(np.max(xsol[prob.var_map["vnorm"]]))
+            vnorm = prob.var_map.get("vnorm")
+            vc_max = 0.0 if vnorm is None else float(np.max(xsol[vnorm]))
             e_M = float(np.max(np.linalg.norm(u_new - u_frac, axis=1)))
             dv = float(np.sum(np.linalg.norm(u_new, axis=1) * grid.dt)
                        * u_scale * scl.velocity) * 1e6
@@ -1077,7 +1115,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                        vc_max=vc_max,
                                        cone_solves=cone_solves,
                                        limits=[(ch.q_limit, ch.d2_limit)
-                                               for ch in channels]))
+                                               for ch in channels],
+                                       jet_order=jet_order))
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate

@@ -149,22 +149,31 @@ class TestLinearization:
         assert maps.xi[0][0] < maps.xi[0][6]
 
 
+SCALED_DYNAMICS = pytest.mark.parametrize(
+    "dyn", [Dynamics.two_body(1.0),
+            Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)],
+    ids=["two_body", "j2"])
+
+
+def segment_batch():
+    """Start states, controls and durations of 7 segments in scaled units
+    (radius 1, one orbit is 2 pi): grid segments of 0.12, one split by a
+    TCA node into 0.0046 + 0.1154, and a row of 1.9."""
+    rng = np.random.default_rng(4)
+    r = 1.0 + 0.006 * np.arange(7)
+    incl = 0.15 * np.arange(7)
+    x = np.column_stack([r, 0 * r, 0 * r, 0 * r, np.cos(incl) / np.sqrt(r),
+                         np.sin(incl) / np.sqrt(r)])
+    x[:, 3:] += rng.uniform(-1e-3, 1e-3, (7, 3))
+    u = rng.uniform(-1e-3, 1e-3, (7, 3))
+    dt = np.array([0.12, 0.12, 0.0046, 0.1154, 0.12, 1.9, 0.12])
+    return x, u, dt
+
+
 class TestBatchedLinearization:
-    @pytest.mark.parametrize("dyn", [Dynamics.two_body(1.0),
-                                     Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)],
-                             ids=["two_body", "j2"])
+    @SCALED_DYNAMICS
     def test_rows_match_single_row_calls(self, dyn, monkeypatch):
-        # scaled units: radius 1, one orbit is 2 pi
-        rng = np.random.default_rng(4)
-        r = 1.0 + 0.006 * np.arange(7)
-        incl = 0.15 * np.arange(7)
-        x = np.column_stack([r, 0 * r, 0 * r, 0 * r, np.cos(incl) / np.sqrt(r),
-                             np.sin(incl) / np.sqrt(r)])
-        x[:, 3:] += rng.uniform(-1e-3, 1e-3, (7, 3))
-        u = rng.uniform(-1e-3, 1e-3, (7, 3))
-        # grid segments of 0.12, one split by a TCA node into 0.0046 + 0.1154,
-        # and a row of 1.9
-        dt = np.array([0.12, 0.12, 0.0046, 0.1154, 0.12, 1.9, 0.12])
+        x, u, dt = segment_batch()
         batch = linearize_segment(x, u, dt, dyn)
 
         calls = []
@@ -206,6 +215,40 @@ class TestBatchedLinearization:
             linearize_segment(x, np.zeros(3), 60.0, Dynamics.two_body())
         with pytest.raises(PropagationError):
             linearize_segment(x[None], np.zeros((1, 3)), [0.0], Dynamics.two_body())
+
+
+class TestOrderOneMaps:
+    """With the nonlinearity ratios handed in, the segments fly order-1
+    jets, which carry everything A, B and c need."""
+
+    @SCALED_DYNAMICS
+    def test_maps_match_the_order_two_flight(self, dyn):
+        x, u, dt = segment_batch()
+        two = linearize_segment(x, u, dt, dyn)
+        xi = np.random.default_rng(5).uniform(0.0, 3.0, (len(dt), 9))
+        one = linearize_segment(x, u, dt, dyn, xi=xi)
+        for name in ("A", "B", "c"):
+            got, ref = getattr(one, name), getattr(two, name)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        assert np.array_equal(one.xi, xi)
+
+    @SCALED_DYNAMICS
+    def test_rows_match_single_row_calls(self, dyn):
+        x, u, dt = segment_batch()
+        xi = linearize_segment(x, u, dt, dyn).xi
+        batch = linearize_segment(x, u, dt, dyn, xi=xi)
+        for i in range(len(dt)):
+            one = linearize_segment(x[i:i + 1], u[i:i + 1], dt[i:i + 1], dyn,
+                                    xi=xi[i:i + 1])
+            for name in ("A", "B", "c", "xi"):
+                assert np.array_equal(getattr(batch, name)[i],
+                                      getattr(one, name)[0]), (i, name)
+
+    def test_bad_xi_shape_rejected(self):
+        x, u, dt = segment_batch()
+        with pytest.raises(PropagationError):
+            linearize_segment(x, u, dt, Dynamics.two_body(1.0),
+                              xi=np.zeros((len(dt), 6)))
 
 
 class TestGrid:

@@ -118,8 +118,11 @@ class TestSolveArtifacts:
             assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
             for cs in solves:
                 assert set(cs) == {"status", "iterations", "pres", "dres",
-                                   "gap"}
+                                   "gap", "virtual"}
                 assert cs["status"] == "optimal"
+                # every subproblem of this fixture solves without virtual
+                # controls, so none fell back to them
+                assert cs["virtual"] is False
                 assert max(cs["pres"], cs["dres"]) <= 1e-9
 
     def test_iteration_log_traces_the_limits(self, solved_dir):

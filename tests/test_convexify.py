@@ -472,6 +472,44 @@ class TestAssembly:
         assert np.all(prob.eq_matrix.data != 0.0)
         assert np.all(prob.ineq_matrix.data != 0.0)
 
+    def test_without_virtual_controls_drops_their_columns_and_cones(self):
+        # every row family, with and without the virtual controls: the lean
+        # form is the full one less the vc and vnorm columns and the rows
+        # of their cones
+        N, dt = 3, 2.0
+        rng = np.random.default_rng(12)
+        grid = NodeGrid(times=dt * np.arange(N + 1.0))
+        seg = double_integrator_segment(dt, N)
+        seg.c = rng.normal(size=(N, 6))
+        seg.xi[:, :6] = rng.uniform(0.1, 1.0, (N, 6))
+        risk = RiskRows(
+            halfspaces=[(3, np.array([1.5, 0.0, -2.0]), 0.3)],
+            totals=[([1, 3], rng.normal(size=(2, 3)), 1e-6,
+                     rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3)),
+                     0.02)])
+        args = (seg, grid, rng.normal(size=(N + 1, 6)), rng.normal(size=6),
+                risk)
+        kwargs = dict(u_scale=0.5, u_prev=rng.normal(size=(N, 3)), prox=0.05)
+        full = assemble(*args, **kwargs)
+        lean = assemble(*args, virtual=False, **kwargs)
+
+        gone = np.zeros(len(full.objective), bool)
+        gone[full.var_map["vc"]] = gone[full.var_map["vnorm"]] = True
+        G = full.ineq_matrix.toarray()
+        rows = ~np.any(G[:, gone] != 0.0, axis=1)
+        assert (~rows).sum() == 7 * N
+        assert "vc" not in lean.var_map and "vnorm" not in lean.var_map
+        for name in ("x", "u", "sigma"):
+            assert lean.var_map[name] == full.var_map[name]
+        assert np.array_equal(lean.objective, full.objective[~gone])
+        assert np.array_equal(lean.eq_matrix.toarray(),
+                              full.eq_matrix.toarray()[:, ~gone])
+        assert np.array_equal(lean.eq_rhs, full.eq_rhs)
+        assert np.array_equal(lean.ineq_matrix.toarray(), G[rows][:, ~gone])
+        assert np.array_equal(lean.ineq_rhs, full.ineq_rhs[rows])
+        assert lean.dims.nonneg == full.dims.nonneg
+        assert lean.dims.soc == (4,) * N + (4,) * N
+
     def test_segment_count_mismatch_rejected(self):
         grid = NodeGrid(times=np.array([0.0, 1.0, 2.0]))
         with pytest.raises(AssemblyError):

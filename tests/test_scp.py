@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from camopt import astro, scp
 from camopt.astro import J2_EARTH, R_EARTH, Dynamics, NodeGrid, flow, flow_jets
 from camopt.dajet import gradient, identity, jet_space
-from camopt.convexify import cut_normal, project_onto_ellipsoid
+from camopt.convexify import RiskRows, assemble, cut_normal, \
+    project_onto_ellipsoid
 from camopt.risk import bplane_basis
 from camopt.scenario import Config, load_scenario
 from camopt.socp import solve as socp_solve
@@ -502,6 +504,15 @@ class TestSolve:
         # validation error is quoted in mm
         assert sol2.e_validation_mm <= 5.0
 
+    def test_second_order_jets_once_and_no_virtual_controls(self, sol2):
+        # the reference never leaves the trust region the first flight's
+        # ratios set, and every subproblem is feasible as it stands
+        assert [rec.jet_order for rec in sol2.log] == \
+            [2] + [1] * (len(sol2.log) - 1)
+        assert not any(cs["virtual"] for rec in sol2.log
+                       for cs in rec.cone_solves)
+        assert all(rec.vc_max == 0.0 for rec in sol2.log)
+
 
 class TestLongTermMixture:
     """case3's encounter over 10500 s, split into three mixands: limit
@@ -525,6 +536,88 @@ class TestLongTermMixture:
     def test_final_probability_read_at_the_constrained_node(self, sol):
         for k, ch in enumerate(sol.channels):
             assert ch.p_final == sol.tipoc_mix[ch.node, k]
+
+
+# ---------------------------------------------------------------------
+# order-1 relinearization and cone solves without virtual controls
+
+
+class TestXiRefresh:
+    def test_at_the_half_width(self):
+        # drift exactly NU_BAR / xi keeps the ratios, one ulp more does
+        # not, in either direction; an entry with xi = 0 has no bound
+        xi = np.zeros((2, 9))
+        xi[1, 4] = 0.3
+        xi[1, 7] = 5.0  # a control entry, which bounds no state
+        x_at = np.zeros((2, 6))
+        half = scp.NU_BAR / 0.3
+        for edge in (half, -half):
+            x = x_at.copy()
+            x[0] = 1e300
+            x[1, 4] = edge
+            assert not scp._xi_stale(x, x_at, xi)
+            x[1, 4] = math.nextafter(edge, 2.0 * edge)
+            assert scp._xi_stale(x, x_at, xi)
+
+    def test_solve_converges_when_it_fires(self, monkeypatch):
+        # the rule at a millionth of the half-width fires on the drift of
+        # a real solve
+        fired, real = [], scp._xi_stale
+
+        def stale(x_ref, x_at, xi):
+            fired.append(real(x_ref, x_at, 1e6 * xi))
+            return fired[-1]
+
+        monkeypatch.setattr(scp, "_xi_stale", stale)
+        sol = solve(two_cdm(), Config())
+        assert sol.status == "converged"
+        assert any(fired)
+        orders = [rec.jet_order for rec in sol.log]
+        assert orders == [2] + [2 if f else 1 for f in fired]
+        assert sol.tpoc_final <= 1.05e-6
+
+
+class TestConeSolveFallback:
+    """Two double-integrator segments of unit length from rest.  Node 1
+    may leave its zero reference by at most nu_bar / xi = 0.1 per state,
+    and node 2 is one segment of at most unit control past it, so without
+    virtual controls node 2 reaches no further than 0.65 along y."""
+
+    N = 2
+
+    def build(self, rho):
+        grid = NodeGrid(times=np.arange(self.N + 1.0))
+        seg = double_integrator_segment(1.0, self.N)
+        seg.xi[1, :6] = 0.1
+        risk = RiskRows(halfspaces=[(2, np.array([0.0, 1.0, 0.0]), rho)])
+        return functools.partial(assemble, seg, grid, np.zeros((3, 6)),
+                                 np.zeros(6), risk, nu_bar=1e-2)
+
+    @staticmethod
+    def kkt_rows(prob):
+        return len(prob.objective) + len(prob.eq_rhs) + len(prob.ineq_rhs)
+
+    def test_unreachable_halfspace_falls_back(self):
+        build = self.build(1.0)
+        log = []
+        prob, res = scp._cone_solve(build, log)
+        direct = socp_solve(build(virtual=True).to_socp())
+        assert [cs["virtual"] for cs in log] == [False, True]
+        assert log[0]["status"] != "optimal"
+        assert res.status == direct.status == "optimal"
+        assert np.array_equal(res.x, direct.x)
+        assert np.max(res.x[prob.var_map["vnorm"]]) > 0.1
+
+    def test_reachable_halfspace_solves_without_them(self):
+        build = self.build(0.3)
+        log = []
+        prob, res = scp._cone_solve(build, log)
+        assert [cs["virtual"] for cs in log] == [False]
+        assert res.status == "optimal"
+        assert "vnorm" not in prob.var_map
+        assert res.x[prob.var_map["x"]][13] >= 0.3 - 1e-9
+        assert self.kkt_rows(build(virtual=True)) - self.kkt_rows(prob) \
+            == 14 * self.N
 
 
 # ---------------------------------------------------------------------
