@@ -14,20 +14,22 @@ bit for bit.  A ``summary.json`` line goes on with the numbers behind its
 solve,
 
     status=<s> dv_mm_s=<f> tpoc_final=<f> majors=<n> minors=<n> ipm=<n>
-    e_validation_mm=<f> fallbacks=<n> order2=<n>
+    e_validation_mm=<f> fallbacks=<n> order2=<n> kkt_dim=<n>
 
 (floats at full precision; minors and IPM iterations summed over the
-majors; ``fallbacks`` counts the cone solves that needed virtual controls
-and ``order2`` the majors relinearized with second-order jets), so answers
+majors; ``fallbacks`` counts the cone solves that needed virtual controls,
+``order2`` the majors relinearized with second-order jets and ``kkt_dim``
+sums the KKT dimension n + p + m over the cone solves), so answers
 that moved in the last bits can be compared against tolerances from one
 run.  camopt is imported from this checkout's ``src``.
 
 With ``--against OLD.txt`` the lines are also compared with those of an
 earlier run, and per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
-and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks and
-order-2 majors summed on each side (``?`` where the earlier lines do not
-have the field), and every solve whose status or exit code changed.
+and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks,
+order-2 majors and KKT dimensions summed on each side (``?`` where the
+earlier lines do not have the field), and every solve whose status or exit
+code changed.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
@@ -79,15 +81,16 @@ def numbers(summary: dict) -> str:
     """The solve's status, cost, risk and iteration counts as one field
     list."""
     log = summary["iteration_log"]
-    fallbacks = sum(cs["virtual"] for rec in log for cs in rec["cone_solves"])
+    solves = [cs for rec in log for cs in rec["cone_solves"]]
     return (f"status={summary['status']} dv_mm_s={summary['dv_mm_s']!r} "
             f"tpoc_final={summary['tpoc_final']!r} "
             f"majors={summary['iterations']} "
             f"minors={sum(rec['minors'] for rec in log)} "
             f"ipm={sum(rec['ipm_iters'] for rec in log)} "
             f"e_validation_mm={summary['e_validation_mm']!r} "
-            f"fallbacks={fallbacks} "
-            f"order2={sum(rec['jet_order'] == 2 for rec in log)}")
+            f"fallbacks={sum(cs['virtual'] for cs in solves)} "
+            f"order2={sum(rec['jet_order'] == 2 for rec in log)} "
+            f"kkt_dim={sum(cs['kkt_dim'] for cs in solves)}")
 
 
 def digests(name: str, seed: int, work: Path):
@@ -114,7 +117,7 @@ def digests(name: str, seed: int, work: Path):
 
 
 RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
-COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2")
+COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2", "kkt_dim")
 
 
 def summaries(lines) -> dict:

@@ -7,7 +7,9 @@ node-wise), and
 the assembly of the full second-order-cone program: linearized dynamics,
 lossless control relaxation, nonlinearity trust regions and the risk rows,
 with or without the virtual controls that keep a subproblem feasible when
-the linearization cannot reach its constraints.
+the linearization cannot reach its constraints.  Without them the states
+can move only as far as the controls can push them, and the state trust
+rows wider than that reach are left out.
 """
 
 from __future__ import annotations
@@ -237,10 +239,39 @@ class RiskRows:
     totals: list = field(default_factory=list)
 
 
+def state_reach(segments, x_init: np.ndarray, x_ref: np.ndarray,
+                u_scale: float) -> np.ndarray:
+    """Upper bound, per node 0..N-1 and state component k, on
+    |x_i,k - x_ref_i,k| over every state sequence of the linear model
+    x_{j+1} = A_j x_j + u_scale B_j u_j + c_j from x_0 = x_init with
+    ||u_j|| <= 1.
+
+    The bound is |x~_i,k - x_ref_i,k| + u_scale sum_{j<i} ||row k of
+    Phi(i, j+1) B_j||, with x~ the free response and Phi(i, j+1) =
+    A_{i-1}...A_{j+1}; the maximizing controls run along those rows, so it
+    is attained.  The products Phi(i, j+1) B_j are carried forward, block j
+    of ``S`` holding segment j's, without inverting any cumulative map.
+    """
+    N = len(segments.A)
+    reach = np.empty((N, 6))
+    x = np.asarray(x_init, float)
+    reach[0] = np.abs(x - x_ref[0])
+    S = np.empty((6, 3 * N))
+    for i in range(N - 1):
+        A = segments.A[i]
+        x = A @ x + segments.c[i]
+        S[:, :3 * i] = A @ S[:, :3 * i]
+        S[:, 3 * i:3 * i + 3] = segments.B[i]
+        norms = np.sqrt((S[:, :3 * i + 3] ** 2).reshape(6, i + 1, 3).sum(2))
+        reach[i + 1] = np.abs(x - x_ref[i + 1]) + u_scale * norms.sum(1)
+    return reach
+
+
 def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
              risk: RiskRows, kappa_vc: float = 1e4, nu_bar: float = 1e-2,
              u_scale: float = 1.0, u_prev: np.ndarray | None = None,
-             prox: float = 0.0, virtual: bool = True) -> ConicProblem:
+             prox: float = 0.0, virtual: bool = True,
+             reach: np.ndarray | None = None) -> ConicProblem:
     """Build the conic subproblem over one major iteration's linearization.
 
     Variables per segment i: state x_i (6), control u_i (3, fraction of the
@@ -249,6 +280,11 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     at ``kappa_vc``; plus the terminal state x_N.  ``virtual=False`` leaves
     out vc and vnorm, their dynamics entries and their cones: 7N variables
     and 7N cone rows fewer, for subproblems that are feasible without them.
+    That form also emits a state trust-region row pair only where its
+    half-width ``nu_bar`` / xi does not exceed the node's :func:`state_reach`
+    (passed as ``reach``, or computed here): a wider row cannot bind, so the
+    feasible set is the same.  At node 0 the reach is |x_init - x_ref_0|,
+    zero when the reference starts at x_init, and its rows all go.
     With ``prox`` > 0 a small penalty on the control change from ``u_prev``
     removes the profile degeneracy of the fuel objective.
     """
@@ -325,18 +361,26 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
         """Rows of one entry each."""
         put(np.arange(len(cols)), cols, vals, rhs)
 
-    def trust(cols, ref, xi, nu):
+    def trust(cols, ref, xi, nu, reach=math.inf):
         """Row pairs +-(x - ref) <= nu / xi for every variable with a
-        nonzero nonlinearity ratio."""
+        nonzero nonlinearity ratio whose half-width nu / xi does not exceed
+        ``reach``."""
         on = xi > 1e-14
-        w, ref = nu / xi[on], ref[on]
+        w = nu / np.where(on, xi, 1.0)
+        on &= w <= reach
+        w, ref = w[on], ref[on]
         single(np.repeat(cols[on], 2), np.tile([1.0, -1.0], len(w)),
                np.column_stack([ref + w, w - ref]).ravel())
 
     # control magnitude bound sig_i <= 1
     single(col_sig, 1.0, np.ones(N))
-    # nonlinearity trust region on the states feeding each segment
-    trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar)
+    # nonlinearity trust region on the states feeding each segment; without
+    # virtual controls, only the rows the controls can reach
+    if virtual:
+        reach = math.inf
+    elif reach is None:
+        reach = state_reach(segments, x_init, x_ref, u_scale)
+    trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar, reach)
     # keep-out half-spaces: a . r_node >= rhs
     for node, a, ar in risk.halfspaces:
         on = a != 0.0

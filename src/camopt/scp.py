@@ -33,6 +33,7 @@ from .convexify import (
     linearize_tipoc,
     linearize_tpoc,
     project_onto_ellipsoid,
+    state_reach,
 )
 from .dajet import gradient, identity, jet_space
 from .risk import (
@@ -231,8 +232,8 @@ class IterationRecord:
     objective: float
     dv_mm_s: float
     vc_max: float  # 0.0 when the last minor solved without virtual controls
-    # one {status, iterations, pres, dres, gap, virtual} per cone solve of
-    # the major
+    # one {status, iterations, pres, dres, gap, virtual, kkt_dim} per cone
+    # solve of the major
     cone_solves: list
     # one (q_limit, d2_limit) per channel, the limits the major ran with
     limits: list
@@ -741,11 +742,14 @@ def _cone_solve(build, cone_solves: list):
     appended to ``cone_solves``; returns the last problem and result."""
     for virtual in (False, True):
         prob = build(virtual=virtual)
-        res = socp_solve(prob.to_socp())
+        cone = prob.to_socp()
+        res = socp_solve(cone)
         cone_solves.append({"status": res.status,
                             "iterations": res.iterations,
                             "pres": res.pres, "dres": res.dres,
-                            "gap": res.gap, "virtual": virtual})
+                            "gap": res.gap, "virtual": virtual,
+                            "kkt_dim": len(cone.c) + len(cone.b)
+                            + len(cone.h)})
         if res.status == "optimal":
             break
     return prob, res
@@ -978,7 +982,9 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         r3 = _impulse_responses(segs, grid)
         for ch in channels:
             ch.relinearize(x_ref[:, :3], r3)
-        return segs, r3, 2 if xi is None else 1
+        # fixed for the major: every minor's lean subproblem reuses it
+        reach = state_reach(segs, x_init, x_ref, u_scale)
+        return segs, r3, reach, 2 if xi is None else 1
 
     def select_anchors(ref_pos):
         items, picked = [], []
@@ -994,7 +1000,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             for ch, z, n in zip(picked, anchors, normals):
                 ch.anchor, ch.push = z, n
 
-    segments, resp3, jet_order = relinearize(np.zeros((N, 3)))
+    segments, resp3, reach, jet_order = relinearize(np.zeros((N, 3)))
 
     weights = np.array([ch.weight for ch in channels])
     q_cur = cfg.total_limit * weights / float(np.sum(weights))
@@ -1032,13 +1038,13 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         return checked[1][0]
 
     def run_stage(stage):
-        nonlocal segments, resp3, jet_order, u_frac, x_ref, states, major, \
-            vc_max
+        nonlocal segments, resp3, reach, jet_order, u_frac, x_ref, states, \
+            major, vc_max
         prev_dv = None
         while major < MAX_MAJOR:
             major += 1
             if major > 1:
-                segments, resp3, jet_order = relinearize(u_frac)
+                segments, resp3, reach, jet_order = relinearize(u_frac)
             ref_pos = x_ref[:, :3].copy()
             cap = cfg.total_limit
             if stage == "smd":
@@ -1063,8 +1069,8 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 prob, res = _cone_solve(functools.partial(
                     assemble, segments, grid, x_ref, x_init, rows,
                     kappa_vc=KAPPA_VC, nu_bar=NU_BAR, u_scale=u_scale,
-                    u_prev=u_anchor if stage != "smd" else None, prox=0.05),
-                    cone_solves)
+                    u_prev=u_anchor if stage != "smd" else None, prox=0.05,
+                    reach=reach), cone_solves)
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:

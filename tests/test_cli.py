@@ -118,7 +118,8 @@ class TestSolveArtifacts:
             assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
             for cs in solves:
                 assert set(cs) == {"status", "iterations", "pres", "dres",
-                                   "gap", "virtual"}
+                                   "gap", "virtual", "kkt_dim"}
+                assert isinstance(cs["kkt_dim"], int) and cs["kkt_dim"] > 0
                 assert cs["status"] == "optimal"
                 # every subproblem of this fixture solves without virtual
                 # controls, so none fell back to them

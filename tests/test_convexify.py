@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -305,6 +306,28 @@ def double_integrator_segment(dt, n=1):
                        c=np.zeros((n, 6)), xi=np.zeros((n, 9)))
 
 
+def phi_b(seg, i, j):
+    """A_{i-1}...A_{j+1} B_j, by explicit products."""
+    M = seg.B[j]
+    for m in range(j + 1, i):
+        M = seg.A[m] @ M
+    return M
+
+
+def dense_reach(seg, x_init, x_ref, u_scale):
+    """The reach bound of nodes 0..N-1 from explicit products of the maps:
+    free response distance plus u_scale times the row norms of
+    A_{i-1}...A_{j+1} B_j summed over j < i."""
+    N = len(seg.A)
+    reach, x = np.empty((N, 6)), np.asarray(x_init, float)
+    for i in range(N):
+        reach[i] = np.abs(x - x_ref[i])
+        for j in range(i):
+            reach[i] += u_scale * np.linalg.norm(phi_b(seg, i, j), axis=1)
+        x = seg.A[i] @ x + seg.c[i]
+    return reach
+
+
 class TestAssembly:
     def test_zero_conjunction_gives_zero_control(self):
         dt = 10.0
@@ -474,30 +497,45 @@ class TestAssembly:
 
     def test_without_virtual_controls_drops_their_columns_and_cones(self):
         # every row family, with and without the virtual controls: the lean
-        # form is the full one less the vc and vnorm columns and the rows
-        # of their cones
-        N, dt = 3, 2.0
+        # form is the full one less the vc and vnorm columns, the rows of
+        # their cones and the state trust-region row pairs wider than the
+        # reach, node 0's included (the reference starts at x_init)
+        N, dt, nu_bar, u_scale = 3, 2.0, 1e-2, 0.5
         rng = np.random.default_rng(12)
         grid = NodeGrid(times=dt * np.arange(N + 1.0))
         seg = double_integrator_segment(dt, N)
         seg.c = rng.normal(size=(N, 6))
         seg.xi[:, :6] = rng.uniform(0.1, 1.0, (N, 6))
+        seg.xi[1, 3] = seg.xi[2, 0] = 1e-6
         risk = RiskRows(
             halfspaces=[(3, np.array([1.5, 0.0, -2.0]), 0.3)],
             totals=[([1, 3], rng.normal(size=(2, 3)), 1e-6,
                      rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3)),
                      0.02)])
-        args = (seg, grid, rng.normal(size=(N + 1, 6)), rng.normal(size=6),
-                risk)
-        kwargs = dict(u_scale=0.5, u_prev=rng.normal(size=(N, 3)), prox=0.05)
+        x_ref = rng.normal(size=(N + 1, 6))
+        args = (seg, grid, x_ref, x_ref[0].copy(), risk)
+        kwargs = dict(u_scale=u_scale, u_prev=rng.normal(size=(N, 3)),
+                      prox=0.05, nu_bar=nu_bar)
         full = assemble(*args, **kwargs)
         lean = assemble(*args, virtual=False, **kwargs)
+
+        # the state trust rows follow the N sigma rows, one pair per entry
+        # with a nonzero ratio, node by node
+        on = seg.xi[:, :6] > 1e-14
+        binds = nu_bar / seg.xi[:, :6] <= dense_reach(seg, x_ref[0], x_ref,
+                                                      u_scale)
+        dropped = np.zeros(full.dims.nonneg, bool)
+        dropped[N:N + 2 * on.sum()] = np.repeat(~binds[on], 2)
+        assert dropped[N:N + 12].all()  # node 0's 12 rows
+        assert dropped[N + 12:].sum() == 4  # (1, 3) and (2, 0)
+        assert binds[1:].sum() == 10  # wider than the ratio, kept
 
         gone = np.zeros(len(full.objective), bool)
         gone[full.var_map["vc"]] = gone[full.var_map["vnorm"]] = True
         G = full.ineq_matrix.toarray()
         rows = ~np.any(G[:, gone] != 0.0, axis=1)
         assert (~rows).sum() == 7 * N
+        rows[:full.dims.nonneg] &= ~dropped
         assert "vc" not in lean.var_map and "vnorm" not in lean.var_map
         for name in ("x", "u", "sigma"):
             assert lean.var_map[name] == full.var_map[name]
@@ -507,7 +545,7 @@ class TestAssembly:
         assert np.array_equal(lean.eq_rhs, full.eq_rhs)
         assert np.array_equal(lean.ineq_matrix.toarray(), G[rows][:, ~gone])
         assert np.array_equal(lean.ineq_rhs, full.ineq_rhs[rows])
-        assert lean.dims.nonneg == full.dims.nonneg
+        assert lean.dims.nonneg == full.dims.nonneg - dropped.sum()
         assert lean.dims.soc == (4,) * N + (4,) * N
 
     def test_segment_count_mismatch_rejected(self):
@@ -515,3 +553,86 @@ class TestAssembly:
         with pytest.raises(AssemblyError):
             assemble(double_integrator_segment(1.0), grid,
                      x_ref=np.zeros((3, 6)), x_init=np.zeros(6), risk=RiskRows())
+
+
+def fly(seg, x_init, u, u_scale):
+    """Node states 0..N of the linear model under controls ``u``."""
+    x = [np.asarray(x_init, float)]
+    for A, B, c, uj in zip(seg.A, seg.B, seg.c, u):
+        x.append(A @ x[-1] + u_scale * B @ uj + c)
+    return np.array(x)
+
+
+class TestStateReach:
+    N, u_scale = 6, 0.7
+
+    def model(self, seed):
+        rng = np.random.default_rng(seed)
+        N = self.N
+        seg = SegmentMaps(A=np.eye(6) + 0.2 * rng.normal(size=(N, 6, 6)),
+                          B=rng.normal(size=(N, 6, 3)),
+                          c=rng.normal(size=(N, 6)), xi=np.zeros((N, 9)))
+        return seg, rng.normal(size=6), rng.normal(size=(N + 1, 6)), rng
+
+    def test_matches_explicit_products(self):
+        seg, x_init, x_ref, _ = self.model(1)
+        got = convexify.state_reach(seg, x_init, x_ref, self.u_scale)
+        ref = dense_reach(seg, x_init, x_ref, self.u_scale)
+        assert got.shape == (self.N, 6)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+        assert np.array_equal(got[0], np.abs(x_init - x_ref[0]))
+        at_ref = convexify.state_reach(seg, x_ref[0], x_ref, self.u_scale)
+        assert np.array_equal(at_ref[0], np.zeros(6))
+
+    def test_bounds_every_flight_and_is_attained(self):
+        seg, x_init, x_ref, rng = self.model(2)
+        N, us = self.N, self.u_scale
+        reach = convexify.state_reach(seg, x_init, x_ref, us)
+        for vertex in (False, True):
+            for _ in range(200):
+                u = rng.normal(size=(N, 3))
+                u /= np.linalg.norm(u, axis=1)[:, None]
+                if not vertex:
+                    u *= rng.uniform(0.0, 1.0, (N, 1))
+                dev = np.abs(fly(seg, x_init, u, us)[:N] - x_ref[:N])
+                assert np.all(dev <= reach * (1.0 + 1e-12))
+        # the controls along row k of each Phi(i, j+1) B_j, signed as the
+        # free response's offset, reach the bound
+        i, k = N - 1, 2
+        free = fly(seg, x_init, np.zeros((N, 3)), us)
+        u = np.zeros((N, 3))
+        for j in range(i):
+            row = phi_b(seg, i, j)[k]
+            u[j] = np.sign(free[i, k] - x_ref[i, k]) * row \
+                / np.linalg.norm(row)
+        dev = abs(fly(seg, x_init, u, us)[i, k] - x_ref[i, k])
+        assert dev == pytest.approx(reach[i, k], rel=1e-12)
+
+    def test_dropped_rows_leave_the_optimum(self):
+        # four double-integrator segments of unit length from rest and a
+        # half-space 2 along y at the last node: the reach of node 1 is
+        # 0.5 in position and 1 in velocity, of node 2 1.5 and 2.  The
+        # y rows of nodes 1 and 2 are tighter than that and bind; every
+        # other row is at least ten times wider and is left out
+        N = 4
+        grid = NodeGrid(times=np.arange(N + 1.0))
+        seg = double_integrator_segment(1.0, N)
+        reach = dense_reach(seg, np.zeros(6), np.zeros((N + 1, 6)), 1.0)
+        seg.xi[:, :6] = 1e-2 / (10.0 * np.maximum(reach, 1.0))
+        seg.xi[1, 1], seg.xi[2, 4] = 1e-2 / 0.1, 1e-2 / 0.5
+        risk = RiskRows(halfspaces=[(N, np.array([0.0, 1.0, 0.0]), 2.0)])
+        build = functools.partial(assemble, seg, grid, np.zeros((N + 1, 6)),
+                                  np.zeros(6), risk, nu_bar=1e-2,
+                                  virtual=False)
+        lean = build()
+        every = build(reach=np.full((N, 6), np.inf))
+        loose = build(nu_bar=1e9)
+        # sigma rows, the half-space, and 2 of the 24 state pairs
+        assert lean.dims.nonneg == N + 1 + 4
+        assert every.dims.nonneg == N + 1 + 2 * 24
+        assert loose.dims.nonneg == N + 1
+        got, ref, free = (solve(p.to_socp()) for p in (lean, every, loose))
+        assert got.status == ref.status == free.status == "optimal"
+        assert got.obj == pytest.approx(ref.obj, rel=1e-8)
+        # the kept rows are the ones that bind
+        assert got.obj > free.obj * (1.0 + 1e-3)

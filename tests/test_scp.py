@@ -46,6 +46,14 @@ def two_cdm():
                                horizon=(0.0, 7460.0))
 
 
+def second_and_third_cdm():
+    """case1's second and third conjunctions: the TPoC polish takes two
+    majors."""
+    sc = load_scenario(CASE1)
+    return dataclasses.replace(sc, conjunctions=sc.conjunctions[1:3],
+                               horizon=(0.0, 13391.0))
+
+
 @pytest.fixture(scope="module")
 def sol2():
     return solve(two_cdm(), Config())
@@ -494,7 +502,7 @@ class TestSolve:
             return real(*args)
 
         monkeypatch.setattr(scp, "_evaluate_final", evaluate)
-        sol = solve(two_cdm(), Config(refine_mode="tpoc"))
+        sol = solve(second_and_third_cdm(), Config(refine_mode="tpoc"))
         # two polish majors or more: one opening evaluation plus a check each
         assert sol.status == "converged" and len(seen) >= 3
         assert not any(np.array_equal(a, b)
@@ -503,6 +511,27 @@ class TestSolve:
     def test_final_states_follow_the_nonlinear_flow(self, sol2):
         # validation error is quoted in mm
         assert sol2.e_validation_mm <= 5.0
+
+    def test_lean_subproblem_leaves_out_unreachable_trust_rows(
+            self, monkeypatch):
+        # the first 2-CDM subproblem: node 0 is fixed at the reference, so
+        # its 12 state trust rows go, and so do any others the controls
+        # cannot reach
+        class Captured(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Captured(args, kwargs)
+
+        monkeypatch.setattr(scp, "assemble", capture)
+        with pytest.raises(Captured) as got:
+            solve(two_cdm(), Config())
+        args, kwargs = got.value.args
+        lean = assemble(*args, **kwargs)
+        full = assemble(*args, **dict(kwargs, virtual=True))
+        assert not kwargs["virtual"]
+        assert np.all(args[0].xi[0, :6] > 1e-14)
+        assert lean.dims.nonneg <= full.dims.nonneg - 12
 
     def test_second_order_jets_once_and_no_virtual_controls(self, sol2):
         # the reference never leaves the trust region the first flight's
