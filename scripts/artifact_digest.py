@@ -24,12 +24,16 @@ that moved in the last bits can be compared against tolerances from one
 run.  camopt is imported from this checkout's ``src``.
 
 With ``--against OLD.txt`` the lines are also compared with those of an
-earlier run, and per workload one more line reports how many summaries are
+earlier run.  Per artifact (``summary.json``, ``maneuver.csv``,
+``bplane.csv``, ``tipoc.csv`` and ``risk``) one line counts the lines
+repeated exactly, followed by every line that differs or that only one run
+has.  Per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
 and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks,
 order-2 majors and KKT dimensions summed on each side (``?`` where the
 earlier lines do not have the field), and every solve whose status or exit
-code changed.
+code changed.  The exit code is 1 when any line differs or is missing on
+either side, so it alone tells whether two checkouts agree bit for bit.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
@@ -62,6 +66,7 @@ from camopt import cli  # noqa: E402
 import workloads  # noqa: E402
 
 ARTIFACTS = ("summary.json", "maneuver.csv", "bplane.csv", "tipoc.csv")
+KINDS = ARTIFACTS + ("risk",)  # the fourth field of every digest line
 
 
 def _sha(data: bytes) -> str:
@@ -118,6 +123,28 @@ def digests(name: str, seed: int, work: Path):
 
 RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
 COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2", "kkt_dim")
+
+
+def identical(old_lines, new_lines):
+    """Per artifact, the count of lines both digests hold unchanged and
+    every line that differs or only one of them has; and whether all
+    lines agree."""
+    old, new = ({" ".join(f[:4]): line for line in lines
+                 if len(f := line.split()) > 5 and f[3] in KINDS}
+                for lines in (old_lines, new_lines))
+    report = []
+    for art in KINDS:
+        keys = [k for k in dict.fromkeys([*old, *new])
+                if k.split()[3] == art]
+        same = sum(old.get(k) == new.get(k) for k in keys)
+        report.append(f"{art}: {same}/{len(keys)} lines identical")
+        for k in keys:
+            if k not in new or k not in old:
+                report.append(f"  {k}: only in the "
+                              f"{'earlier' if k in old else 'new'} run")
+            elif old[k] != new[k]:
+                report.append(f"  {k}: differs")
+    return report, old == new
 
 
 def summaries(lines) -> dict:
@@ -191,10 +218,13 @@ def main(argv=None):
                    help="an earlier run's lines to compare with")
     args = p.parse_args(argv)
     lines = run(args.seeds)
-    if args.against:
-        for line in compare(args.against.read_text().splitlines(), lines):
-            print(line)
-    return 0
+    if not args.against:
+        return 0
+    old = args.against.read_text().splitlines()
+    report, same = identical(old, lines)
+    for line in report + compare(old, lines):
+        print(line)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -56,6 +56,11 @@ class Dynamics:
     j2: float = 0.0
     r_ref: float = 0.0
 
+    def __post_init__(self):
+        # Python floats: numpy scalars would slow every eom call
+        for name in ("mu", "j2", "r_ref"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @staticmethod
     def two_body(mu: float = GM_EARTH) -> "Dynamics":
         return Dynamics(mu=mu)
@@ -67,13 +72,14 @@ class Dynamics:
 
 
 def eom(y, u, dyn: Dynamics):
-    """State derivative [v; g(r) + u] of one float state."""
+    """State derivative [v; g(r) + u] of one float state, as 6 floats."""
     rx, ry, rz, vx, vy, vz = y
     r2 = rx * rx + ry * ry + rz * rz
     if r2 <= 0.0:
         raise DomainError("zero radius in equations of motion")
     rn = math.sqrt(r2)
-    ir3 = 1.0 / (r2 * rn)
+    r3 = r2 * rn
+    ir3 = 1.0 / r3 if r3 else math.inf  # r^3 underflows to 0 below |r| = 1.4e-108
     k = -dyn.mu * ir3
     ax, ay, az = k * rx, k * ry, k * rz
     if dyn.j2:
@@ -85,10 +91,7 @@ def eom(y, u, dyn: Dynamics):
         ax = ax + f1 * rx
         ay = ay + f1 * ry
         az = az + kj * (3.0 - 5.0 * z2r2) * rz
-    out = np.empty(6)
-    out[0], out[1], out[2] = vx, vy, vz
-    out[3], out[4], out[5] = ax + u[0], ay + u[1], az + u[2]
-    return out
+    return vx, vy, vz, ax + u[0], ay + u[1], az + u[2]
 
 
 def _eom_jets(space, y, u, dyn: Dynamics):
@@ -125,80 +128,88 @@ def _eom_jets(space, y, u, dyn: Dynamics):
 
 
 # ---------------------------------------------------------------------
-# RKF7(8) tableau (Fehlberg)
+# RKF7(8) tableau (Fehlberg): the nonzero a_kj of stages 1..12 as (j, a_kj)
+# and the nonzero weights c_k of the eighth-order update as (k, c_k)
 
-_A = np.zeros((13, 12))
-_C8 = np.zeros(13)
-_ALPHA = np.zeros(13)
-_C8[5] = 34.0 / 105
-_C8[6] = _C8[7] = 9.0 / 35
-_C8[8] = _C8[9] = 9.0 / 280
-_C8[11] = _C8[12] = 41.0 / 840
-_ALPHA[1:13] = [2 / 27, 1 / 9, 1 / 6, 5 / 12, 0.5, 5 / 6, 1 / 6, 2 / 3,
-                1 / 3, 1.0, 0.0, 1.0]
-_A[1, 0] = 2 / 27
-_A[2, :2] = [1 / 36, 1 / 12]
-_A[3, :3] = [1 / 24, 0, 1 / 8]
-_A[4, :4] = [5 / 12, 0, -25 / 16, 25 / 16]
-_A[5, :5] = [0.05, 0, 0, 0.25, 0.2]
-_A[6, :6] = [-25 / 108, 0, 0, 125 / 108, -65 / 27, 125 / 54]
-_A[7, :7] = [31 / 300, 0, 0, 0, 61 / 225, -2 / 9, 13 / 900]
-_A[8, :8] = [2.0, 0, 0, -53 / 6, 704 / 45, -107 / 9, 67 / 90, 3.0]
-_A[9, :9] = [-91 / 108, 0, 0, 23 / 108, -976 / 135, 311 / 54, -19 / 60,
-             17 / 6, -1 / 12]
-_A[10, :10] = [2383 / 4100, 0, 0, -341 / 164, 4496 / 1025, -301 / 82,
-               2133 / 4100, 45 / 82, 45 / 164, 18 / 41]
-_A[11, :11] = [3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41,
-               6 / 41, 0]
-_A[12, :12] = [-1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82,
-               2193 / 4100, 51 / 82, 33 / 164, 12 / 41, 0, 1.0]
+_A = (((0, 2 / 27),),
+      ((0, 1 / 36), (1, 1 / 12)),
+      ((0, 1 / 24), (2, 1 / 8)),
+      ((0, 5 / 12), (2, -25 / 16), (3, 25 / 16)),
+      ((0, 0.05), (3, 0.25), (4, 0.2)),
+      ((0, -25 / 108), (3, 125 / 108), (4, -65 / 27), (5, 125 / 54)),
+      ((0, 31 / 300), (4, 61 / 225), (5, -2 / 9), (6, 13 / 900)),
+      ((0, 2.0), (3, -53 / 6), (4, 704 / 45), (5, -107 / 9), (6, 67 / 90),
+       (7, 3.0)),
+      ((0, -91 / 108), (3, 23 / 108), (4, -976 / 135), (5, 311 / 54),
+       (6, -19 / 60), (7, 17 / 6), (8, -1 / 12)),
+      ((0, 2383 / 4100), (3, -341 / 164), (4, 4496 / 1025), (5, -301 / 82),
+       (6, 2133 / 4100), (7, 45 / 82), (8, 45 / 164), (9, 18 / 41)),
+      ((0, 3 / 205), (5, -6 / 41), (6, -3 / 205), (7, -3 / 41), (8, 3 / 41),
+       (9, 6 / 41)),
+      ((0, -1777 / 4100), (3, -341 / 164), (4, 4496 / 1025), (5, -289 / 82),
+       (6, 2193 / 4100), (7, 51 / 82), (8, 33 / 164), (9, 12 / 41),
+       (11, 1.0)))
+_C8 = ((5, 34.0 / 105), (6, 9.0 / 35), (7, 9.0 / 35), (8, 9.0 / 280),
+       (9, 9.0 / 280), (11, 41.0 / 840), (12, 41.0 / 840))
 _ERR_W = 41.0 / 840  # on f0 + f10 - f11 - f12
 _MAX_STEPS = 100000  # accepted steps per propagation
 
 
-def propagate(y0, t0: float, t1: float, deriv, tol: float = INTEG_TOL):
-    """Adaptive RKF7(8) from t0 to t1; ``deriv(t, y)`` gives the derivative.
+def _combine(y, h, terms, f):
+    """y + (h w_0) f[j_0] + (h w_1) f[j_1] + ... over the (j, w) of
+    ``terms``, summed left to right in each of the 6 components."""
+    y0, y1, y2, y3, y4, y5 = y
+    for j, w in terms:
+        hw = h * w
+        g0, g1, g2, g3, g4, g5 = f[j]
+        y0 = y0 + hw * g0
+        y1 = y1 + hw * g1
+        y2 = y2 + hw * g2
+        y3 = y3 + hw * g3
+        y4 = y4 + hw * g4
+        y5 = y5 + hw * g5
+    return y0, y1, y2, y3, y4, y5
 
-    Works on float state arrays.  The local error per step is kept below
+
+def _rkf78(y, t, t_end, u, dyn: Dynamics, tol: float):
+    """Adaptive RKF7(8) of 6 float states from t to t_end >= t.
+
+    Every value is a Python float and every sum runs in the order of
+    :func:`_rkf78_jets`: stage k is y + (h a_k0) f_0 + (h a_k1) f_1 + ...
+    over ascending j, the error max|f0 + f10 - f11 - f12| |h 41/840|, the
+    update y + (h c_5) f_5 + ...  The local error per step is kept below
     ``tol`` (max-norm over components).  The first trial step spans the
     whole interval.
     """
-    if t1 < t0:
-        raise PropagationError("backward integration not supported; flip the derivative")
+    if t_end < t:
+        raise PropagationError("backward integration not supported; flip the velocity")
     if tol <= 0:
         raise PropagationError("tolerance must be positive")
-    y = np.array(y0, dtype=float)
-    t = t0
-    span = t1 - t0
+    span = t_end - t
     if span == 0.0:
         return y
     h = span
     f = [None] * 13
     for _ in range(_MAX_STEPS):
-        if t >= t1:
+        if t >= t_end:
             return y
-        h = min(h, t1 - t)
-        f[0] = deriv(t, y)
+        h = min(h, t_end - t)
+        f[0] = eom(y, u, dyn)
         while True:
-            for k in range(1, 13):
-                acc = y.copy()
-                for j in range(k):
-                    a = _A[k, j]
-                    if a != 0.0:
-                        acc = acc + (h * a) * f[j]
-                f[k] = deriv(t + _ALPHA[k] * h, acc)
-            ecomb = f[0] + f[10] - f[11] - f[12]
-            err = float(np.max(np.abs(ecomb))) * abs(_ERR_W * h)
+            for k, row in enumerate(_A, 1):
+                f[k] = eom(_combine(y, h, row, f), u, dyn)
+            e = [abs(p + q - r - s)
+                 for p, q, r, s in zip(f[0], f[10], f[11], f[12])]
+            # a NaN in any term must reject the step, as with np.max;
+            # Python's max skips one that is not first
+            emax = math.nan if math.isnan(sum(e)) else max(e)
+            err = emax * abs(_ERR_W * h)
             if err <= tol or h <= 1e-14 * max(abs(t), 1.0):
                 break
             h *= max(0.2, 0.8 * (tol / err) ** 0.125)
             if h < 1e-13 * max(span, 1.0):
                 raise StiffnessError(f"step size underflow at t={t}")
-        ynew = y.copy()
-        for k in range(13):
-            if _C8[k] != 0.0:
-                ynew = ynew + (h * _C8[k]) * f[k]
-        y = ynew
+        y = _combine(y, h, _C8, f)
         t += h
         if err > 0:
             h *= min(5.0, 0.8 * (tol / err) ** 0.125)
@@ -208,16 +219,21 @@ def propagate(y0, t0: float, t1: float, deriv, tol: float = INTEG_TOL):
 def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = INTEG_TOL):
     """Propagate under constant control ``u`` over [t0, t1].
 
+    The state is flown as Python floats by :func:`_rkf78`; the result is
+    bit for bit the one of the same RKF7(8) steps taken on float64 arrays.
     Backward spans are handled by integrating the time-reversed system
     (velocity flipped, which flips the sign of every acceleration term).
     """
+    y = [float(v) for v in y0]
+    u = [float(v) for v in u]
     if t1 < t0:
         # gravity is reversible: flipping the velocity and integrating the
         # plain equations forward retraces the trajectory
-        yr = np.concatenate([y0[:3], -np.asarray(y0[3:])])
-        out = propagate(yr, 0.0, t0 - t1, lambda t, z: eom(z, u, dyn), tol=tol)
-        return np.concatenate([out[:3], -out[3:]])
-    return propagate(y0, t0, t1, lambda t, y: eom(y, u, dyn), tol=tol)
+        y[3:] = [-v for v in y[3:]]
+        y = list(_rkf78(y, 0.0, float(t0 - t1), u, dyn, tol))
+        y[3:] = [-v for v in y[3:]]
+        return np.array(y)
+    return np.array(_rkf78(y, float(t0), float(t1), u, dyn, tol))
 
 
 # ---------------------------------------------------------------------
@@ -254,11 +270,11 @@ def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = INTEG_TOL):
 
 
 def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
-    """The step loop of :func:`propagate`, run for every row at once.
+    """The step loop of :func:`_rkf78`, run for every row at once.
 
     Rows that reject a step retry it alongside rows that take their next
     one; a row leaves the batch when it reaches its end epoch.  Step-size
-    factors are computed per row in Python floats, like the scalar loop.
+    factors are computed per row in Python floats, like the float loop.
     """
     out = np.empty_like(y)
     rows = np.arange(len(y))
@@ -275,11 +291,10 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
             h[fresh] = np.minimum(h[fresh], t_end[fresh] - t[fresh])
             f0[fresh] = _eom_jets(space, y[fresh], u[fresh], dyn)
         f = [f0]
-        for k in range(1, 13):
+        for row in _A:
             acc = y
-            for j in range(k):
-                if _A[k, j] != 0.0:
-                    acc = acc + (h * _A[k, j])[:, None, None] * f[j]
+            for j, a in row:
+                acc = acc + (h * a)[:, None, None] * f[j]
             f.append(_eom_jets(space, acc, u, dyn))
         ecomb = f[0] + f[10] - f[11] - f[12]
         err = np.abs(ecomb).max(axis=(1, 2)) * np.abs(_ERR_W * h)
@@ -293,9 +308,8 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
         if ok.any():
             ha = h[ok]
             ynew = y[ok]
-            for k in range(13):
-                if _C8[k] != 0.0:
-                    ynew = ynew + (ha * _C8[k])[:, None, None] * f[k][ok]
+            for k, c in _C8:
+                ynew = ynew + (ha * c)[:, None, None] * f[k][ok]
             y[ok] = ynew
             t[ok] += ha
             h[ok] = ha * [min(5.0, 0.8 * (tol / e) ** 0.125) if e > 0 else 1.0
@@ -447,7 +461,7 @@ def refine_tca(xp: np.ndarray, xs: np.ndarray, dyn: Dynamics,
     dt_total = 0.0
     for _ in range(TCA_MAX_ITER):
         dr, dv = xp[:3] - xs[:3], xp[3:] - xs[3:]
-        da = eom(xp, zero, dyn)[3:] - eom(xs, zero, dyn)[3:]
+        da = np.subtract(eom(xp, zero, dyn)[3:], eom(xs, zero, dyn)[3:])
         gdot = dv @ dv + dr @ da
         if gdot == 0.0:
             raise DegenerateEncounterError("stationary miss-distance equation")

@@ -12,11 +12,11 @@ from camopt.astro import (
     Dynamics,
     PropagationError,
     ScenarioError,
+    StiffnessError,
     build_grid,
     eom,
     flow,
     linearize_segment,
-    propagate,
     refine_tca,
 )
 
@@ -32,6 +32,77 @@ def period(a):
 
 def energy(x):
     return 0.5 * np.dot(x[3:], x[3:]) - GM_EARTH / np.linalg.norm(x[:3])
+
+
+# The RKF7(8) step loop on float64 arrays, as it was before the float
+# kernel: the oracle that astro.flow must reproduce bit for bit.
+_A = np.zeros((13, 12))
+_C8 = np.zeros(13)
+_C8[5] = 34.0 / 105
+_C8[6] = _C8[7] = 9.0 / 35
+_C8[8] = _C8[9] = 9.0 / 280
+_C8[11] = _C8[12] = 41.0 / 840
+_A[1, 0] = 2 / 27
+_A[2, :2] = [1 / 36, 1 / 12]
+_A[3, :3] = [1 / 24, 0, 1 / 8]
+_A[4, :4] = [5 / 12, 0, -25 / 16, 25 / 16]
+_A[5, :5] = [0.05, 0, 0, 0.25, 0.2]
+_A[6, :6] = [-25 / 108, 0, 0, 125 / 108, -65 / 27, 125 / 54]
+_A[7, :7] = [31 / 300, 0, 0, 0, 61 / 225, -2 / 9, 13 / 900]
+_A[8, :8] = [2.0, 0, 0, -53 / 6, 704 / 45, -107 / 9, 67 / 90, 3.0]
+_A[9, :9] = [-91 / 108, 0, 0, 23 / 108, -976 / 135, 311 / 54, -19 / 60,
+             17 / 6, -1 / 12]
+_A[10, :10] = [2383 / 4100, 0, 0, -341 / 164, 4496 / 1025, -301 / 82,
+               2133 / 4100, 45 / 82, 45 / 164, 18 / 41]
+_A[11, :11] = [3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41,
+               6 / 41, 0]
+_A[12, :12] = [-1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82,
+               2193 / 4100, 51 / 82, 33 / 164, 12 / 41, 0, 1.0]
+
+
+def array_propagate(y0, t0, t1, u, dyn, tol):
+    y = np.array(y0, dtype=float)
+    t = t0
+    span = t1 - t0
+    if span == 0.0:
+        return y
+    h = span
+    f = [None] * 13
+    for _ in range(100000):
+        if t >= t1:
+            return y
+        h = min(h, t1 - t)
+        f[0] = np.array(astro.eom(y, u, dyn))
+        while True:
+            for k in range(1, 13):
+                acc = y.copy()
+                for j in range(k):
+                    if _A[k, j] != 0.0:
+                        acc = acc + (h * _A[k, j]) * f[j]
+                f[k] = np.array(astro.eom(acc, u, dyn))
+            ecomb = f[0] + f[10] - f[11] - f[12]
+            err = float(np.max(np.abs(ecomb))) * abs(41.0 / 840 * h)
+            if err <= tol or h <= 1e-14 * max(abs(t), 1.0):
+                break
+            h *= max(0.2, 0.8 * (tol / err) ** 0.125)
+            assert h >= 1e-13 * max(span, 1.0)
+        ynew = y.copy()
+        for k in range(13):
+            if _C8[k] != 0.0:
+                ynew = ynew + (h * _C8[k]) * f[k]
+        y = ynew
+        t += h
+        if err > 0:
+            h *= min(5.0, 0.8 * (tol / err) ** 0.125)
+    raise AssertionError("maximum number of steps exceeded")
+
+
+def array_flow(y0, t0, t1, u, dyn, tol):
+    if t1 < t0:
+        yr = np.concatenate([y0[:3], -np.asarray(y0[3:])])
+        out = array_propagate(yr, 0.0, t0 - t1, u, dyn, tol)
+        return np.concatenate([out[:3], -out[3:]])
+    return array_propagate(y0, t0, t1, u, dyn, tol)
 
 
 class TestPropagation:
@@ -85,13 +156,78 @@ class TestPropagation:
 
     def test_backward_raises(self):
         with pytest.raises(PropagationError):
-            propagate(np.zeros(6) + 1.0, 0.0, -1.0, lambda t, y: y)
+            astro._rkf78([1.0] * 6, 0.0, -1.0, (0.0, 0.0, 0.0),
+                         Dynamics.two_body(), 1e-12)
+
+    def test_kernel_matches_array_loop(self):
+        rng = np.random.default_rng(7)
+        scaled_j2 = Dynamics(mu=1.0, j2=J2_EARTH,
+                             r_ref=np.float64(R_EARTH) / np.float64(6928.0))
+        for i in range(240):
+            scaled = i % 4 >= 2
+            if scaled:
+                dyn = scaled_j2 if i % 2 else Dynamics(mu=1.0)
+                r, t_unit = rng.uniform(0.95, 1.1), 1.0
+            else:
+                dyn = Dynamics.two_body_j2() if i % 2 else Dynamics.two_body()
+                r, t_unit = rng.uniform(6600.0, 7600.0), 806.8
+            x = circular_state(r, incl=rng.uniform(0.0, math.pi))
+            x[:3] = x[:3] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            x[3:] *= rng.uniform(0.97, 1.03)
+            u = rng.normal(size=3) * (1e-3 / t_unit) ** 2 * (i % 3 != 0)
+            t0 = rng.uniform(-2.0, 2.0) * t_unit * (i % 5 != 0)
+            span = rng.uniform(-0.8, 0.8) * t_unit * (i % 6 != 0)
+            times = np.array([t0, t0 + span])  # float64 epochs of a grid
+            tol = 10.0 ** rng.uniform(-13.0, -10.0)
+            got = flow(x, times[0], times[1], u, dyn, tol)
+            want = array_flow(x, times[0], times[1], u, dyn, tol)
+            assert np.array_equal(got, want), (i, got - want)
 
     def test_zero_radius_raises(self):
         from camopt.dajet import DomainError
 
         with pytest.raises(DomainError):
             eom(np.zeros(6), np.zeros(3), Dynamics.two_body())
+
+    @pytest.mark.parametrize("dyn", [Dynamics.two_body(), Dynamics.two_body_j2(),
+                                     Dynamics(mu=1e25)])
+    @pytest.mark.parametrize("t1", [100.0, -100.0])
+    def test_degenerate_state_raises_stiffness(self, dyn, t1):
+        # r^3 underflows to 0 at |r| = 1e-110, and a NaN or inf in any
+        # component makes the error estimate non-finite: every step is
+        # rejected until the step size underflows
+        states = [np.array([1e-110, 0.0, 0.0, 0.0, 1.0, 0.0])]
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(6):
+                x = circular_state(6928.0, incl=0.4)
+                x[i] = bad
+                states.append(x)
+        for x in states:
+            with pytest.raises(StiffnessError):
+                flow(x, 0.0, t1, np.zeros(3), dyn)
+
+    def test_nan_in_a_later_error_component_rejects_step(self, monkeypatch):
+        # Python's max skips a NaN that is not first; np.max does not
+        calls = []
+
+        def last_stage_nan(y, u, dyn):
+            calls.append(None)
+            out = eom(y, u, dyn)
+            return out[:5] + (math.nan,) if len(calls) == 13 else out
+
+        monkeypatch.setattr(astro, "eom", last_stage_nan)
+        dyn, x = Dynamics.two_body(), circular_state(6928.0, incl=0.4)
+        got = flow(x, 0.0, 10.0, np.zeros(3), dyn)
+        n_got = len(calls)
+        calls.clear()
+        want = array_flow(x, 0.0, 10.0, np.zeros(3), dyn, astro.INTEG_TOL)
+        assert np.array_equal(got, want)
+        assert n_got == len(calls) > 13
+
+    def test_heavy_central_body_raises_stiffness(self):
+        with pytest.raises(StiffnessError):
+            flow(circular_state(6928.0), 0.0, 100.0, np.zeros(3),
+                 Dynamics(mu=1e25))
 
 
 class TestLinearization:
