@@ -14,12 +14,14 @@ bit for bit.  A ``summary.json`` line goes on with the numbers behind its
 solve,
 
     status=<s> dv_mm_s=<f> tpoc_final=<f> majors=<n> minors=<n> ipm=<n>
-    e_validation_mm=<f> fallbacks=<n> order2=<n> kkt_dim=<n>
+    e_validation_mm=<f> fallbacks=<n> order2=<n> kkt_dim=<n> banded=<n>
 
 (floats at full precision; minors and IPM iterations summed over the
 majors; ``fallbacks`` counts the cone solves that needed virtual controls,
-``order2`` the majors relinearized with second-order jets and ``kkt_dim``
-sums the KKT dimension n + p + m over the cone solves), so answers
+``order2`` the majors relinearized with second-order jets, ``kkt_dim``
+sums the KKT dimension n + p + m over the cone solves and ``banded``
+counts the cone solves whose KKT systems were factored as band matrices,
+those with a ``kkt_band``), so answers
 that moved in the last bits can be compared against tolerances from one
 run.  camopt is imported from this checkout's ``src``.
 
@@ -30,10 +32,11 @@ repeated exactly, followed by every line that differs or that only one run
 has.  Per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
 and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks,
-order-2 majors and KKT dimensions summed on each side (``?`` where the
-earlier lines do not have the field), and every solve whose status or exit
-code changed.  The exit code is 1 when any line differs or is missing on
-either side, so it alone tells whether two checkouts agree bit for bit.
+order-2 majors, KKT dimensions and banded cone solves summed on each side
+(``?`` where the earlier lines do not have the field), and every solve
+whose status or exit code changed.  The exit code is 1 when any line
+differs or is missing on either side, so it alone tells whether two
+checkouts agree bit for bit.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
@@ -95,7 +98,8 @@ def numbers(summary: dict) -> str:
             f"e_validation_mm={summary['e_validation_mm']!r} "
             f"fallbacks={sum(cs['virtual'] for cs in solves)} "
             f"order2={sum(rec['jet_order'] == 2 for rec in log)} "
-            f"kkt_dim={sum(cs['kkt_dim'] for cs in solves)}")
+            f"kkt_dim={sum(cs['kkt_dim'] for cs in solves)} "
+            f"banded={sum(cs['kkt_band'] is not None for cs in solves)}")
 
 
 def digests(name: str, seed: int, work: Path):
@@ -122,7 +126,8 @@ def digests(name: str, seed: int, work: Path):
 
 
 RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
-COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2", "kkt_dim")
+COUNTS = ("majors", "minors", "ipm", "fallbacks", "order2", "kkt_dim",
+          "banded")
 
 
 def identical(old_lines, new_lines):

@@ -200,10 +200,11 @@ def _rkf78(y, t, t_end, u, dyn: Dynamics, tol: float):
                 f[k] = eom(_combine(y, h, row, f), u, dyn)
             e = [abs(p + q - r - s)
                  for p, q, r, s in zip(f[0], f[10], f[11], f[12])]
-            # a NaN in any term must reject the step, as with np.max;
-            # Python's max skips one that is not first
-            emax = math.nan if math.isnan(sum(e)) else max(e)
-            err = emax * abs(_ERR_W * h)
+            # a NaN or inf comes from the state, not the step size: fail at
+            # once rather than crawl at the step-size floor
+            if not math.isfinite(sum(e)):
+                raise StiffnessError(f"non-finite step error at t={t}")
+            err = max(e) * abs(_ERR_W * h)
             if err <= tol or h <= 1e-14 * max(abs(t), 1.0):
                 break
             h *= max(0.2, 0.8 * (tol / err) ** 0.125)
@@ -298,6 +299,8 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
             f.append(_eom_jets(space, acc, u, dyn))
         ecomb = f[0] + f[10] - f[11] - f[12]
         err = np.abs(ecomb).max(axis=(1, 2)) * np.abs(_ERR_W * h)
+        if not np.isfinite(err).all():
+            raise StiffnessError(f"non-finite step error at t={t.min()}")
         ok = (err <= tol) | (h <= 1e-14 * np.maximum(np.abs(t), 1.0))
 
         rej = ~ok

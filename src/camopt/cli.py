@@ -121,7 +121,7 @@ def emit(sol, scenario, out_dir):
                 "status": cs["status"], "iterations": cs["iterations"],
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
                 "gap": _num(cs["gap"]), "virtual": cs["virtual"],
-                "kkt_dim": cs["kkt_dim"],
+                "kkt_dim": cs["kkt_dim"], "kkt_band": cs["kkt_band"],
             } for cs in rec.cone_solves],
             "limits": [{"q_limit": _num(q), "d2_limit": _num(d2)}
                        for q, d2 in rec.limits],

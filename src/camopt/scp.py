@@ -749,7 +749,7 @@ def _cone_solve(build, cone_solves: list):
                             "pres": res.pres, "dres": res.dres,
                             "gap": res.gap, "virtual": virtual,
                             "kkt_dim": len(cone.c) + len(cone.b)
-                            + len(cone.h)})
+                            + len(cone.h), "kkt_band": res.kkt_band})
         if res.status == "optimal":
             break
     return prob, res

@@ -14,15 +14,15 @@ Every cone operation runs on one flat layout of the cone rows, in which an
 orthant row is a second-order cone of size one; an iteration therefore makes
 the same number of array calls whatever the cone sizes.  The step to the
 cone boundary is taken in closed form (Domahidi, Chu & Boyd, ECC 2013).  The
-KKT system is factored sparse with a small static regularization and
-polished by one step of iterative refinement; its CSC pattern is built once
-per solve, each iteration refills only the values of the scaling block
-before the LU, and the constant and predictor right-hand sides are solved
-together as one two-column system.  The fill-reducing column order is
-computed once per pattern too, as ECOS does: the first LU runs COLAMD, and
-every later one factors the columns in that order without searching again.
-That gives the LU of a fresh COLAMD bit for bit, except where partial
-pivoting meets a tie (see ``_Kkt``).
+KKT system is factored with a small static regularization and polished by
+one step of iterative refinement; its pattern is laid out once per solve,
+each iteration refills only the values of the scaling block before the LU,
+and the constant and predictor right-hand sides are solved together as one
+two-column system.  In a Cuthill-McKee order (ACM 1969) the KKT matrix of a
+staged control problem is banded (Domahidi et al., CDC 2012), and up to a
+half-bandwidth of ``BAND_MAX`` LAPACK's ``dgbtrf`` factors it.  A wider
+pattern goes to SuperLU, whose COLAMD column order is computed once per
+pattern, as ECOS does, and reused by every later LU (see ``_Kkt``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from . import CamoptError
@@ -83,6 +84,9 @@ FEASTOL = 1e-9
 MAX_ITER = 200
 KKT_REG = 1e-9  # static regularization of the KKT diagonal
 STEP_FRAC = 0.99  # fraction of the step to the cone boundary taken
+# widest half-bandwidth factored banded: an NT iteration's LU and solves ran
+# faster banded up to 28, and slower from 29 on KKT systems of 2,000+ rows
+BAND_MAX = 28
 
 
 @dataclass
@@ -97,6 +101,7 @@ class SolveResult:
     y: np.ndarray | None = None
     z: np.ndarray | None = None
     s: np.ndarray | None = None
+    kkt_band: int | None = None  # half-bandwidth of a banded KKT, else None
 
 
 # ---------------------------------------------------------------------
@@ -229,17 +234,6 @@ class _Scaling:
 # solver
 
 
-def _csc_layout(rows, cols, ncols):
-    """Canonical CSC order of (rows, cols): by column, rows sorted within.
-
-    Returns the permutation into that order and the column pointer.
-    """
-    order = np.lexsort((rows, cols))
-    indptr = np.zeros(ncols + 1, np.int32)
-    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-    return order, indptr
-
-
 class _Kkt:
     """The KKT matrix of the embedding on a sparsity pattern fixed per solve.
 
@@ -253,14 +247,19 @@ class _Kkt:
     factored K is kept: ``K @ sol`` plus reg (x, -y, -z) is the product with
     the unregularized matrix, the residual of the refinement step.
 
-    The first factorization lets SuperLU order the columns by COLAMD and
-    keeps that order.  Later ones refill Kq, a copy of K with its columns
-    in that order, and factor it in natural order: the same elimination,
-    without the ordering.  The pivots are chosen as before, the largest
-    entry of each column, with one exception.  On a tie SuperLU prefers the
-    diagonal entry, and the diagonal of Kq is not that of K, so a tie can
-    pick another pivot row.  The solution then differs in its last bits; in
-    one long-term solve it did in 1 of its 33 factorizations.
+    The layout also orders the (structurally symmetric) pattern for a narrow
+    band.  When its half-bandwidth ``band`` is at most BAND_MAX, each LU is
+    LAPACK's banded ``dgbtrf`` in that order, and a solve runs ``dgbtrs``.
+
+    Otherwise the first factorization lets SuperLU order the columns by
+    COLAMD and keeps that order.  Later ones refill Kq, a copy of K with its
+    columns in that order, and factor it in natural order: the same
+    elimination, without the ordering.  The pivots are chosen as before, the
+    largest entry of each column, with one exception.  On a tie SuperLU
+    prefers the diagonal entry, and the diagonal of Kq is not that of K, so
+    a tie can pick another pivot row.  The solution then differs in its last
+    bits; in one long-term solve it did in 1 of its 33 factorizations.  A
+    zero pivot on either path raises ``SolverError``.
     """
 
     def __init__(self, A, G, reg, rows, cols):
@@ -274,7 +273,10 @@ class _Kkt:
                              g.col, n + p + cols])
         vals = np.concatenate([np.full(n, reg), a.data, g.data, a.data,
                                np.full(p, -reg), g.data, np.zeros(len(rows))])
-        order, self.indptr = _csc_layout(kr, kc, n + p + m)
+        # canonical CSC order: by column, rows sorted within
+        order = np.lexsort((kr, kc))
+        self.indptr = np.zeros(n + p + m + 1, np.int32)
+        np.cumsum(np.bincount(kc, minlength=n + p + m), out=self.indptr[1:])
         self.indices = kr[order].astype(np.int32)
         self.base = vals[order]
         pos = np.empty(len(order), np.intp)
@@ -289,6 +291,26 @@ class _Kkt:
         # columns in that order, whose (3,3) values later ones refill
         self.order = self.Kq = self.qslots = None
         self.permuted = False  # whether ``lu`` factors Kq instead of K
+        # the narrower of two Cuthill-McKee orders: scipy's reverse one starts
+        # at a lowest-degree node, which can sit mid-horizon and double the
+        # band; a breadth-first one restarts from the node it reached last
+        from scipy.sparse.csgraph import (breadth_first_order,
+                                          reverse_cuthill_mckee)
+        pattern = sp.csc_matrix((np.ones(len(order)), self.indices,
+                                 self.indptr), shape=self.shape)
+        rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        bfs = breadth_first_order(pattern, rcm[0], return_predecessors=False)
+        found = []
+        for perm in (rcm, bfs)[:1 + (len(bfs) == len(rcm))]:
+            rank = np.empty(len(perm), np.intp)  # position in perm
+            rank[perm] = np.arange(len(perm))
+            r, c = rank[self.indices], rank[kc[order]]
+            found.append((int(np.max(np.abs(r - c))), perm, rank, r, c))
+        band, self.perm, self.rank, r, c = min(found, key=lambda f: f[0])
+        self.band = band if band <= BAND_MAX else None
+        # entry (r, c) sits in row 2 band + r - c, column c of the
+        # (3 band + 1, n + p + m) Fortran array dgbtrf factors in place
+        self.slots_band = 2 * band + r - c + (3 * band + 1) * c
 
     def matrix(self, w2: np.ndarray) -> sp.csc_matrix:
         """K for the (3,3) block values ``w2`` given in pattern order."""
@@ -301,12 +323,23 @@ class _Kkt:
         # release the previous factors before the next ones are built
         self.K = self.lu = None
         self.K = self.matrix(w2)
-        if self.order is None:
-            self.lu = splu(self.K)
-            self._keep_order()
+        if self.band is not None:
+            ab = np.bincount(self.slots_band, self.K.data,
+                             len(self.perm) * (3 * self.band + 1))
+            *self.lu, info = dgbtrf(ab.reshape(len(self.perm), -1).T,
+                                    self.band, self.band, overwrite_ab=True)
+            if info > 0:
+                raise SolverError("KKT matrix is exactly singular")
             return
-        self.Kq.data[self.qslots] = self.K.data[self.slots]
-        self.lu = splu(self.Kq, permc_spec="NATURAL")
+        try:
+            if self.order is None:
+                self.lu = splu(self.K)
+                self._keep_order()
+                return
+            self.Kq.data[self.qslots] = self.K.data[self.slots]
+            self.lu = splu(self.Kq, permc_spec="NATURAL")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(str(exc)) from exc
         self.permuted = True
 
     def _keep_order(self):
@@ -337,6 +370,12 @@ class _Kkt:
         return sol
 
     def _lu_solve(self, rhs):
+        if self.band is not None:
+            lu, piv = self.lu
+            ordered = np.take(rhs, self.perm, axis=0)
+            sol, _ = dgbtrs(lu, self.band, self.band, ordered, piv,
+                            overwrite_b=True)
+            return np.take(sol, self.rank, axis=0)
         sol = self.lu.solve(rhs)
         if not self.permuted:
             return sol
@@ -370,7 +409,11 @@ def solve(prob: SocpProblem) -> SolveResult:
     # -- initial point from two least-squares KKT solves with W = I
     diag = np.arange(m)
     kkt = _Kkt(A, G, KKT_REG, diag, diag)
-    kkt.factor(np.ones(m))
+    try:
+        kkt.factor(np.ones(m))
+    except SolverError:
+        return SolveResult("numerical", None, np.nan, 0, np.inf, np.inf,
+                           np.inf, kkt_band=kkt.band)
     init = kkt.solve(np.column_stack([
         np.concatenate([np.zeros(n), b, h]),
         np.concatenate([-c, np.zeros(p + m)])]))
@@ -392,7 +435,7 @@ def solve(prob: SocpProblem) -> SolveResult:
 
     kkt = _Kkt(A, G, KKT_REG, cone.w2_rows, cone.w2_cols)
     # "numerical" marks a stop before the limit: the iterate left the cone,
-    # the step or tau/kappa degenerated
+    # a factorization failed, the step or tau/kappa degenerated
     status = "numerical"
     pres = dres = gap = np.inf
     for it in range(MAX_ITER):
@@ -419,21 +462,23 @@ def solve(prob: SocpProblem) -> SolveResult:
         if hz_by < -1e-12:
             if np.linalg.norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
                 return SolveResult(status="infeasible", x=None, obj=np.nan,
-                                   iterations=it, pres=pres, dres=dres, gap=gap)
+                                   iterations=it, pres=pres, dres=dres,
+                                   gap=gap, kkt_band=kkt.band)
         if cx < -1e-12:
             unb = max(np.linalg.norm(ry + b * tau) / resy0,
                       np.linalg.norm(rz + h * tau) / resz0)
             if unb <= -FEASTOL * cx:
                 return SolveResult(status="unbounded", x=None, obj=-np.inf,
-                                   iterations=it, pres=pres, dres=dres, gap=gap)
+                                   iterations=it, pres=pres, dres=dres,
+                                   gap=gap, kkt_band=kkt.band)
 
         try:
             Wsc = _Scaling(cone, s, z)
+            kkt.factor(Wsc.w2_values())
         except SolverError:
             break
         lam = Wsc.apply(z)
         lam2 = cone.circ(lam, lam)
-        kkt.factor(Wsc.w2_values())
 
         def rhs(sigma, ds_corr):
             """Scaled ds target ws and the KKT right-hand side column."""
@@ -487,4 +532,5 @@ def solve(prob: SocpProblem) -> SolveResult:
     xs = x / tau
     return SolveResult(status=status, x=xs, obj=float(c @ xs),
                        iterations=it + 1, pres=pres, dres=dres,
-                       gap=gap / tau ** 2, y=y / tau, z=z / tau, s=s / tau)
+                       gap=gap / tau ** 2, y=y / tau, z=z / tau, s=s / tau,
+                       kkt_band=kkt.band)

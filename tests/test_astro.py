@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from camopt import astro
+from camopt.dajet import identity, jet_space
 from camopt.astro import (
     GM_EARTH,
     J2_EARTH,
@@ -16,6 +18,7 @@ from camopt.astro import (
     build_grid,
     eom,
     flow,
+    flow_jets,
     linearize_segment,
     refine_tca,
 )
@@ -206,8 +209,9 @@ class TestPropagation:
             with pytest.raises(StiffnessError):
                 flow(x, 0.0, t1, np.zeros(3), dyn)
 
-    def test_nan_in_a_later_error_component_rejects_step(self, monkeypatch):
-        # Python's max skips a NaN that is not first; np.max does not
+    def test_nan_in_a_later_error_component_raises(self, monkeypatch):
+        # Python's max skips a NaN that is not first; the NaN must still
+        # end the flight
         calls = []
 
         def last_stage_nan(y, u, dyn):
@@ -217,12 +221,23 @@ class TestPropagation:
 
         monkeypatch.setattr(astro, "eom", last_stage_nan)
         dyn, x = Dynamics.two_body(), circular_state(6928.0, incl=0.4)
-        got = flow(x, 0.0, 10.0, np.zeros(3), dyn)
-        n_got = len(calls)
-        calls.clear()
-        want = array_flow(x, 0.0, 10.0, np.zeros(3), dyn, astro.INTEG_TOL)
-        assert np.array_equal(got, want)
-        assert n_got == len(calls) > 13
+        with pytest.raises(StiffnessError, match="non-finite step error"):
+            flow(x, 0.0, 10.0, np.zeros(3), dyn)
+        assert len(calls) == 13
+
+    def test_nan_state_far_from_epoch_zero_fails_fast(self):
+        # the step floor 1e-14 |t| lies above the underflow check here, so a
+        # flight that only rejected NaN steps crawled through _MAX_STEPS
+        dyn, x = Dynamics.two_body(), circular_state(6928.0, incl=0.4)
+        x[3] = math.nan
+        space = jet_space(6, 1)
+        for fly in (lambda: flow(x, 1000.0, 1000.001, np.zeros(3), dyn),
+                    lambda: flow_jets(space, identity(space, x)[None, :],
+                                      1000.0, 1000.001, dyn)):
+            tic = time.perf_counter()
+            with pytest.raises(StiffnessError, match="non-finite step error"):
+                fly()
+            assert time.perf_counter() - tic < 1.0
 
     def test_heavy_central_body_raises_stiffness(self):
         with pytest.raises(StiffnessError):

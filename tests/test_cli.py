@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from camopt import cli, scp, selftest
+from camopt import cli, scp, selftest, socp
 from camopt.scenario import load_scenario
 from test_scenario import mutated_docs
 
@@ -118,8 +118,10 @@ class TestSolveArtifacts:
             assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
             for cs in solves:
                 assert set(cs) == {"status", "iterations", "pres", "dres",
-                                   "gap", "virtual", "kkt_dim"}
+                                   "gap", "virtual", "kkt_dim", "kkt_band"}
                 assert isinstance(cs["kkt_dim"], int) and cs["kkt_dim"] > 0
+                # the smd stage has no row that couples distant nodes
+                assert 0 < cs["kkt_band"] <= socp.BAND_MAX
                 assert cs["status"] == "optimal"
                 # every subproblem of this fixture solves without virtual
                 # controls, so none fell back to them
@@ -291,6 +293,8 @@ class TestImportBudget:
         assert "scipy.sparse" in loaded
         assert not loaded & {"scipy.optimize", "scipy.stats",
                              "scipy.integrate"}
+        # the KKT band layout imports it on the first cone solve
+        assert "scipy.sparse.csgraph" not in loaded
 
     def test_one_channel_solve_never_imports_optimize(self, one_cdm_file,
                                                       tmp_path):

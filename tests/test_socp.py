@@ -1,16 +1,31 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
-from camopt import socp
+from camopt import scp, socp
+from camopt.astro import NodeGrid
+from camopt.convexify import RiskRows, assemble
+from camopt.scenario import Config, load_scenario
 from camopt.socp import (
     ConeDims,
     SocpProblem,
     SolverError,
     solve,
 )
+
+from test_convexify import double_integrator_segment
+
+SRC = str(Path(socp.__file__).resolve().parents[1])
 
 
 def lp_ge(c, lhs, rhs):
@@ -220,6 +235,18 @@ class TestEarlyStop:
         assert r.status == "numerical"
         assert r.iterations == 1
 
+    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
+    def test_singular_kkt_reports_numerical(self, monkeypatch, band_max):
+        # without regularization a repeated equality row leaves a zero pivot
+        monkeypatch.setattr(socp, "KKT_REG", 0.0)
+        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+        prob = random_feasible(np.random.default_rng(5), 6, 2, 3, [3], 0.5)
+        prob.A = sp.csc_matrix(prob.A[[0, 1, 0]])
+        prob.b = prob.b[[0, 1, 0]]
+        r = solve(prob)
+        assert r.status == "numerical"
+        assert (r.kkt_band is None) == (band_max < 0)
+
     def test_iteration_limit_reports_max_iter(self, monkeypatch):
         rng = np.random.default_rng(3)
         monkeypatch.setattr(socp, "MAX_ITER", 2)
@@ -249,16 +276,16 @@ def reference_kkt(A, G, w2, rows, cols, reg):
 
 
 class ReferenceKkt(socp._Kkt):
-    """Factors the K that ``sp.bmat`` assembles from the same inputs."""
+    """Factors, on the production path, the K that ``sp.bmat`` assembles
+    from the same inputs."""
 
     def __init__(self, A, G, reg, rows, cols):
         super().__init__(A, G, reg, rows, cols)
         self.inputs = (A, G, rows, cols, reg)
 
-    def factor(self, w2):
+    def matrix(self, w2):
         A, G, rows, cols, reg = self.inputs
-        self.K = reference_kkt(A, G, w2, rows, cols, reg)
-        self.lu = splu(self.K)
+        return reference_kkt(A, G, w2, rows, cols, reg)
 
 
 def interior_point(rng, dims):
@@ -313,7 +340,10 @@ class TestCachedKkt:
         rng = np.random.default_rng(23 + p)
         probs = [random_feasible(rng, 14, p, 4, MIXED_SOCS, density)
                  for density in (1.0, 0.5, 0.5)]
+        probs.append(random_feasible(rng, 8, p, 4, [3, 4], 0.5))
         fast = [solve(prob) for prob in probs]
+        # both factorization paths
+        assert {r.kkt_band is None for r in fast} == {True, False}
         monkeypatch.setattr(socp, "_Kkt", ReferenceKkt)
         for prob, r in zip(probs, fast):
             ref = solve(prob)
@@ -332,10 +362,12 @@ class TestCachedKkt:
 
         monkeypatch.setattr(socp, "splu", counting_splu)
         rng = np.random.default_rng(37 + p)
-        prob = random_feasible(rng, 14, p, 4, MIXED_SOCS, 0.5)
+        # dense G: every cone row couples every variable, too wide a band
+        prob = random_feasible(rng, 40, p, 4, MIXED_SOCS, 1.0)
         A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
         cone = socp._Cone(prob.dims)
         kkt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+        assert kkt.band is None
         for _ in range(4):
             _, _, w2 = block_pattern(rng, prob, "nt")
             kkt.factor(w2)
@@ -350,6 +382,122 @@ class TestCachedKkt:
         specs.clear()
         assert solve(prob).status == "optimal"
         assert specs.count("COLAMD") == 2 and len(specs) > 3
+
+
+# ---------------------------------------------------------------------
+# the banded factorization after a Cuthill-McKee order
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def one_cdm_problem():
+    """The first cone subproblem of an smd solve of case1's first
+    conjunction over its last 1500 s, with 2.5 times the thrust."""
+    sc = load_scenario("scenarios/case1.json")
+    conj = sc.conjunctions[0]
+    sc = dataclasses.replace(sc, conjunctions=[conj], u_max=2.5 * sc.u_max,
+                             horizon=(conj.tca - 1500.0, conj.tca))
+
+    def capture(prob):
+        raise _Captured(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scp, "socp_solve", capture)
+        with pytest.raises(_Captured) as got:
+            scp.solve(sc, Config())
+    return got.value.args[0]
+
+
+def staged_problem(N):
+    """A double integrator from rest over N unit segments whose last node
+    must reach y >= 0.3: a staged subproblem without virtual controls."""
+    grid = NodeGrid(times=np.arange(N + 1.0))
+    seg = double_integrator_segment(1.0, N)
+    risk = RiskRows(halfspaces=[(N, np.array([0.0, 1.0, 0.0]), 0.3)])
+    return assemble(seg, grid, np.zeros((N + 1, 6)), np.zeros(6), risk,
+                    virtual=False).to_socp()
+
+
+def random_mixed(rng):
+    """A feasible problem of random size, cone mix and density."""
+    socs = [int(q) for q in rng.choice([3, 4, 5, 7], rng.integers(0, 5))]
+    return random_feasible(rng, int(rng.integers(4, 25)),
+                           int(rng.integers(0, 4)),
+                           int(rng.integers(0 if socs else 1, 8)), socs,
+                           float(rng.uniform(0.2, 1.0)))
+
+
+class TestBandedKkt:
+    def test_same_answers_as_the_sparse_path(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        probs = [random_mixed(rng) for _ in range(120)]
+        banded = [solve(prob) for prob in probs]
+        monkeypatch.setattr(socp, "BAND_MAX", -1)
+        for prob, r in zip(probs, banded):
+            ref = solve(prob)
+            assert ref.kkt_band is None
+            assert r.status == ref.status
+            assert r.obj == pytest.approx(ref.obj, rel=1e-8)
+        assert sum(r.kkt_band is not None for r in banded) >= 60
+
+    def test_staged_subproblem_is_banded_and_a_coupling_row_is_not(
+            self, one_cdm_problem):
+        prob = one_cdm_problem
+        res = solve(prob)
+        assert res.status == "optimal"
+        assert 0 < res.kkt_band <= socp.BAND_MAX
+        # one inactive orthant row over every variable couples all stages
+        ones = np.ones(len(prob.c))
+        coupled = dataclasses.replace(
+            prob, G=sp.vstack([ones, prob.G], format="csc"),
+            h=np.concatenate([[ones @ res.x + 1.0], prob.h]),
+            dims=ConeDims(prob.dims.nonneg + 1, prob.dims.soc))
+        wide = solve(coupled)
+        assert wide.status == "optimal" and wide.kkt_band is None
+        assert wide.obj == pytest.approx(res.obj, rel=1e-6)
+
+    def test_breadth_first_restart_narrows_the_band(self, monkeypatch):
+        prob = staged_problem(250)
+        A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+        cone = socp._Cone(prob.dims)
+
+        def kkt():
+            return socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+
+        narrow = kkt()
+        # a breadth-first order that misses nodes (as on a disconnected
+        # pattern) is not used: scipy's reverse Cuthill-McKee order is
+        monkeypatch.setattr(csgraph, "breadth_first_order",
+                            lambda *args, **kwargs: np.zeros(0, np.int32))
+        rcm = kkt()
+        assert rcm.band is not None and 0 < narrow.band < rcm.band
+        rhs = np.random.default_rng(3).standard_normal((len(narrow.perm), 2))
+        _, _, w2 = block_pattern(np.random.default_rng(4), prob, "nt")
+        for k in (narrow, rcm):
+            k.factor(w2)
+        np.testing.assert_allclose(narrow.solve(rhs), rcm.solve(rhs),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        prob = staged_problem(250)  # 5,263 KKT rows
+        path = tmp_path / "prob.pkl"
+        path.write_bytes(pickle.dumps(prob))
+        code = ("import hashlib, pickle, sys\n"
+                "from camopt.socp import solve\n"
+                "r = solve(pickle.load(open(sys.argv[1], 'rb')))\n"
+                "print(r.status, r.iterations, r.kkt_band, hashlib.sha256("
+                "r.x.tobytes() + r.y.tobytes() + r.z.tobytes()).hexdigest())")
+        outs = [subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True,
+            text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": n,
+                 "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
+        status, _, band, _ = outs[0].split()
+        assert status == "optimal" and band != "None"
+        assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------
