@@ -38,9 +38,14 @@ whose status or exit code changed.  The exit code is 1 when any line
 differs or is missing on either side, so it alone tells whether two
 checkouts agree bit for bit.
 
+``--workloads NAME ...`` digests only the named workloads (default: all),
+and ``--against`` then compares only their lines, so a change that moves
+one layer can be checked on the workload that exercises it.
+
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
     python3 scripts/artifact_digest.py --seeds 0 1 --against old.txt
+    python3 scripts/artifact_digest.py --workloads tpoc-1cdm --against old.txt
 """
 
 from __future__ import annotations
@@ -197,14 +202,15 @@ def compare(old_lines, new_lines):
     return report
 
 
-def run(seeds):
-    """Print and return the digest lines of this checkout for ``seeds``."""
+def run(seeds, names):
+    """Print and return the digest lines of this checkout for ``seeds``
+    and the workloads ``names``."""
     lines = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         try:
             for seed in seeds:
-                for name in workloads.WORKLOADS:
+                for name in names:
                     work = Path(tmp) / f"{name}-{seed}"
                     work.mkdir()
                     os.chdir(work)
@@ -221,11 +227,16 @@ def main(argv=None):
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--against", type=Path, metavar="OLD.txt",
                    help="an earlier run's lines to compare with")
+    p.add_argument("--workloads", nargs="+", metavar="NAME",
+                   choices=list(workloads.WORKLOADS),
+                   default=list(workloads.WORKLOADS),
+                   help="digest only these workloads (default: all)")
     args = p.parse_args(argv)
-    lines = run(args.seeds)
+    lines = run(args.seeds, args.workloads)
     if not args.against:
         return 0
-    old = args.against.read_text().splitlines()
+    old = [line for line in args.against.read_text().splitlines()
+           if line.partition(" ")[0] in args.workloads]
     report, same = identical(old, lines)
     for line in report + compare(old, lines):
         print(line)

@@ -15,12 +15,13 @@ orthant row is a second-order cone of size one; an iteration therefore makes
 the same number of array calls whatever the cone sizes.  The step to the
 cone boundary is taken in closed form (Domahidi, Chu & Boyd, ECC 2013).  The
 KKT system is factored with a small static regularization and polished by
-one step of iterative refinement; its pattern is laid out once per solve,
-each iteration refills only the values of the scaling block before the LU,
-and the constant and predictor right-hand sides are solved together as one
-two-column system.  In a Cuthill-McKee order (ACM 1969) the KKT matrix of a
-staged control problem is banded (Domahidi et al., CDC 2012), and up to a
-half-bandwidth of ``BAND_MAX`` LAPACK's ``dgbtrf`` factors it.  A wider
+one step of iterative refinement.  One KKT pattern, laid out once per solve,
+serves the initial point (W = I) and the NT iterations and gives the
+residuals; each LU refills only the scaling block's values of its one K, in
+place.  The constant and predictor right-hand sides are solved together as
+one two-column system.  In a Cuthill-McKee order (ACM 1969) the KKT matrix
+of a staged control problem is banded (Domahidi et al., CDC 2012), and up to
+a half-bandwidth of ``BAND_MAX`` LAPACK's ``dgbtrf`` factors it.  A wider
 pattern goes to SuperLU, whose COLAMD column order is computed once per
 pattern, as ECOS does, and reused by every later LU (see ``_Kkt``).
 """
@@ -212,7 +213,10 @@ class _Scaling:
         self.w0 = self.wbar[h]
         self.w1 = self.wbar.copy()
         self.w1[h] = 0.0
-        self.eta = (sres / zres) ** 0.25
+        with np.errstate(over="ignore"):
+            self.eta = (sres / zres) ** 0.25
+        if not (np.isfinite(self.eta).all() and np.isfinite(self.wbar).all()):
+            raise SolverError("NT scaling is not finite")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W v, per block eta H(wbar) v."""
@@ -235,17 +239,20 @@ class _Scaling:
 
 
 class _Kkt:
-    """The KKT matrix of the embedding on a sparsity pattern fixed per solve.
+    """The KKT matrix of the embedding on one sparsity pattern per solve.
 
         [ reg I    A'       G'            ]
         [ A       -reg I                  ]
         [ G               -(W2 + reg I)   ]
 
     The CSC structure, in the canonical order ``sp.bmat`` emits, is laid
-    out once from A, G and the (3,3) block's pattern (rows, cols); each
-    factorization writes only that block's values into their slots.  The
-    factored K is kept: ``K @ sol`` plus reg (x, -y, -z) is the product with
-    the unregularized matrix, the residual of the refinement step.
+    out once from A, G and the NT scaling's (3,3) pattern (rows, cols), on
+    which the initial point's W = I is the identity.  K is kept, and each
+    factorization refills that block's values in place: ``K @ sol`` plus
+    reg (x, -y, -z) is the product with the unregularized matrix, the
+    residual of the refinement step.  ``M``, K without its diagonal, is
+    [0 A' G'; A 0 0; G 0 0]: its product with (x, y, z) gives every residual
+    of the embedding.
 
     The layout also orders the (structurally symmetric) pattern for a narrow
     band.  When its half-bandwidth ``band`` is at most BAND_MAX, each LU is
@@ -263,8 +270,7 @@ class _Kkt:
     """
 
     def __init__(self, A, G, reg, rows, cols):
-        p, n = A.shape
-        m = G.shape[0]
+        (p, n), m = A.shape, G.shape[0]
         a, g = A.tocoo(), G.tocoo()
         dn, dp = np.arange(n), np.arange(p)
         kr = np.concatenate([dn, a.col, g.col, n + a.row, n + dp,
@@ -286,25 +292,27 @@ class _Kkt:
         self.unreg = np.concatenate([np.full(n, reg),
                                      np.full(p + m, -reg)])[:, None]
         self.shape = (n + p + m, n + p + m)
-        self.K = self.lu = None
+        self.K, self.lu = self.matrix(np.zeros(len(rows))), None
+        kc = kc[order]
+        self.M = sp.csc_matrix((np.where(self.indices == kc, 0.0, self.base),
+                                self.indices, self.indptr), shape=self.shape)
         # the column order of the first factorization, and the K with its
         # columns in that order, whose (3,3) values later ones refill
         self.order = self.Kq = self.qslots = None
         self.permuted = False  # whether ``lu`` factors Kq instead of K
         # the narrower of two Cuthill-McKee orders: scipy's reverse one starts
         # at a lowest-degree node, which can sit mid-horizon and double the
-        # band; a breadth-first one restarts from the node it reached last
+        # band; a breadth-first one restarts from the node it reached last.
+        # Both read only K's pattern, its explicit zeros included
         from scipy.sparse.csgraph import (breadth_first_order,
                                           reverse_cuthill_mckee)
-        pattern = sp.csc_matrix((np.ones(len(order)), self.indices,
-                                 self.indptr), shape=self.shape)
-        rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        bfs = breadth_first_order(pattern, rcm[0], return_predecessors=False)
+        rcm = reverse_cuthill_mckee(self.K, symmetric_mode=True)
+        bfs = breadth_first_order(self.K, rcm[0], return_predecessors=False)
         found = []
         for perm in (rcm, bfs)[:1 + (len(bfs) == len(rcm))]:
             rank = np.empty(len(perm), np.intp)  # position in perm
             rank[perm] = np.arange(len(perm))
-            r, c = rank[self.indices], rank[kc[order]]
+            r, c = rank[self.indices], rank[kc]
             found.append((int(np.max(np.abs(r - c))), perm, rank, r, c))
         band, self.perm, self.rank, r, c = min(found, key=lambda f: f[0])
         self.band = band if band <= BAND_MAX else None
@@ -320,9 +328,8 @@ class _Kkt:
                              shape=self.shape)
 
     def factor(self, w2: np.ndarray):
-        # release the previous factors before the next ones are built
-        self.K = self.lu = None
-        self.K = self.matrix(w2)
+        self.lu = None  # released before the next factors are built
+        self.K.data[self.slots] = -(w2 + self.reg_diag)
         if self.band is not None:
             ab = np.bincount(self.slots_band, self.K.data,
                              len(self.perm) * (3 * self.band + 1))
@@ -388,11 +395,8 @@ class _Kkt:
 
 def solve(prob: SocpProblem) -> SolveResult:
     prob.validate()
-    c = np.asarray(prob.c, float)
-    b = np.asarray(prob.b, float)
-    h = np.asarray(prob.h, float)
-    A = sp.csc_matrix(prob.A)
-    G = sp.csc_matrix(prob.G)
+    c, b, h = (np.asarray(v, float) for v in (prob.c, prob.b, prob.h))
+    A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
     n, p, m = len(c), len(b), len(h)
     if m == 0:
         raise SolverError("need at least one cone row")
@@ -402,15 +406,11 @@ def solve(prob: SocpProblem) -> SolveResult:
     iz = slice(n + p, None)  # the z (and s) part of a stacked (x, y, z)
     cbh = np.concatenate([c, b, h])
     const = np.concatenate([-c, b, h])
-    # [0 A' G'; A 0 0; G 0 0] (x, y, z) gives every residual in one product
-    M = sp.bmat([[None, A.T, G.T], [A, None, None], [G, None, None]],
-                format="csr")
 
     # -- initial point from two least-squares KKT solves with W = I
-    diag = np.arange(m)
-    kkt = _Kkt(A, G, KKT_REG, diag, diag)
+    kkt = _Kkt(A, G, KKT_REG, cone.w2_rows, cone.w2_cols)
     try:
-        kkt.factor(np.ones(m))
+        kkt.factor((cone.w2_rows == cone.w2_cols) * 1.0)
     except SolverError:
         return SolveResult("numerical", None, np.nan, 0, np.inf, np.inf,
                            np.inf, kkt_band=kkt.band)
@@ -433,14 +433,13 @@ def solve(prob: SocpProblem) -> SolveResult:
     resy0 = max(1.0, np.linalg.norm(b))
     resz0 = max(1.0, np.linalg.norm(h))
 
-    kkt = _Kkt(A, G, KKT_REG, cone.w2_rows, cone.w2_cols)
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # a factorization failed, the step or tau/kappa degenerated
     status = "numerical"
     pres = dres = gap = np.inf
     for it in range(MAX_ITER):
         # residuals of the embedding, stacked as (rx, ry, rz)
-        r = M @ xyz - tau * const
+        r = kkt.M @ xyz - tau * const
         r[iz] += s
         rx, ry, rz = r[:n], r[n:n + p], r[iz]
         rt = kappa + cbh @ xyz

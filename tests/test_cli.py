@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,18 @@ def _one_cdm_doc():
 
 
 ONE_CDM = _one_cdm_doc()
+
+
+@pytest.fixture(scope="module")
+def late_start_file(tmp_path_factory):
+    # the ten-CDM fixture's first conjunction with 1500 s of warning at its
+    # own thrust: too little to reach the TPoC budget
+    doc = json.load(open(CASE1))
+    doc["conjunctions"] = doc["conjunctions"][:1]
+    doc["horizon_s"] = [4143.0, doc["conjunctions"][0]["tca_s"]]
+    path = tmp_path_factory.mktemp("scn") / "late_start.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +248,19 @@ class TestBadInput:
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mu_km3_s2" in err
+
+
+class TestUnreachableBudget:
+    def test_fails_without_numeric_warnings(self, late_start_file, tmp_path,
+                                            capsys):
+        # the NT scaling of its cone solves used to overflow and feed NaNs
+        # into the cone algebra before the solve gave up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["solve", late_start_file, "--mode", "tpoc",
+                             "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: conic subproblem")
 
 
 class TestSplit:

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,29 +264,45 @@ MIXED_SOCS = [3, 4, 7, 3, 7]
 
 
 def reference_kkt(A, G, w2, rows, cols, reg):
-    """Reference K, assembled by `sp.bmat` from COO triplets."""
+    """Reference K, assembled by `sp.bmat` from COO triplets.  The (3,3)
+    block keeps every entry of the pattern (rows, cols), zeros too, as a
+    sparse sum W2 + reg I would not."""
     p, n = A.shape
     m = G.shape[0]
-    W2 = sp.csc_matrix((w2, (rows, cols)), shape=(m, m))
+    diag = np.arange(m)
+    W2 = sp.coo_matrix((np.concatenate([w2, np.full(m, reg)]),
+                        (np.concatenate([rows, diag]),
+                         np.concatenate([cols, diag]))), shape=(m, m))
     K = sp.bmat([
         [sp.diags(np.full(n, reg)), A.T, G.T],
         [A, -sp.diags(np.full(p, reg)) if p else None, None],
-        [G, None, -(W2 + sp.diags(np.full(m, reg)))],
+        [G, None, -W2.tocsc()],
     ], format="csc")
     return K
 
 
+def reference_residual_operator(A, G):
+    """[0 A' G'; A 0 0; G 0 0], assembled by `sp.bmat`."""
+    return sp.bmat([[None, A.T, G.T], [A, None, None], [G, None, None]],
+                   format="csr")
+
+
 class ReferenceKkt(socp._Kkt):
-    """Factors, on the production path, the K that ``sp.bmat`` assembles
-    from the same inputs."""
+    """Factors, on the production path, a new K that ``sp.bmat`` assembles
+    from the same inputs for every factorization, and takes the residuals
+    from the ``sp.bmat`` assembly of the residual operator."""
 
     def __init__(self, A, G, reg, rows, cols):
         super().__init__(A, G, reg, rows, cols)
         self.inputs = (A, G, rows, cols, reg)
+        self.M = reference_residual_operator(A, G)
 
-    def matrix(self, w2):
+    def factor(self, w2):
         A, G, rows, cols, reg = self.inputs
-        return reference_kkt(A, G, w2, rows, cols, reg)
+        K = reference_kkt(A, G, w2, rows, cols, reg)
+        self.K = K.copy()
+        super().factor(w2)  # refills the (3,3) slots of the new K ...
+        assert_same_csc(self.K, K)  # ... with the values bmat put there
 
 
 def interior_point(rng, dims):
@@ -376,12 +393,90 @@ class TestCachedKkt:
             rhs = rng.standard_normal((kkt.shape[0], 2))
             assert np.array_equal(kkt.solve(rhs), fresh.solve(rhs))
             assert np.array_equal(kkt.solve(rhs[:, 1]), fresh.solve(rhs[:, 1]))
-        # COLAMD once per pattern: here one, and in a solve the initial
-        # point's and the iterations'
+        # COLAMD once per pattern: here one, and in a solve one too, the
+        # initial point's, whose order every NT iteration reuses
         assert specs == ["COLAMD"] + ["NATURAL"] * 3
         specs.clear()
         assert solve(prob).status == "optimal"
-        assert specs.count("COLAMD") == 2 and len(specs) > 3
+        assert specs[0] == "COLAMD" and set(specs[1:]) == {"NATURAL"}
+        assert len(specs) > 3
+
+
+class TestSingleLayout:
+    """One KKT layout per solve: the initial point's W = I on the NT
+    pattern, the residual operator from its arrays, K refilled in place."""
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(71)
+        return [random_feasible(rng, 14, p, 4, MIXED_SOCS, density)
+                for p in (0, 3) for density in (1.0, 0.5)] + [
+                    staged_problem(40)]
+
+    def test_solve_lays_out_one_kkt_and_assembles_nothing(self, monkeypatch):
+        made = []
+
+        class Counted(socp._Kkt):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+        def no_bmat(*args, **kwargs):
+            raise AssertionError("sp.bmat called")
+
+        monkeypatch.setattr(socp, "_Kkt", Counted)
+        monkeypatch.setattr(sp, "bmat", no_bmat)
+        for prob in self.problems():
+            made.clear()
+            assert solve(prob).status == "optimal"
+            assert len(made) == 1
+
+    def test_residual_operator_equals_bmat_assembly(self):
+        for prob in self.problems():
+            A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+            cone = socp._Cone(prob.dims)
+            kkt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+            assert np.array_equal(kkt.M.toarray(),
+                                  reference_residual_operator(A, G).toarray())
+
+    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
+    def test_kept_k_equals_a_fresh_one(self, monkeypatch, band_max):
+        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+        rng = np.random.default_rng(73)
+        for prob in self.problems():
+            A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+            cone = socp._Cone(prob.dims)
+            kkt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+            K, data = kkt.K, kkt.K.data
+            for _ in range(4):
+                _, _, w2 = block_pattern(rng, prob, "nt")
+                kkt.factor(w2)
+            assert kkt.K is K and kkt.K.data is data
+            assert_same_csc(kkt.K, kkt.matrix(w2))
+            rhs = rng.standard_normal((kkt.shape[0], 2))
+            fresh = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+            fresh.factor(w2)
+            assert np.array_equal(kkt.solve(rhs), fresh.solve(rhs))
+
+    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
+    def test_identity_on_the_nt_pattern_gives_the_initial_point(
+            self, monkeypatch, band_max):
+        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+        for prob in self.problems():
+            A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+            cone = socp._Cone(prob.dims)
+            n, p, m = A.shape[1], A.shape[0], G.shape[0]
+            rhs = np.column_stack([
+                np.concatenate([np.zeros(n), prob.b, prob.h]),
+                np.concatenate([-prob.c, np.zeros(p + m)])])
+            diag = np.arange(m)
+            ref = socp._Kkt(A, G, socp.KKT_REG, diag, diag)
+            ref.factor(np.ones(m))
+            nt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
+            nt.factor((cone.w2_rows == cone.w2_cols) * 1.0)
+            want, got = ref.solve(rhs), nt.solve(rhs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                1.0, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------
@@ -579,6 +674,17 @@ class TestFlatCone:
         W2 = sp.csc_matrix((Wsc.w2_values(), (cone.w2_rows, cone.w2_cols)),
                            shape=W.shape).toarray()
         assert np.allclose(W2, W @ W, rtol=1e-12, atol=1e-12)
+
+    def test_scaling_overflow_raises_without_warnings(self):
+        # s far out along the cone axis, z near its apex: s'Js = 1e308 is
+        # finite, s'Js / z'Jz is not, so neither is eta
+        dims = CONE_DIMS[1]
+        cone = socp._Cone(dims)
+        s, z = 1e154 * cone.identity(), 1e-2 * cone.identity()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not finite"):
+                socp._Scaling(cone, s, z)
 
     def test_scaling_rejects_points_outside(self):
         dims = CONE_DIMS[1]
