@@ -18,7 +18,7 @@ solve,
 
 (floats at full precision; minors and IPM iterations summed over the
 majors; ``fallbacks`` counts the cone solves that needed virtual controls,
-``order2`` the majors relinearized with second-order jets, ``kkt_dim``
+``order2`` the segments flown at order 2 over all majors, ``kkt_dim``
 sums the KKT dimension n + p + m over the cone solves and ``banded``
 counts the cone solves whose KKT systems were factored as band matrices,
 those with a ``kkt_band``), so answers
@@ -32,7 +32,7 @@ repeated exactly, followed by every line that differs or that only one run
 has.  Per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
 and ``e_validation_mm``, the majors, minors, IPM iterations, fallbacks,
-order-2 majors, KKT dimensions and banded cone solves summed on each side
+order-2 segments, KKT dimensions and banded cone solves summed on each side
 (``?`` where the earlier lines do not have the field), and every solve
 whose status or exit code changed.  The exit code is 1 when any line
 differs or is missing on either side, so it alone tells whether two
@@ -102,7 +102,7 @@ def numbers(summary: dict) -> str:
             f"ipm={sum(rec['ipm_iters'] for rec in log)} "
             f"e_validation_mm={summary['e_validation_mm']!r} "
             f"fallbacks={sum(cs['virtual'] for cs in solves)} "
-            f"order2={sum(rec['jet_order'] == 2 for rec in log)} "
+            f"order2={sum(rec['order2_segments'] for rec in log)} "
             f"kkt_dim={sum(cs['kkt_dim'] for cs in solves)} "
             f"banded={sum(cs['kkt_band'] is not None for cs in solves)}")
 

@@ -1,6 +1,7 @@
 """Equations of motion, adaptive RKF7(8) propagation of states and of
-stacked jets, batched segment linearization, node grids and closest-approach
-refinement by a Newton iteration on the range rate.
+stacked jets, batched segment linearization with an analytic upper bound on
+its nonlinearity ratios, node grids and closest-approach refinement by a
+Newton iteration on the range rate.
 """
 
 from __future__ import annotations
@@ -343,8 +344,8 @@ class SegmentMaps:
     ``c`` (N, 6) is the linearization residual so that A x + B u + c
     reproduces the reference endpoint exactly.  ``xi`` (N, 9) holds the
     per-variable nonlinearity ratios (6 state + 3 control entries) used to
-    size trust regions: measured by an order-2 flight, or carried over
-    from an earlier one when the maps come from order-1 jets.
+    size trust regions: measured by an order-2 flight, bounded from above
+    by :func:`xi_bound`, or carried over from an earlier flight.
     """
 
     A: np.ndarray
@@ -355,7 +356,7 @@ class SegmentMaps:
 
 def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
                       dyn: Dynamics, tol: float = INTEG_TOL,
-                      xi: np.ndarray | None = None) -> SegmentMaps:
+                      xi: np.ndarray | str | None = None) -> SegmentMaps:
     """Jet propagation of (x + dx, u + du) over N segments.
 
     ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)
@@ -363,17 +364,18 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     :class:`SegmentMaps` (``A`` (N, 6, 6), ``B`` (N, 6, 3), ``c`` (N, 6),
     ``xi`` (N, 9)), each row the same bit for bit as that row linearized
     on its own.  Without ``xi`` the jets are of order 2 and ``xi`` is
-    measured from their second derivatives; with an (N, 9) ``xi`` they are
-    of order 1, which is all A, B and c need, and ``xi`` is handed back
-    as it came.
+    measured from their second derivatives.  Otherwise they are of order
+    1, which is all A, B and c need: an (N, 9) ``xi`` is handed back as it
+    came, and ``xi="bound"`` takes :func:`xi_bound` of the maps.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if dt.ndim != 1 or x.shape != (len(dt), 6) or u.shape != (len(dt), 3):
         raise PropagationError("need x (N, 6), u (N, 3) and dt (N,)")
-    if xi is not None and np.shape(xi) != (len(dt), 9):
-        raise PropagationError("need xi (N, 9)")
+    bound = isinstance(xi, str) and xi == "bound"
+    if not bound and xi is not None and np.shape(xi) != (len(dt), 9):
+        raise PropagationError('need xi (N, 9) or "bound"')
     if np.any(dt <= 0):
         raise PropagationError("segment duration must be positive")
     sp = jet_space(9, 2 if xi is None else 1)
@@ -386,7 +388,72 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     if xi is None:
         # one norm per row: a batched norm rounds differently
         xi = np.array([dajet.second_order_ratio(sp, ye) for ye in yend])
+    elif bound:
+        xi = xi_bound(x, u, dt, dyn, G)
     return SegmentMaps(A=A, B=B, c=c, xi=xi)
+
+
+# sup over unit directions of |a_J2|, ||grad a_J2||_F and ||D^2 a_J2||_F
+# on the sphere of radius r, in units of k / r^4, k / r^5 and k / r^6 with
+# k = 3/2 J2 mu r_ref^2.  By axial symmetry each square is a polynomial in
+# s = z/r (5 s^4 - 2 s^2 + 1, 90 s^4 - 20 s^2 + 26 and
+# 3150 s^4 - 300 s^2 + 1150), largest at the poles.
+_J2_ACC, _J2_GRAD, _J2_HESS = 2.0, math.sqrt(96.0), math.sqrt(4000.0)
+
+
+def xi_bound(x: np.ndarray, u: np.ndarray, dt: np.ndarray, dyn: Dynamics,
+             G: np.ndarray) -> np.ndarray:
+    """Upper bounds (N, 9) on the nonlinearity ratios that an order-2
+    flight of the same segments would measure, from the segments' start
+    states ``x`` (N, 6), controls ``u`` (N, 3), durations ``dt`` (N,) and
+    first-order maps ``G`` = [A B] (N, 6, 9).
+
+    With F(y) = (v, g(r) + u), the first variations Y = dy/d(x, u) obey
+    Y' = F_y Y + [0 E] and the second ones Z obey Z' = F_y Z + D^2g[Y_r, Y_r]
+    from Z(0) = 0 (u enters linearly).  On the flown arc ||F_y|| <= L =
+    sqrt(1 + gamma^2) with gamma >= ||grad g|| and ||D^2g|| <= kappa, so by
+    Gronwall's lemma (Hairer, Norsett & Wanner, Solving ODEs I, I.10) a
+    state column has |Y_v(s)| <= e^{Ls}, a control column
+    |Y_w(s)| <= (e^{Ls} - 1)/L <= s e^{Ls}, so ||Y(s)||_F <=
+    sqrt(6 + 3 dt^2) e^{Ls}, and |Z_vw(dt)| <= int_0^dt e^{L(dt-s)} kappa
+    |Y_v(s)| |Y_w(s)| ds.  The Frobenius norm of the second derivatives in
+    one state variable v, over every output and every other variable w,
+    is therefore at most
+
+        sqrt(6 + 3 dt^2) kappa int_0^dt e^{L(dt-s)} e^{2Ls} ds
+            = sqrt(6 + 3 dt^2) kappa e^{L dt} (e^{L dt} - 1) / L,
+
+    and dt times that in one control variable.  Divided by ||[A B]||_F
+    these are the returned bounds; the measured ratio of
+    :func:`dajet.second_order_ratio` is at most them.
+
+    gamma and kappa are the two-body values 2 mu / r^3 and 6 mu / r^4 plus
+    the J2 terms, all taken at a lower bound r_lb on the radius along the
+    arc: the straight line r0 + v0 t comes no closer than its minimum over
+    [0, dt], and the flown arc strays from it by at most a_max dt^2 / 2.
+    a_max bounds |g + u| for radii above rho = |r0| / 2; once r_lb > rho
+    the arc can never have reached rho, so the assumption holds.
+    Otherwise the bound is inf.
+    """
+    r0, v0 = x[:, :3], x[:, 3:]
+    mu, k = dyn.mu, 1.5 * dyn.j2 * dyn.mu * dyn.r_ref ** 2
+    rho = np.linalg.norm(r0, axis=1) / 2.0
+    vv = np.einsum("ij,ij->i", v0, v0)
+    rv = np.einsum("ij,ij->i", r0, v0)
+    t_min = np.clip(-rv / np.where(vv > 0.0, vv, 1.0), 0.0, dt)
+    r_line = np.linalg.norm(r0 + v0 * t_min[:, None], axis=1)
+    a_max = mu / rho ** 2 + _J2_ACC * k / rho ** 4 + np.linalg.norm(u, axis=1)
+    r_lb = r_line - 0.5 * a_max * dt ** 2
+    ok = r_lb > rho
+    r_lb = np.where(ok, r_lb, rho)
+    gamma = 2.0 * mu / r_lb ** 3 + _J2_GRAD * k / r_lb ** 5
+    kappa = 6.0 * mu / r_lb ** 4 + _J2_HESS * k / r_lb ** 6
+    L = np.sqrt(1.0 + gamma ** 2)
+    with np.errstate(divide="ignore"):
+        xi = np.sqrt(6.0 + 3.0 * dt ** 2) * kappa * np.exp(L * dt) \
+            * np.expm1(L * dt) / (L * np.linalg.norm(G, axis=(1, 2)))
+    xi = np.where(ok, xi, np.inf)
+    return np.repeat(np.column_stack([xi, dt * xi]), [6, 3], axis=1)
 
 
 # ---------------------------------------------------------------------

@@ -116,7 +116,8 @@ def emit(sol, scenario, out_dir):
             "e_major": _num(rec.e_major), "e_minor": _num(rec.e_minor),
             "objective": _num(rec.objective),
             "dv_mm_s": _num(rec.dv_mm_s), "vc_max": _num(rec.vc_max),
-            "ipm_iters": rec.ipm_iters, "jet_order": rec.jet_order,
+            "ipm_iters": rec.ipm_iters,
+            "order2_segments": rec.order2_segments,
             "cone_solves": [{
                 "status": cs["status"], "iterations": cs["iterations"],
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),

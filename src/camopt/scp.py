@@ -237,7 +237,7 @@ class IterationRecord:
     cone_solves: list
     # one (q_limit, d2_limit) per channel, the limits the major ran with
     limits: list
-    jet_order: int  # of the relinearization the major ran on (1 or 2)
+    order2_segments: int  # segments its relinearization flew at order 2
 
     @property
     def ipm_iters(self) -> int:
@@ -691,11 +691,18 @@ def adapt_limits(p0, rho_fns, total_limit, guesses=None):
     return q
 
 
-def _rho_fn(ch, table):
+def _rho_fn(ch, table, limits: dict):
     """Exit cost of the channel at each limit of an array of limits, priced
-    with its exit table at the current reference."""
+    with its exit table at the current reference.  ``limits`` keeps the
+    channel's squared-distance limits per channel node across the calls
+    of one solve, whose limit grid :func:`adapt_limits` fixes from the
+    total budget and the channel count; a long-term channel's limits also
+    depend on the node it is constrained at."""
     def rho(qbar):
-        d2 = ch.limit_d2(np.minimum(qbar / ch.weight, 1.0 - 1e-12))
+        if ch.node not in limits:
+            limits[ch.node] = ch.limit_d2(np.minimum(qbar / ch.weight,
+                                                     1.0 - 1e-12))
+        d2 = limits[ch.node]
         return np.where(d2 > 0.0, _table_cost(table, d2), 0.0)
 
     return rho
@@ -727,9 +734,9 @@ def _stalls(obj: float, history) -> bool:
 
 def _xi_stale(x_ref: np.ndarray, x_at: np.ndarray, xi: np.ndarray) -> bool:
     """True when some node of ``x_ref`` has left the node states ``x_at``
-    that the nonlinearity ratios ``xi`` were measured at by more than that
-    entry's own trust-region half-width ``NU_BAR / xi``; an entry with
-    xi = 0 has none."""
+    that the nonlinearity ratios ``xi`` (measured, or their upper bounds)
+    were taken at by more than that entry's own trust-region half-width
+    ``NU_BAR / xi``; an entry with xi = 0 has none."""
     with np.errstate(divide="ignore"):
         return bool(np.any(np.abs(x_ref - x_at) > NU_BAR / xi[:, :6]))
 
@@ -964,27 +971,38 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                     ch.M)
         return tables[i]
 
-    # the second-order jets only size the trust regions, and their ratios
-    # barely move during a solve: keep the ones of the last order-2 flight
-    # with the node states they were measured at, and fly order 1 until the
-    # reference leaves the trust region they set
+    # the nonlinearity ratios xi only size the state trust regions.  Every
+    # segment flies order-1 jets and takes the analytic upper bound of
+    # astro.xi_bound; a segment flies order 2 for its exact ratios only
+    # where a bounded row could bind (NU_BAR / bound <= its reach), so the
+    # lean subproblem keeps exactly the rows the exact ratios would keep.
+    # The ratios barely move during a solve: they are kept, as (node states
+    # they were taken at, ratios, exact per segment), until the reference
+    # leaves the trust region they set
     xi_at = None
 
     def relinearize(uf):
         nonlocal xi_at
         tables.clear()
-        xi = None
-        if xi_at is not None and not _xi_stale(x_ref[:N], *xi_at):
-            xi = xi_at[1]
-        segs = linearize_segment(x_ref[:N], uf * u_scale, grid.dt, dyn, xi=xi)
-        if xi is None:
-            xi_at = (x_ref[:N], segs.xi)
+        u = uf * u_scale
+        if xi_at is None or _xi_stale(x_ref[:N], *xi_at[:2]):
+            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, xi="bound")
+            xi_at = (x_ref[:N].copy(), segs.xi, np.zeros(N, dtype=bool))
+        else:
+            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, xi=xi_at[1])
+        x_at, xi, exact = xi_at
+        # fixed for the major: every minor's lean subproblem reuses it
+        reach = state_reach(segs, x_init, x_ref, u_scale)
+        order2 = ~exact & (NU_BAR / xi[:, 0] <= reach.max(axis=1))
+        if order2.any():
+            xi[order2] = linearize_segment(x_ref[:N][order2], u[order2],
+                                           grid.dt[order2], dyn).xi
+            x_at[order2] = x_ref[:N][order2]
+            exact |= order2
         r3 = _impulse_responses(segs, grid)
         for ch in channels:
             ch.relinearize(x_ref[:, :3], r3)
-        # fixed for the major: every minor's lean subproblem reuses it
-        reach = state_reach(segs, x_init, x_ref, u_scale)
-        return segs, r3, reach, 2 if xi is None else 1
+        return segs, r3, reach, int(order2.sum())
 
     def select_anchors(ref_pos):
         items, picked = [], []
@@ -1000,9 +1018,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             for ch, z, n in zip(picked, anchors, normals):
                 ch.anchor, ch.push = z, n
 
-    segments, resp3, reach, jet_order = relinearize(np.zeros((N, 3)))
+    segments, resp3, reach, order2_segments = relinearize(np.zeros((N, 3)))
 
     weights = np.array([ch.weight for ch in channels])
+    # per channel, its limit_d2 over the adaptation's limit grid
+    limit_tables = [{} for _ in channels]
     q_cur = cfg.total_limit * weights / float(np.sum(weights))
 
     def adapt():
@@ -1010,7 +1030,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         # maneuver has already cleared release their share down to the floor
         nonlocal q_cur
         # a single channel takes the whole budget unpriced
-        rho_fns = [_rho_fn(ch, exit_table(i))
+        rho_fns = [_rho_fn(ch, exit_table(i), limit_tables[i])
                    for i, ch in enumerate(channels)] \
             if len(channels) > 1 else []
         q_cur = adapt_limits([ch.p0 for ch in channels], rho_fns,
@@ -1038,13 +1058,13 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         return checked[1][0]
 
     def run_stage(stage):
-        nonlocal segments, resp3, reach, jet_order, u_frac, x_ref, states, \
-            major, vc_max
+        nonlocal segments, resp3, reach, order2_segments, u_frac, x_ref, \
+            states, major, vc_max
         prev_dv = None
         while major < MAX_MAJOR:
             major += 1
             if major > 1:
-                segments, resp3, reach, jet_order = relinearize(u_frac)
+                segments, resp3, reach, order2_segments = relinearize(u_frac)
             ref_pos = x_ref[:, :3].copy()
             cap = cfg.total_limit
             if stage == "smd":
@@ -1122,7 +1142,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                        cone_solves=cone_solves,
                                        limits=[(ch.q_limit, ch.d2_limit)
                                                for ch in channels],
-                                       jet_order=jet_order))
+                                       order2_segments=order2_segments))
             u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate

@@ -393,10 +393,22 @@ class _Kkt:
         return out
 
 
+def _canonical(M) -> sp.csc_matrix:
+    """``M`` as a CSC matrix with sorted indices and no duplicate entries;
+    a copy when ``M`` has either.  SuperLU sums the duplicates of K in
+    place, which would leave K's data out of step with the KKT layout, and
+    the caller's matrix is never changed."""
+    M = sp.csc_matrix(M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    return M
+
+
 def solve(prob: SocpProblem) -> SolveResult:
     prob.validate()
     c, b, h = (np.asarray(v, float) for v in (prob.c, prob.b, prob.h))
-    A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
+    A, G = _canonical(prob.A), _canonical(prob.G)
     n, p, m = len(c), len(b), len(h)
     if m == 0:
         raise SolverError("need at least one cone row")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from camopt import astro
-from camopt.dajet import identity, jet_space
+from camopt.dajet import gradient, hessian, identity, jet_space
 from camopt.astro import (
     GM_EARTH,
     J2_EARTH,
@@ -21,7 +21,9 @@ from camopt.astro import (
     flow_jets,
     linearize_segment,
     refine_tca,
+    xi_bound,
 )
+from camopt.scenario import elements_to_state
 
 
 def circular_state(r, incl=0.0):
@@ -400,6 +402,85 @@ class TestOrderOneMaps:
         with pytest.raises(PropagationError):
             linearize_segment(x, u, dt, Dynamics.two_body(1.0),
                               xi=np.zeros((len(dt), 6)))
+
+
+def random_segments(rng, n):
+    """n segments in scaled units (mu = 1): start states on orbits with
+    a in [1, 1.5] and e in [0, 0.3] at random orientation and anomaly,
+    controls |u| <= 1e-2 and durations up to 1/16 of the orbit."""
+    a = rng.uniform(1.0, 1.5, n)
+    x = np.array([elements_to_state(ak, rng.uniform(0.0, 0.3),
+                                    *rng.uniform(0.0, 2.0 * math.pi, 4),
+                                    mu=1.0) for ak in a])
+    u = rng.normal(size=(n, 3))
+    u *= (rng.uniform(0.0, 1e-2, n) / np.linalg.norm(u, axis=1))[:, None]
+    dt = rng.uniform(1e-3, 1.0, n) * 2.0 * math.pi * a ** 1.5 / 16.0
+    return x, u, dt
+
+
+class TestXiBound:
+    """The analytic bound of the nonlinearity ratios from order-1 maps."""
+
+    @SCALED_DYNAMICS
+    def test_bounds_the_measured_ratios(self, dyn):
+        # 500 segments per model, every one of the 9 entries; the radius
+        # bound fails (inf) only on a few of the longest segments
+        x, u, dt = random_segments(np.random.default_rng(11), 500)
+        measured = linearize_segment(x, u, dt, dyn).xi
+        bounded = linearize_segment(x, u, dt, dyn, xi="bound").xi
+        assert np.all(bounded >= measured)
+        finite = np.isfinite(bounded[:, 0])
+        assert finite.mean() > 0.95 and np.all(dt[~finite] > 0.3)
+        # about twice the measured ratio where it is tightest
+        assert np.min(bounded[finite, :6] / measured[finite, :6]) < 4.0
+
+    @SCALED_DYNAMICS
+    def test_order_one_flight_takes_the_bound(self, dyn):
+        x, u, dt = segment_batch()
+        got = linearize_segment(x, u, dt, dyn, xi="bound")
+        carried = linearize_segment(x, u, dt, dyn, xi=np.zeros((len(dt), 9)))
+        for name in ("A", "B", "c"):
+            assert np.array_equal(getattr(got, name), getattr(carried, name))
+        G = np.concatenate([got.A, got.B], axis=2)
+        assert np.array_equal(got.xi, xi_bound(x, u, dt, dyn, G))
+        assert np.array_equal(got.xi[:, 6:], got.xi[:, :3] * dt[:, None])
+
+    def test_failed_radius_bound_is_inf(self):
+        # a segment aimed through the centre, and one so long that gravity
+        # could pull it in, get no finite bound; the others keep theirs
+        dyn = Dynamics.two_body(1.0)
+        x, u, dt = segment_batch()
+        x[1, 3:] = [-20.0, 0.0, 0.0]
+        dt[5] = 2.0
+        G = np.concatenate([np.eye(6), np.zeros((6, 3))], axis=1)
+        xi = xi_bound(x, u, dt, dyn, np.repeat(G[None], len(dt), axis=0))
+        assert np.all(np.isinf(xi[[1, 5]]))
+        assert np.all(np.isfinite(np.delete(xi, [1, 5], axis=0)))
+
+    def test_j2_constants_are_the_polar_maxima(self):
+        # |a|, ||grad a||_F and ||D^2 a||_F of the J2 acceleration, from
+        # order-2 jets of the equations of motion, stay below the bound's
+        # constants everywhere on a sphere and reach them at the poles
+        two, j2 = Dynamics.two_body(1.0), Dynamics.two_body_j2(1.0, 0.1, 1.0)
+        k = 1.5 * j2.j2 * j2.mu * j2.r_ref ** 2
+        rng = np.random.default_rng(2)
+        r = 1.3
+        dirs = rng.normal(size=(400, 3))
+        dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1)[:, None],
+                          [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        sp = jet_space(3, 2)
+        pos = identity(sp, r * dirs)
+        y = np.concatenate([pos, np.zeros_like(pos)], axis=1)
+        acc = (astro._eom_jets(sp, y, np.zeros((len(dirs), 3)), j2)
+               - astro._eom_jets(sp, y, np.zeros((len(dirs), 3)), two))[:, 3:]
+        a = np.linalg.norm(acc[..., 0], axis=1) * r ** 4 / k
+        grad = np.linalg.norm(gradient(sp, acc), axis=(1, 2)) * r ** 5 / k
+        hess = np.sqrt((hessian(sp, acc) ** 2).sum(axis=(1, 2, 3))) \
+            * r ** 6 / k
+        for got, const in ((a, astro._J2_ACC), (grad, astro._J2_GRAD),
+                           (hess, astro._J2_HESS)):
+            assert np.all(got <= const * (1.0 + 1e-12))
+            assert np.allclose(got[-2:], const, rtol=1e-12)
 
 
 class TestGrid:

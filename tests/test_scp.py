@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import RiskRows, assemble, cut_normal, \
     project_onto_ellipsoid
 from camopt.risk import bplane_basis
-from camopt.scenario import Config, load_scenario
+from camopt.scenario import Config, load_scenario, scaled_dynamics
 from camopt.socp import solve as socp_solve
 from camopt.scp import (
     LongChannel,
@@ -57,6 +58,21 @@ def second_and_third_cdm():
 @pytest.fixture(scope="module")
 def sol2():
     return solve(two_cdm(), Config())
+
+
+def record_flights(monkeypatch) -> list:
+    """Wrap the solver's segment linearization; the returned list gets one
+    entry per flight: "bound" for order-1 jets with freshly bounded ratios,
+    "carried" for order-1 jets with kept ones, "order2" for order-2 jets."""
+    flights, real = [], scp.linearize_segment
+
+    def linearize(*args, xi=None, **kwargs):
+        flights.append("order2" if xi is None else
+                       "bound" if isinstance(xi, str) else "carried")
+        return real(*args, xi=xi, **kwargs)
+
+    monkeypatch.setattr(scp, "linearize_segment", linearize)
+    return flights
 
 
 # ---------------------------------------------------------------------
@@ -185,6 +201,30 @@ def log_rho(scale):
 
 
 class TestAdaptLimits:
+    def test_limit_tables_built_once_per_solve(self, monkeypatch):
+        # limit adaptation runs at every major, but each channel's limits
+        # over the adaptation grid are inverted once per solve, with the
+        # same answer bit for bit as inverting them at every major
+        inversions, real = [], scp.invert_chan
+
+        def invert(p, u):
+            if np.ndim(p):
+                inversions.append(u)
+            return real(p, u)
+
+        monkeypatch.setattr(scp, "invert_chan", invert)
+        sol = solve(two_cdm(), Config())
+        assert sol.majors > 2 and len(inversions) == len(sol.channels) == 2
+        rho_fn = scp._rho_fn
+        monkeypatch.setattr(scp, "_rho_fn",
+                            lambda ch, table, limits: rho_fn(ch, table, {}))
+        inversions.clear()
+        every = solve(two_cdm(), Config())
+        assert len(inversions) == 2 * every.majors
+        assert np.array_equal(sol.u_frac, every.u_frac)
+        assert [rec.limits for rec in sol.log] == \
+            [rec.limits for rec in every.log]
+
     def test_single_channel_gets_whole_budget(self):
         q = adapt_limits(np.array([1e-4]), [log_rho(1.0)], 1e-6)
         assert q == pytest.approx([1e-6])
@@ -517,30 +557,26 @@ class TestSolve:
         # the first 2-CDM subproblem: node 0 is fixed at the reference, so
         # its 12 state trust rows go, and so do any others the controls
         # cannot reach
-        class Captured(Exception):
-            pass
-
-        def capture(*args, **kwargs):
-            raise Captured(args, kwargs)
-
-        monkeypatch.setattr(scp, "assemble", capture)
-        with pytest.raises(Captured) as got:
-            solve(two_cdm(), Config())
-        args, kwargs = got.value.args
+        args, kwargs = first_subproblem(monkeypatch, two_cdm())
         lean = assemble(*args, **kwargs)
         full = assemble(*args, **dict(kwargs, virtual=True))
         assert not kwargs["virtual"]
         assert np.all(args[0].xi[0, :6] > 1e-14)
         assert lean.dims.nonneg <= full.dims.nonneg - 12
 
-    def test_second_order_jets_once_and_no_virtual_controls(self, sol2):
-        # the reference never leaves the trust region the first flight's
-        # ratios set, and every subproblem is feasible as it stands
-        assert [rec.jet_order for rec in sol2.log] == \
-            [2] + [1] * (len(sol2.log) - 1)
-        assert not any(cs["virtual"] for rec in sol2.log
+    def test_second_order_jets_once_and_no_virtual_controls(
+            self, monkeypatch):
+        # the reference never leaves the trust region the first major's
+        # ratios set, so they are derived once; no bounded state trust row
+        # could bind, so no segment flies order 2; and every subproblem is
+        # feasible as it stands
+        flights = record_flights(monkeypatch)
+        sol = solve(two_cdm(), Config())
+        assert flights == ["bound"] + ["carried"] * (len(sol.log) - 1)
+        assert [rec.order2_segments for rec in sol.log] == [0] * len(sol.log)
+        assert not any(cs["virtual"] for rec in sol.log
                        for cs in rec.cone_solves)
-        assert all(rec.vc_max == 0.0 for rec in sol2.log)
+        assert all(rec.vc_max == 0.0 for rec in sol.log)
 
 
 class TestLongTermMixture:
@@ -590,7 +626,8 @@ class TestXiRefresh:
 
     def test_solve_converges_when_it_fires(self, monkeypatch):
         # the rule at a millionth of the half-width fires on the drift of
-        # a real solve
+        # a real solve, and the ratios are derived again exactly in the
+        # majors where it fired
         fired, real = [], scp._xi_stale
 
         def stale(x_ref, x_at, xi):
@@ -598,12 +635,132 @@ class TestXiRefresh:
             return fired[-1]
 
         monkeypatch.setattr(scp, "_xi_stale", stale)
+        flights = record_flights(monkeypatch)
         sol = solve(two_cdm(), Config())
         assert sol.status == "converged"
         assert any(fired)
-        orders = [rec.jet_order for rec in sol.log]
-        assert orders == [2] + [2 if f else 1 for f in fired]
+        assert flights == ["bound"] + ["bound" if f else "carried"
+                                       for f in fired]
+        assert [rec.order2_segments for rec in sol.log] == [0] * len(sol.log)
         assert sol.tpoc_final <= 1.05e-6
+
+
+def first_subproblem(monkeypatch, scenario, config=None):
+    """The (args, kwargs) that ``solve`` assembles its first subproblem
+    from; the solve stops there."""
+    class Captured(Exception):
+        pass
+
+    def capture(*args, **kwargs):
+        raise Captured(args, kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scp, "assemble", capture)
+        with pytest.raises(Captured) as got:
+            solve(scenario, config or Config())
+    return got.value.args
+
+
+def first_major_ratios(scenario, args):
+    """The bounded and the measured (order-2) ratios of every segment of a
+    first subproblem's ballistic reference."""
+    segs, grid, x_ref = args[:3]
+    N, dyn = grid.n_segments, scaled_dynamics(scenario)
+    x, u = x_ref[:N], np.zeros((N, 3))
+    G = np.concatenate([segs.A, segs.B], axis=2)
+    return (astro.xi_bound(x, u, grid.dt, dyn, G),
+            astro.linearize_segment(x, u, grid.dt, dyn).xi)
+
+
+class TestXiScreen:
+    """Every relinearization flies order-1 jets and bounds the ratios; a
+    segment flies order 2 only where a bounded state trust row could
+    bind."""
+
+    def test_first_lean_subproblem_as_with_measured_ratios(
+            self, monkeypatch):
+        sc = two_cdm()
+        args, kwargs = first_subproblem(monkeypatch, sc)
+        bound, measured = first_major_ratios(sc, args)
+        assert np.array_equal(args[0].xi, bound)
+        exact = dataclasses.replace(args[0], xi=measured)
+        got = assemble(*args, **kwargs)
+        want = assemble(exact, *args[1:], **kwargs)
+        for name in ("objective", "eq_rhs", "ineq_rhs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("eq_matrix", "ineq_matrix"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and (a != b).nnz == 0
+        assert got.dims == want.dims and got.var_map == want.var_map
+
+    def test_forced_screen_flies_the_measured_ratios(self, monkeypatch):
+        # trust regions 180 times narrower make some bounded rows reachable:
+        # exactly those segments carry the order-2 ratios, bit for bit as
+        # in a flight of every segment
+        monkeypatch.setattr(scp, "NU_BAR", scp.NU_BAR / 180.0)
+        sc = two_cdm()
+        args, kwargs = first_subproblem(monkeypatch, sc)
+        bound, measured = first_major_ratios(sc, args)
+        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"].max(axis=1)
+        assert 0 < flagged.sum() < len(flagged)
+        xi = args[0].xi
+        assert np.array_equal(xi[flagged], measured[flagged])
+        assert np.array_equal(xi[~flagged], bound[~flagged])
+
+    def test_failed_radius_bound_flies_order_two(self, monkeypatch):
+        # xi = inf, what a failed radius bound gives, admits a row at any
+        # reach, so that segment flies order 2
+        real = astro.xi_bound
+
+        def failing(*args):
+            xi = real(*args)
+            xi[7] = np.inf
+            return xi
+
+        monkeypatch.setattr(astro, "xi_bound", failing)
+        flights = record_flights(monkeypatch)
+        sc = two_cdm()
+        args, _ = first_subproblem(monkeypatch, sc)
+        assert flights == ["bound", "order2"]
+        _, measured = first_major_ratios(sc, args)
+        assert np.array_equal(args[0].xi[7], measured[7])
+
+    def test_bound_holds_on_the_benchmark_workloads(self, monkeypatch,
+                                                    tmp_path):
+        # every segment of every derivation of the ratios in a solve of
+        # each workload's base scenario; no segment flies order 2
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        import workloads
+        real, worst = scp.linearize_segment, []
+
+        def linearize(x, u, dt, dyn, xi=None):
+            segs = real(x, u, dt, dyn, xi=xi)
+            if isinstance(xi, str):
+                measured = real(x, u, dt, dyn).xi
+                assert np.all(segs.xi >= measured)
+                worst.append(np.min(segs.xi[:, :6] / measured[:, :6]))
+            return segs
+
+        monkeypatch.setattr(scp, "linearize_segment", linearize)
+        for name, spec in workloads.WORKLOADS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(workloads.scenario_pool(name, 0)[0]))
+            sol = solve(load_scenario(path), Config(refine_mode=spec["mode"]))
+            assert sol.status == "converged", name
+            assert all(rec.order2_segments == 0 for rec in sol.log), name
+        assert len(worst) >= 3 and min(worst) > 1.5
+
+    def test_bound_holds_on_the_ten_cdm_first_major(self, monkeypatch):
+        sc = load_scenario(CASE1)
+        args, kwargs = first_subproblem(monkeypatch, sc)
+        bound, measured = first_major_ratios(sc, args)
+        assert np.all(bound >= measured)
+        # the segments whose bounded rows the controls could reach carry
+        # the measured ratios
+        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"].max(axis=1)
+        assert 0 < flagged.sum() < len(flagged) // 4
+        assert np.array_equal(args[0].xi[flagged], measured[flagged])
 
 
 class TestConeSolveFallback:

@@ -210,6 +210,28 @@ class TestValidation:
         with pytest.raises(SolverError):
             solve(prob)
 
+    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
+    @pytest.mark.parametrize("split", ["A", "G"])
+    def test_duplicate_entries_solve_as_canonical(self, monkeypatch,
+                                                  band_max, split):
+        # a matrix whose first stored entry is split into two halves is
+        # the same matrix: both KKT paths solve it as the canonical one,
+        # and the caller's matrix keeps its duplicate
+        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+        prob = random_feasible(np.random.default_rng(3), 8, 2, 4, [3, 4])
+        M = getattr(prob, split)
+        indptr = M.indptr.copy()
+        indptr[1:] += 1
+        dup = sp.csc_matrix((np.r_[M.data[0] / 2, M.data[0] / 2, M.data[1:]],
+                             np.r_[M.indices[0], M.indices],
+                             indptr), shape=M.shape)
+        data = dup.data.copy()
+        ref = solve(prob)
+        got = solve(dataclasses.replace(prob, **{split: dup}))
+        assert ref.status == got.status == "optimal"
+        assert np.array_equal(got.x, ref.x) and got.obj == ref.obj
+        assert dup.nnz == M.nnz + 1 and np.array_equal(dup.data, data)
+
     def test_never_crashes_on_hard_problem(self, monkeypatch):
         # nearly-degenerate rows: must return a status, not raise
         monkeypatch.setattr(socp, "MAX_ITER", 30)
