@@ -99,7 +99,6 @@ def emit(sol, scenario, out_dir):
         "total_limit": sol.total_limit,
         "iterations": sol.majors,
         "e_validation_mm": sol.e_validation_mm,
-        "vc_max": sol.vc_max,
         "times_s": [_r(t) for t in sol.times_s],
         "controls_km_s2": [[_r(v) for v in row]
                            for row in sol.controls_km_s2],
@@ -115,13 +114,13 @@ def emit(sol, scenario, out_dir):
             "major": rec.major, "minors": rec.minors,
             "e_major": _num(rec.e_major), "e_minor": _num(rec.e_minor),
             "objective": _num(rec.objective),
-            "dv_mm_s": _num(rec.dv_mm_s), "vc_max": _num(rec.vc_max),
+            "dv_mm_s": _num(rec.dv_mm_s),
             "ipm_iters": rec.ipm_iters,
             "order2_segments": rec.order2_segments,
             "cone_solves": [{
                 "status": cs["status"], "iterations": cs["iterations"],
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
-                "gap": _num(cs["gap"]), "virtual": cs["virtual"],
+                "gap": _num(cs["gap"]),
                 "kkt_dim": cs["kkt_dim"], "kkt_band": cs["kkt_band"],
             } for cs in rec.cone_solves],
             "limits": [{"q_limit": _num(q), "d2_limit": _num(d2)}

@@ -5,11 +5,10 @@ the tangent half-space cut, the closed-form linearization of the total
 collision probability (short-term at the conjunction nodes, long-term
 node-wise), and
 the assembly of the full second-order-cone program: linearized dynamics,
-lossless control relaxation, nonlinearity trust regions and the risk rows,
-with or without the virtual controls that keep a subproblem feasible when
-the linearization cannot reach its constraints.  Without them the states
-can move only as far as the controls can push them, and the state trust
-rows wider than that reach are left out.
+lossless control relaxation, nonlinearity trust regions and the risk rows.
+The states move only as far as the controls can push them, so the state
+trust rows wider than that reach are left out, and a subproblem whose
+constraints the linearization cannot reach is infeasible.
 """
 
 from __future__ import annotations
@@ -268,21 +267,16 @@ def state_reach(segments, x_init: np.ndarray, x_ref: np.ndarray,
 
 
 def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
-             risk: RiskRows, kappa_vc: float = 1e4, nu_bar: float = 1e-2,
-             u_scale: float = 1.0, u_prev: np.ndarray | None = None,
-             prox: float = 0.0, virtual: bool = True,
+             risk: RiskRows, nu_bar: float = 1e-2, u_scale: float = 1.0,
+             u_prev: np.ndarray | None = None, prox: float = 0.0,
              reach: np.ndarray | None = None) -> ConicProblem:
     """Build the conic subproblem over one major iteration's linearization.
 
     Variables per segment i: state x_i (6), control u_i (3, fraction of the
-    maximum acceleration), control slack sig_i, and with ``virtual`` a
-    virtual control vc_i (6) in the dynamics with its slack vnorm_i, priced
-    at ``kappa_vc``; plus the terminal state x_N.  ``virtual=False`` leaves
-    out vc and vnorm, their dynamics entries and their cones: 7N variables
-    and 7N cone rows fewer, for subproblems that are feasible without them.
-    That form also emits a state trust-region row pair only where its
-    half-width ``nu_bar`` / xi does not exceed the node's :func:`state_reach`
-    (passed as ``reach``, or computed here): a wider row cannot bind, so the
+    maximum acceleration) and control slack sig_i; plus the terminal state
+    x_N.  A state trust-region row pair is emitted only where its half-width
+    ``nu_bar`` / xi does not exceed the node's :func:`state_reach` (passed
+    as ``reach``, or computed here): a wider row cannot bind, so the
     feasible set is the same.  At node 0 the reach is |x_init - x_ref_0|,
     zero when the reference starts at x_init, and its rows all go.
     With ``prox`` > 0 a small penalty on the control change from ``u_prev``
@@ -294,13 +288,10 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     dts = grid.dt
 
     with_prox = u_prev is not None and prox > 0.0
-    n_vc = N if virtual else 0
     nx, nu = 6 * (N + 1), 3 * N
     off_x, off_u = 0, nx
     off_sig = off_u + nu
-    off_vc = off_sig + N
-    off_vn = off_vc + 6 * n_vc
-    off_pn = off_vn + n_vc
+    off_pn = off_sig + N
     n_var = off_pn + (N if with_prox else 0)
 
     var_map = {
@@ -308,13 +299,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
         "u": slice(off_u, off_u + nu),
         "sigma": slice(off_sig, off_sig + N),
     }
-    if virtual:
-        var_map["vc"] = slice(off_vc, off_vn)
-        var_map["vnorm"] = slice(off_vn, off_pn)
 
     c = np.zeros(n_var)
     c[off_sig:off_sig + N] = dts * u_scale
-    c[off_vn:off_pn] = kappa_vc
     if with_prox:
         c[off_pn:off_pn + N] = prox * dts * u_scale
 
@@ -322,21 +309,18 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     col_x = off_x + np.arange(nx).reshape(N + 1, 6)
     col_u = off_u + np.arange(nu).reshape(N, 3)
     col_sig = off_sig + np.arange(N)
-    col_vc = off_vc + np.arange(6 * n_vc).reshape(n_vc, 6)
 
-    # equalities: initial state, then x_{i+1} = A x_i + B u_i + c_i + vc_i;
-    # entry (i, j, :) of the (N, 6, 11) stack (10 without vc) is row j of
-    # segment i over [x_{i+1,j}, x_i, u_i, vc_{i,j}], zero map entries left
-    # out
-    one = np.ones((N, 6, 1))
-    vals = np.concatenate([one, -segments.A, -segments.B]
-                          + ([-one] if virtual else []), axis=2)
+    # equalities: initial state, then x_{i+1} = A x_i + B u_i + c_i; entry
+    # (i, j, :) of the (N, 6, 10) stack is row j of segment i over
+    # [x_{i+1,j}, x_i, u_i], zero map entries left out
+    vals = np.concatenate([np.ones((N, 6, 1)), -segments.A, -segments.B],
+                          axis=2)
     keep = vals != 0.0
     vals[..., 7:10] *= u_scale
     cols = np.concatenate([col_x[1:, :, None],
                            np.broadcast_to(col_x[:-1, None], (N, 6, 6)),
-                           np.broadcast_to(col_u[:, None], (N, 6, 3))]
-                          + ([col_vc[..., None]] if virtual else []), axis=2)
+                           np.broadcast_to(col_u[:, None], (N, 6, 3))],
+                          axis=2)
     rows = np.broadcast_to(6 + np.arange(6 * N).reshape(N, 6, 1), vals.shape)
     A = sp.csc_matrix((np.concatenate([np.ones(6), vals[keep]]),
                        (np.concatenate([np.arange(6), rows[keep]]),
@@ -374,11 +358,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
 
     # control magnitude bound sig_i <= 1
     single(col_sig, 1.0, np.ones(N))
-    # nonlinearity trust region on the states feeding each segment; without
-    # virtual controls, only the rows the controls can reach
-    if virtual:
-        reach = math.inf
-    elif reach is None:
+    # nonlinearity trust region on the states feeding each segment, only
+    # the rows the controls can reach
+    if reach is None:
         reach = state_reach(segments, x_init, x_ref, u_scale)
     trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar, reach)
     # keep-out half-spaces: a . r_node >= rhs
@@ -394,13 +376,11 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
             trust(cols, ref, xi, nu_risk)
     n_nonneg = gr
 
-    # second-order cones: ||u_i|| <= sig_i, ||vc_i|| <= vnorm_i, and with
-    # the proximal term ||u_i - u_prev_i|| <= pn_i; cone i's rows are its
-    # bound, then its vector
+    # second-order cones: ||u_i|| <= sig_i, and with the proximal term
+    # ||u_i - u_prev_i|| <= pn_i; cone i's rows are its bound, then its
+    # vector
     single(np.column_stack([col_sig, col_u]).ravel(), -1.0, np.zeros(4 * N))
-    single(np.column_stack([off_vn + np.arange(n_vc), col_vc]).ravel(), -1.0,
-           np.zeros(7 * n_vc))
-    socs = (4,) * N + (7,) * n_vc
+    socs = (4,) * N
     if with_prox:
         single(np.column_stack([off_pn + np.arange(N), col_u]).ravel(), -1.0,
                np.column_stack([np.zeros(N), -u_prev]).ravel())

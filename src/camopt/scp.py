@@ -57,7 +57,6 @@ class ScpError(CamoptError):
 NODES_PER_ORBIT = 60  # grid step of one orbital period (2 pi scaled)
 MAJOR_TOL = 1e-3  # scaled acceleration
 MINOR_TOL = 1e-6  # scaled position
-KAPPA_VC = 1e4  # objective weight of the virtual controls
 NU_BAR = 1e-2  # state trust region |x - x_ref| <= NU_BAR / xi
 MAX_MAJOR = 30
 MAX_MINOR = 30
@@ -231,9 +230,7 @@ class IterationRecord:
     e_minor: float
     objective: float
     dv_mm_s: float
-    vc_max: float  # 0.0 when the last minor solved without virtual controls
-    # one {status, iterations, pres, dres, gap, virtual, kkt_dim} per cone
-    # solve of the major
+    # one {status, iterations, pres, dres, gap, kkt_dim, kkt_band} per minor
     cone_solves: list
     # one (q_limit, d2_limit) per channel, the limits the major ran with
     limits: list
@@ -255,7 +252,6 @@ class TrajectorySolution:
     controls_km_s2: np.ndarray  # (M-1, 3)
     u_frac: np.ndarray
     dv_mm_s: float
-    vc_max: float
     e_validation_mm: float
     total_limit: float
     tpoc_ballistic: float
@@ -741,25 +737,16 @@ def _xi_stale(x_ref: np.ndarray, x_at: np.ndarray, xi: np.ndarray) -> bool:
         return bool(np.any(np.abs(x_ref - x_at) > NU_BAR / xi[:, :6]))
 
 
-def _cone_solve(build, cone_solves: list):
-    """Solve ``build(virtual=False)``, the subproblem without virtual
-    controls, and when that ends other than optimal, ``build(virtual=True)``
-    too: the virtual controls absorb a linearization that cannot reach the
-    constraints (Mao, Szmuk & Acikmese, CDC 2016).  Each cone solve is
-    appended to ``cone_solves``; returns the last problem and result."""
-    for virtual in (False, True):
-        prob = build(virtual=virtual)
-        cone = prob.to_socp()
-        res = socp_solve(cone)
-        cone_solves.append({"status": res.status,
-                            "iterations": res.iterations,
-                            "pres": res.pres, "dres": res.dres,
-                            "gap": res.gap, "virtual": virtual,
-                            "kkt_dim": len(cone.c) + len(cone.b)
-                            + len(cone.h), "kkt_band": res.kkt_band})
-        if res.status == "optimal":
-            break
-    return prob, res
+def _cone_solve(prob, cone_solves: list):
+    """Solve the subproblem ``prob`` and append its statistics to
+    ``cone_solves``; returns the solver's result, whatever its status."""
+    cone = prob.to_socp()
+    res = socp_solve(cone)
+    cone_solves.append({"status": res.status, "iterations": res.iterations,
+                        "pres": res.pres, "dres": res.dres, "gap": res.gap,
+                        "kkt_dim": len(cone.c) + len(cone.b) + len(cone.h),
+                        "kkt_band": res.kkt_band})
+    return res
 
 
 def _tipoc(lt_channels, pos):
@@ -908,7 +895,7 @@ def _start(scenario: Scenario, total_limit: float):
     channels = st_channels + lt_channels
     tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels]))
 
-    def package(status, majors, log, x_out, u_frac, vc_max, e_val, final,
+    def package(status, majors, log, x_out, u_frac, e_val, final,
                 con_states=None):
         """The solution for node states ``x_out`` and their evaluation
         ``final``, a (total probability, TIPoC per node) pair."""
@@ -919,7 +906,7 @@ def _start(scenario: Scenario, total_limit: float):
             status=status, majors=majors, log=log,
             times_s=grid.times * T, states_km=x_out * np.repeat([L, V], 3),
             controls_km_s2=controls, u_frac=u_frac, dv_mm_s=dv,
-            vc_max=vc_max, e_validation_mm=e_val,
+            e_validation_mm=e_val,
             total_limit=total_limit, tpoc_ballistic=tpoc_ball,
             tpoc_final=final[0],
             # the keep-out cuts are supporting planes of the convex
@@ -942,8 +929,7 @@ def ballistic(scenario: Scenario,
     dyn, grid, _, x_ref, st_channels, lt_channels, package = \
         _start(scenario, cfg.total_limit)
     return package("ballistic", 0, [], x_ref, np.zeros((grid.n_segments, 3)),
-                   0.0, 0.0,
-                   _evaluate_final(dyn, st_channels, lt_channels, x_ref))
+                   0.0, _evaluate_final(dyn, st_channels, lt_channels, x_ref))
 
 
 def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
@@ -1044,7 +1030,6 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
     u_frac = np.zeros((N, 3))
     states = x_ref.copy()
     log = []
-    vc_max = math.nan
     major = 0
     checked = (None, None)
 
@@ -1059,7 +1044,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
 
     def run_stage(stage):
         nonlocal segments, resp3, reach, order2_segments, u_frac, x_ref, \
-            states, major, vc_max
+            states, major
         prev_dv = None
         while major < MAX_MAJOR:
             major += 1
@@ -1086,11 +1071,11 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                 rows = _risk_rows(stage, cfg.total_limit, st_channels,
                                   lt_channels, ref_pos, resp3,
                                   nu_risk=NU_BAR * nu_mult, total_cap=cap)
-                prob, res = _cone_solve(functools.partial(
-                    assemble, segments, grid, x_ref, x_init, rows,
-                    kappa_vc=KAPPA_VC, nu_bar=NU_BAR, u_scale=u_scale,
-                    u_prev=u_anchor if stage != "smd" else None, prox=0.05,
-                    reach=reach), cone_solves)
+                prob = assemble(segments, grid, x_ref, x_init, rows,
+                                nu_bar=NU_BAR, u_scale=u_scale,
+                                u_prev=u_anchor if stage != "smd" else None,
+                                prox=0.05, reach=reach)
+                res = _cone_solve(prob, cone_solves)
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -1130,15 +1115,12 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         nu_mult = max(nu_mult * 0.25, 1.0)
                     obj_hist.append(res.obj)
             u_new = xsol[prob.var_map["u"]].reshape(N, 3)
-            vnorm = prob.var_map.get("vnorm")
-            vc_max = 0.0 if vnorm is None else float(np.max(xsol[vnorm]))
             e_M = float(np.max(np.linalg.norm(u_new - u_frac, axis=1)))
             dv = float(np.sum(np.linalg.norm(u_new, axis=1) * grid.dt)
                        * u_scale * scl.velocity) * 1e6
             log.append(IterationRecord(major=major, minors=minors,
                                        e_major=e_M, e_minor=e_m,
                                        objective=res.obj, dv_mm_s=dv,
-                                       vc_max=vc_max,
                                        cone_solves=cone_solves,
                                        limits=[(ch.q_limit, ch.d2_limit)
                                                for ch in channels],
@@ -1180,5 +1162,5 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                         axis=1))) * scl.length * 1e6
     final = checked[1] if checked[0] is x_val else \
         _evaluate_final(dyn, st_channels, lt_channels, x_val)
-    return package(status, len(log), log, x_val, u_frac, vc_max, e_val, final,
+    return package(status, len(log), log, x_val, u_frac, e_val, final,
                    con_states=states)

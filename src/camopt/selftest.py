@@ -200,7 +200,8 @@ def _suite_socp():
     """Cone solver on random feasible problems: KKT residuals and gap.
 
     Besides small mixed cones, draws cover problems without equality rows
-    and the 7-dimensional cones of the virtual controls.
+    and 7-dimensional cones, so the cone algebra is checked beyond the
+    4-dimensional control cones of the SCP subproblems.
     """
     rng = np.random.default_rng(17)
     worst = 0.0

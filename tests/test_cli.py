@@ -48,6 +48,19 @@ def late_start_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def late_start_two_file(tmp_path_factory):
+    # the ten-CDM fixture's first two conjunctions from 4143 s: at full
+    # thrust the maneuver reaches at most 30 mm/s before the first TCA,
+    # too little for the TPoC budget
+    doc = json.load(open(CASE1))
+    doc["conjunctions"] = doc["conjunctions"][:2]
+    doc["horizon_s"] = [4143, 7460]
+    path = tmp_path_factory.mktemp("scn") / "late_start_two.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def two_cdm_file(tmp_path_factory):
     # the first two conjunctions of the ten-CDM fixture, on a shortened
     # horizon, written back out so the CLI can load them
@@ -131,14 +144,11 @@ class TestSolveArtifacts:
             assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
             for cs in solves:
                 assert set(cs) == {"status", "iterations", "pres", "dres",
-                                   "gap", "virtual", "kkt_dim", "kkt_band"}
+                                   "gap", "kkt_dim", "kkt_band"}
                 assert isinstance(cs["kkt_dim"], int) and cs["kkt_dim"] > 0
                 # the smd stage has no row that couples distant nodes
                 assert 0 < cs["kkt_band"] <= socp.BAND_MAX
                 assert cs["status"] == "optimal"
-                # every subproblem of this fixture solves without virtual
-                # controls, so none fell back to them
-                assert cs["virtual"] is False
                 assert max(cs["pres"], cs["dres"]) <= 1e-9
 
     def test_iteration_log_traces_the_limits(self, solved_dir):
@@ -260,7 +270,19 @@ class TestUnreachableBudget:
             code = cli.main(["solve", late_start_file, "--mode", "tpoc",
                              "--out", str(tmp_path)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: conic subproblem")
+        assert capsys.readouterr().err.startswith(
+            "error: conic subproblem ended infeasible at major 1")
+
+    def test_smd_stage_fails_instead_of_converging(self, late_start_two_file,
+                                                   tmp_path, capsys):
+        # no feasible subproblem reaches the budget, so the solve must not
+        # report a maneuver 142 times over it as converged
+        code = cli.main(["solve", late_start_two_file, "--mode", "smd",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: conic subproblem ended infeasible at major 1")
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestSplit:

@@ -338,18 +338,17 @@ class TestAssembly:
         res = solve(prob.to_socp())
         assert res.status == "optimal"
         assert np.max(np.abs(res.x[prob.var_map["u"]])) < 1e-9
-        assert np.max(np.abs(res.x[prob.var_map["vnorm"]])) < 1e-9
 
     def test_bookkeeping_counts(self):
-        # n_var = 17 N + 6; equalities = 6(N+1); cones: N Q4 + N Q7
+        # n_var = 10 N + 6; equalities = 6(N+1); cones: N Q4
         for N in (1, 3, 7):
             grid = NodeGrid(times=np.linspace(0, 10 * N, N + 1))
             segs = double_integrator_segment(10.0, N)
             prob = assemble(segs, grid, x_ref=np.zeros((N + 1, 6)),
                             x_init=np.zeros(6), risk=RiskRows())
-            assert len(prob.objective) == 17 * N + 6
+            assert len(prob.objective) == 10 * N + 6
             assert prob.eq_matrix.shape[0] == 6 * (N + 1)
-            assert prob.dims.soc == tuple([4] * N + [7] * N)
+            assert prob.dims.soc == (4,) * N
             assert prob.dims.nonneg == N  # only the sigma <= 1 rows here
 
     def test_analytic_single_impulse_deflection(self):
@@ -389,16 +388,18 @@ class TestAssembly:
         x_ref = np.zeros((2, 6))
         risk = RiskRows(halfspaces=[(1, np.array([0.0, 1.0, 0.0]), 100.0)])
         prob = assemble(seg, grid, x_ref=x_ref, x_init=np.zeros(6),
-                        risk=risk, nu_bar=1e-2)
+                        risk=risk, nu_bar=1e-2, reach=np.inf)
         # the half-space wants a huge displacement; trust region on node 0
         # does not stop node 1, but the count of nonneg rows must grow
+        # (with no reach given, node 0 starts at its reference and its rows
+        # all go)
         assert prob.dims.nonneg == 1 + 12 + 1
 
     def test_rows_match_dense_oracle(self):
         # N = 2 with every row family: proximal cones, a short-term total
         # with its risk trust region, a long-term total with 3 items at one
         # node, and a half-space with a zero component
-        N, dt, u_scale, nu_bar, prox, kappa = 2, 3.0, 0.5, 1e-2, 0.05, 1e4
+        N, dt, u_scale, nu_bar, prox = 2, 3.0, 0.5, 1e-2, 0.05
         rng = np.random.default_rng(11)
         grid = NodeGrid(times=dt * np.arange(N + 1.0))
         seg = double_integrator_segment(dt, N)
@@ -416,23 +417,21 @@ class TestAssembly:
             halfspaces=[(2, np.array([1.5, 0.0, -2.0]), 0.3)],
             totals=[([1, 2], st_grads, 1e-6, st_ref, st_xi, 0.02),
                     ([2, 2, 2], lt_grads, 2e-6, None, None, 0.0)])
-        prob = assemble(seg, grid, x_ref, x_init, risk, kappa_vc=kappa,
-                        nu_bar=nu_bar, u_scale=u_scale, u_prev=u_prev,
-                        prox=prox)
+        prob = assemble(seg, grid, x_ref, x_init, risk, nu_bar=nu_bar,
+                        u_scale=u_scale, u_prev=u_prev, prox=prox,
+                        reach=np.inf)
 
-        # variables: x 0-17, u 18-23, sigma 24-25, vc 26-37, vnorm 38-39,
-        # pn 40-41
+        # variables: x 0-17, u 18-23, sigma 24-25, pn 26-27
         def x(i, k):
             return 6 * i + k
 
         def u(i, k):
             return 18 + 3 * i + k
 
-        n_var = 42
+        n_var = 28
         c = np.zeros(n_var)
         c[24:26] = dt * u_scale
-        c[38:40] = kappa
-        c[40:42] = prox * dt * u_scale
+        c[26:28] = prox * dt * u_scale
         A = np.zeros((18, n_var))
         A[np.arange(6), np.arange(6)] = 1.0
         b = np.concatenate([x_init, seg.c.ravel()])
@@ -442,7 +441,6 @@ class TestAssembly:
                 A[r, x(i + 1, j)] = 1.0
                 A[r, x(i, 0):x(i, 6)] = -seg.A[i, j]
                 A[r, u(i, 0):u(i, 3)] = -seg.B[i, j] * u_scale
-                A[r, 26 + 6 * i + j] = -1.0
         G, h = [], []
 
         def row(entries, rhs):
@@ -476,11 +474,7 @@ class TestAssembly:
             for k in range(3):
                 row([(u(i, k), -1.0)], 0.0)
         for i in range(N):
-            row([(38 + i, -1.0)], 0.0)
-            for k in range(6):
-                row([(26 + 6 * i + k, -1.0)], 0.0)
-        for i in range(N):
-            row([(40 + i, -1.0)], 0.0)
+            row([(26 + i, -1.0)], 0.0)
             for k in range(3):
                 row([(u(i, k), -1.0)], -u_prev[i, k])
 
@@ -490,16 +484,16 @@ class TestAssembly:
         assert np.array_equal(prob.ineq_matrix.toarray(), np.array(G))
         assert np.array_equal(prob.ineq_rhs, np.array(h))
         assert prob.dims.nonneg == n_nonneg == 2 + 2 * 10 + 1 + 1 + 2 * 5 + 1
-        assert prob.dims.soc == (4, 4, 7, 7, 4, 4)
+        assert prob.dims.soc == (4, 4, 4, 4)
         # zero map and half-space entries are left out, not stored
         assert np.all(prob.eq_matrix.data != 0.0)
         assert np.all(prob.ineq_matrix.data != 0.0)
 
-    def test_without_virtual_controls_drops_their_columns_and_cones(self):
-        # every row family, with and without the virtual controls: the lean
-        # form is the full one less the vc and vnorm columns, the rows of
-        # their cones and the state trust-region row pairs wider than the
-        # reach, node 0's included (the reference starts at x_init)
+    def test_lean_form_drops_only_unreachable_trust_rows(self):
+        # every row family, with the state reach and without a bound on it:
+        # the lean form is the full one less the state trust-region row
+        # pairs wider than the reach, node 0's included (the reference
+        # starts at x_init)
         N, dt, nu_bar, u_scale = 3, 2.0, 1e-2, 0.5
         rng = np.random.default_rng(12)
         grid = NodeGrid(times=dt * np.arange(N + 1.0))
@@ -516,8 +510,8 @@ class TestAssembly:
         args = (seg, grid, x_ref, x_ref[0].copy(), risk)
         kwargs = dict(u_scale=u_scale, u_prev=rng.normal(size=(N, 3)),
                       prox=0.05, nu_bar=nu_bar)
-        full = assemble(*args, **kwargs)
-        lean = assemble(*args, virtual=False, **kwargs)
+        full = assemble(*args, reach=np.inf, **kwargs)
+        lean = assemble(*args, **kwargs)
 
         # the state trust rows follow the N sigma rows, one pair per entry
         # with a nonzero ratio, node by node
@@ -530,23 +524,18 @@ class TestAssembly:
         assert dropped[N + 12:].sum() == 4  # (1, 3) and (2, 0)
         assert binds[1:].sum() == 10  # wider than the ratio, kept
 
-        gone = np.zeros(len(full.objective), bool)
-        gone[full.var_map["vc"]] = gone[full.var_map["vnorm"]] = True
-        G = full.ineq_matrix.toarray()
-        rows = ~np.any(G[:, gone] != 0.0, axis=1)
-        assert (~rows).sum() == 7 * N
-        rows[:full.dims.nonneg] &= ~dropped
-        assert "vc" not in lean.var_map and "vnorm" not in lean.var_map
-        for name in ("x", "u", "sigma"):
-            assert lean.var_map[name] == full.var_map[name]
-        assert np.array_equal(lean.objective, full.objective[~gone])
+        rows = np.ones(len(full.ineq_rhs), bool)
+        rows[:full.dims.nonneg] = ~dropped
+        assert lean.var_map == full.var_map
+        assert np.array_equal(lean.objective, full.objective)
         assert np.array_equal(lean.eq_matrix.toarray(),
-                              full.eq_matrix.toarray()[:, ~gone])
+                              full.eq_matrix.toarray())
         assert np.array_equal(lean.eq_rhs, full.eq_rhs)
-        assert np.array_equal(lean.ineq_matrix.toarray(), G[rows][:, ~gone])
+        assert np.array_equal(lean.ineq_matrix.toarray(),
+                              full.ineq_matrix.toarray()[rows])
         assert np.array_equal(lean.ineq_rhs, full.ineq_rhs[rows])
         assert lean.dims.nonneg == full.dims.nonneg - dropped.sum()
-        assert lean.dims.soc == (4,) * N + (4,) * N
+        assert lean.dims.soc == full.dims.soc == (4,) * N + (4,) * N
 
     def test_segment_count_mismatch_rejected(self):
         grid = NodeGrid(times=np.array([0.0, 1.0, 2.0]))
@@ -622,8 +611,7 @@ class TestStateReach:
         seg.xi[1, 1], seg.xi[2, 4] = 1e-2 / 0.1, 1e-2 / 0.5
         risk = RiskRows(halfspaces=[(N, np.array([0.0, 1.0, 0.0]), 2.0)])
         build = functools.partial(assemble, seg, grid, np.zeros((N + 1, 6)),
-                                  np.zeros(6), risk, nu_bar=1e-2,
-                                  virtual=False)
+                                  np.zeros(6), risk, nu_bar=1e-2)
         lean = build()
         every = build(reach=np.full((N, 6), np.inf))
         loose = build(nu_bar=1e9)

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import math
 from pathlib import Path
@@ -473,9 +472,6 @@ class TestSolve:
         assert sol2.tpoc_final <= 1.05e-6
         assert sol2.tpoc_ballistic > 1e-6
 
-    def test_virtual_control_vanishes(self, sol2):
-        assert abs(sol2.vc_max) <= 1e-7
-
     def test_dv_recomputes_from_controls(self, sol2):
         dts = np.diff(sol2.times_s)
         dv = float(np.sum(np.linalg.norm(sol2.controls_km_s2, axis=1) * dts))
@@ -559,8 +555,7 @@ class TestSolve:
         # cannot reach
         args, kwargs = first_subproblem(monkeypatch, two_cdm())
         lean = assemble(*args, **kwargs)
-        full = assemble(*args, **dict(kwargs, virtual=True))
-        assert not kwargs["virtual"]
+        full = assemble(*args, **dict(kwargs, reach=np.inf))
         assert np.all(args[0].xi[0, :6] > 1e-14)
         assert lean.dims.nonneg <= full.dims.nonneg - 12
 
@@ -574,9 +569,8 @@ class TestSolve:
         sol = solve(two_cdm(), Config())
         assert flights == ["bound"] + ["carried"] * (len(sol.log) - 1)
         assert [rec.order2_segments for rec in sol.log] == [0] * len(sol.log)
-        assert not any(cs["virtual"] for rec in sol.log
-                       for cs in rec.cone_solves)
-        assert all(rec.vc_max == 0.0 for rec in sol.log)
+        assert all(cs["status"] == "optimal" for rec in sol.log
+                   for cs in rec.cone_solves)
 
 
 class TestLongTermMixture:
@@ -604,7 +598,7 @@ class TestLongTermMixture:
 
 
 # ---------------------------------------------------------------------
-# order-1 relinearization and cone solves without virtual controls
+# order-1 relinearization and the cone solve of each minor
 
 
 class TestXiRefresh:
@@ -766,8 +760,9 @@ class TestXiScreen:
 class TestConeSolveFallback:
     """Two double-integrator segments of unit length from rest.  Node 1
     may leave its zero reference by at most nu_bar / xi = 0.1 per state,
-    and node 2 is one segment of at most unit control past it, so without
-    virtual controls node 2 reaches no further than 0.65 along y."""
+    and node 2 is one segment of at most unit control past it, so node 2
+    reaches no further than 0.65 along y.  Each subproblem is solved once,
+    and a status other than optimal is handed back, not worked around."""
 
     N = 2
 
@@ -776,34 +771,23 @@ class TestConeSolveFallback:
         seg = double_integrator_segment(1.0, self.N)
         seg.xi[1, :6] = 0.1
         risk = RiskRows(halfspaces=[(2, np.array([0.0, 1.0, 0.0]), rho)])
-        return functools.partial(assemble, seg, grid, np.zeros((3, 6)),
-                                 np.zeros(6), risk, nu_bar=1e-2)
+        return assemble(seg, grid, np.zeros((3, 6)), np.zeros(6), risk,
+                        nu_bar=1e-2)
 
-    @staticmethod
-    def kkt_rows(prob):
-        return len(prob.objective) + len(prob.eq_rhs) + len(prob.ineq_rhs)
-
-    def test_unreachable_halfspace_falls_back(self):
-        build = self.build(1.0)
+    def test_unreachable_halfspace_ends_infeasible(self):
         log = []
-        prob, res = scp._cone_solve(build, log)
-        direct = socp_solve(build(virtual=True).to_socp())
-        assert [cs["virtual"] for cs in log] == [False, True]
-        assert log[0]["status"] != "optimal"
-        assert res.status == direct.status == "optimal"
-        assert np.array_equal(res.x, direct.x)
-        assert np.max(res.x[prob.var_map["vnorm"]]) > 0.1
+        res = scp._cone_solve(self.build(1.0), log)
+        assert res.status == "infeasible"
+        assert [cs["status"] for cs in log] == ["infeasible"]
+        assert log[0]["iterations"] == res.iterations
 
     def test_reachable_halfspace_solves_without_them(self):
-        build = self.build(0.3)
+        prob = self.build(0.3)
         log = []
-        prob, res = scp._cone_solve(build, log)
-        assert [cs["virtual"] for cs in log] == [False]
+        res = scp._cone_solve(prob, log)
+        assert [cs["status"] for cs in log] == ["optimal"]
         assert res.status == "optimal"
-        assert "vnorm" not in prob.var_map
         assert res.x[prob.var_map["x"]][13] >= 0.3 - 1e-9
-        assert self.kkt_rows(build(virtual=True)) - self.kkt_rows(prob) \
-            == 14 * self.N
 
 
 # ---------------------------------------------------------------------

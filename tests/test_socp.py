@@ -530,12 +530,12 @@ def one_cdm_problem():
 
 def staged_problem(N):
     """A double integrator from rest over N unit segments whose last node
-    must reach y >= 0.3: a staged subproblem without virtual controls."""
+    must reach y >= 0.3: a staged SCP subproblem."""
     grid = NodeGrid(times=np.arange(N + 1.0))
     seg = double_integrator_segment(1.0, N)
     risk = RiskRows(halfspaces=[(N, np.array([0.0, 1.0, 0.0]), 0.3)])
-    return assemble(seg, grid, np.zeros((N + 1, 6)), np.zeros(6), risk,
-                    virtual=False).to_socp()
+    return assemble(seg, grid, np.zeros((N + 1, 6)), np.zeros(6),
+                    risk).to_socp()
 
 
 def random_mixed(rng):
