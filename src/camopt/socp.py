@@ -28,6 +28,7 @@ pattern, as ECOS does, and reused by every later LU (see ``_Kkt``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,16 +166,29 @@ class _Cone:
         out[h] = np.add.reduceat(a * b, h)
         return out
 
-    def circ_div(self, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Solve lam o u = v for u."""
+    def divider(self, lam: np.ndarray):
+        """``v -> u`` solving lam o u = v, with the terms of lam that every
+        right-hand side shares computed once."""
         h, k = self.starts, self.blk
-        u0 = self.jdot(lam, v) / self.jdot(lam, lam)
-        out = (v - u0[k] * lam) / lam[h][k]
-        out[h] = u0
-        return out
+        lam_jj, lam_head = self.jdot(lam, lam), lam[h][k]
 
-    def max_step(self, v: np.ndarray, dv: np.ndarray) -> float:
-        """Largest t with v + t dv in the cone (v strictly inside).
+        def div(v):
+            u0 = self.jdot(lam, v) / lam_jj
+            out = (v - u0[k] * lam) / lam_head
+            out[h] = u0
+            return out
+
+        return div
+
+    def unit(self, v: np.ndarray):
+        """Per-block norms sqrt(v'J v) and v scaled by them onto the unit
+        hyperboloid."""
+        nv = np.sqrt(self.jdot(v, v))
+        return nv, v / nv[self.blk]
+
+    def max_step(self, v: np.ndarray, dv: np.ndarray, unit=None) -> float:
+        """Largest t with v + t dv in the cone (v strictly inside); ``unit``
+        is ``self.unit(v)`` when the caller has it.
 
         With v scaled to vbar on the hyperboloid vbar'J vbar = 1, a block
         reaches its boundary at t = 1 / max(0, |rho1| - rho0) for
@@ -183,8 +197,7 @@ class _Cone:
         divides the rate |rho1| - rho0, and the fastest block sets t.
         """
         h, k = self.starts, self.blk
-        nv = np.sqrt(self.jdot(v, v))
-        vbar = v / nv[k]
+        nv, vbar = self.unit(v) if unit is None else unit
         rho0 = self.jdot(vbar, dv)
         rho1 = dv - ((rho0 + dv[h]) / (vbar[h] + 1.0))[k] * vbar
         rate = float(np.max((np.sqrt(self.tail_dot(rho1, rho1)) - rho0) / nv))
@@ -205,8 +218,11 @@ class _Scaling:
         sres, zres = cone.jdot(s, s), cone.jdot(z, z)
         if np.any(sres <= 0) or np.any(zres <= 0):
             raise SolverError("iterate left the cone interior")
-        sbar = s / np.sqrt(sres)[k]
-        zbar = z / np.sqrt(zres)[k]
+        s_norm, z_norm = np.sqrt(sres), np.sqrt(zres)
+        sbar = s / s_norm[k]
+        zbar = z / z_norm[k]
+        # what _Cone.unit gives for s and z, reused by the step limits
+        self.s_unit, self.z_unit = (s_norm, sbar), (z_norm, zbar)
         gamma2 = 2.0 * np.sqrt((1.0 + np.add.reduceat(sbar * zbar, h)) / 2.0)
         self.wbar = (sbar - zbar) / gamma2[k]
         self.wbar[h] = (sbar[h] + zbar[h]) / gamma2
@@ -379,10 +395,10 @@ class _Kkt:
     def _lu_solve(self, rhs):
         if self.band is not None:
             lu, piv = self.lu
-            ordered = np.take(rhs, self.perm, axis=0)
+            ordered = rhs.take(self.perm, axis=0)
             sol, _ = dgbtrs(lu, self.band, self.band, ordered, piv,
                             overwrite_b=True)
-            return np.take(sol, self.rank, axis=0)
+            return sol.take(self.rank, axis=0)
         sol = self.lu.solve(rhs)
         if not self.permuted:
             return sol
@@ -403,6 +419,11 @@ def _canonical(M) -> sp.csc_matrix:
         M = M.copy()
         M.sum_duplicates()
     return M
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
 
 
 def solve(prob: SocpProblem) -> SolveResult:
@@ -441,9 +462,9 @@ def solve(prob: SocpProblem) -> SolveResult:
     x, y, z = xyz[:n], xyz[n:n + p], xyz[iz]  # views, updated in place
     tau, kappa = 1.0, 1.0
 
-    resx0 = max(1.0, np.linalg.norm(c))
-    resy0 = max(1.0, np.linalg.norm(b))
-    resz0 = max(1.0, np.linalg.norm(h))
+    resx0 = max(1.0, _norm(c))
+    resy0 = max(1.0, _norm(b))
+    resz0 = max(1.0, _norm(h))
 
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # a factorization failed, the step or tau/kappa degenerated
@@ -460,8 +481,8 @@ def solve(prob: SocpProblem) -> SolveResult:
         mu = (gap + tau * kappa) / (deg + 1)
         cx, hz_by = c @ x, b @ y + h @ z
         pcost = cx / tau
-        pres = max(np.linalg.norm(ry) / resy0, np.linalg.norm(rz) / resz0) / tau
-        dres = np.linalg.norm(rx) / resx0 / tau
+        pres = max(_norm(ry) / resy0, _norm(rz) / resz0) / tau
+        dres = _norm(rx) / resx0 / tau
         relgap = gap / tau ** 2 / max(1.0, abs(pcost))
 
         if pres <= FEASTOL and dres <= FEASTOL and (
@@ -471,13 +492,13 @@ def solve(prob: SocpProblem) -> SolveResult:
         # infeasibility certificates: A'y + G'z = rx - c tau,
         # A x = ry + b tau, G x + s = rz + h tau
         if hz_by < -1e-12:
-            if np.linalg.norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
+            if _norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
                 return SolveResult(status="infeasible", x=None, obj=np.nan,
                                    iterations=it, pres=pres, dres=dres,
                                    gap=gap, kkt_band=kkt.band)
         if cx < -1e-12:
-            unb = max(np.linalg.norm(ry + b * tau) / resy0,
-                      np.linalg.norm(rz + h * tau) / resz0)
+            unb = max(_norm(ry + b * tau) / resy0,
+                      _norm(rz + h * tau) / resz0)
             if unb <= -FEASTOL * cx:
                 return SolveResult(status="unbounded", x=None, obj=-np.inf,
                                    iterations=it, pres=pres, dres=dres,
@@ -490,10 +511,11 @@ def solve(prob: SocpProblem) -> SolveResult:
             break
         lam = Wsc.apply(z)
         lam2 = cone.circ(lam, lam)
+        lam_div = cone.divider(lam)
 
         def rhs(sigma, ds_corr):
             """Scaled ds target ws and the KKT right-hand side column."""
-            ws = cone.circ_div(lam, sigma * mu * e - lam2 + ds_corr)
+            ws = lam_div(sigma * mu * e - lam2 + ds_corr)
             col = -(1.0 - sigma) * r
             col[iz] -= Wsc.apply(ws)
             return ws, col[:, None]
@@ -506,7 +528,8 @@ def solve(prob: SocpProblem) -> SolveResult:
             wdz = Wsc.apply(d[iz])
             ds = Wsc.apply(ws - wdz)
             dkappa = (dk_rhs - kappa * dtau) / tau
-            a = min(cone.max_step(s, ds), cone.max_step(z, d[iz]))
+            a = min(cone.max_step(s, ds, Wsc.s_unit),
+                    cone.max_step(z, d[iz], Wsc.z_unit))
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkappa < 0:

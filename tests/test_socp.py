@@ -676,7 +676,7 @@ class TestFlatCone:
             ref_circ[idx] = arrow(a[idx]) @ b[idx]
             ref_div[idx] = np.linalg.solve(arrow(lam[idx]), b[idx])
         assert np.allclose(cone.circ(a, b), ref_circ, rtol=1e-14, atol=1e-14)
-        assert np.allclose(cone.circ_div(lam, b), ref_div, rtol=1e-12,
+        assert np.allclose(cone.divider(lam)(b), ref_div, rtol=1e-12,
                            atol=1e-12)
         assert cone.margin(lam) == pytest.approx(cone_margin(lam, dims),
                                                  rel=1e-14)
