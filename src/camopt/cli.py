@@ -57,9 +57,12 @@ def emit(sol, scenario, out_dir):
     with open(os.path.join(out_dir, "maneuver.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch_s", "dv_r_mm_s", "dv_t_mm_s", "dv_n_mm_s"])
-        for i, dt in enumerate(dts):
-            dv = rtn_matrix(sol.states_km[i]).T @ sol.controls_km_s2[i] * dt
-            w.writerow([_r(sol.times_s[i])] + [_r(v) for v in dv * 1e6])
+        # per segment, the RTN frame's transpose times its thrust
+        dvs = np.matmul(rtn_matrix(sol.states_km[:-1]).transpose(0, 2, 1),
+                        sol.controls_km_s2[:, :, None])[:, :, 0] \
+            * dts[:, None]
+        for t, dv in zip(sol.times_s, dvs):
+            w.writerow([_r(t)] + [_r(v) for v in dv * 1e6])
 
     with open(os.path.join(out_dir, "bplane.csv"), "w", newline="") as fh:
         w = csv.writer(fh)

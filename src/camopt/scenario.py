@@ -43,14 +43,23 @@ _NUMBER = (int, float)
 
 def rtn_matrix(state: np.ndarray) -> np.ndarray:
     """Columns are the RTN unit vectors of the owning state in ECI, so that
-    v_eci = M @ v_rtn."""
-    r = np.asarray(state[:3], float)
-    v = np.asarray(state[3:6], float)
-    rhat = r / np.linalg.norm(r)
+    v_eci = M @ v_rtn.  States stacked as rows (N, 6) give one M per row,
+    stacked (N, 3, 3), each the one its row alone gives bit for bit."""
+    x = np.asarray(state, float)
+    r, v = x[..., :3], x[..., 3:6]
+    rhat = r / _norms(r)
     h = np.cross(r, v)
-    nhat = h / np.linalg.norm(h)
+    nhat = h / _norms(h)
     that = np.cross(nhat, rhat)
-    return np.column_stack([rhat, that, nhat])
+    return np.stack([rhat, that, nhat], axis=-1)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each 3-vector of ``a``, taken one vector at a time
+    (a batched reduction would sum in another order), shaped to divide
+    ``a``."""
+    return np.array([np.linalg.norm(row) for row in a.reshape(-1, 3)]) \
+        .reshape(a.shape[:-1] + (1,))
 
 
 def rotate_cov(cov: np.ndarray, state: np.ndarray) -> np.ndarray:
