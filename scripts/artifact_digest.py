@@ -14,14 +14,16 @@ bit for bit.  A ``summary.json`` line goes on with the numbers behind its
 solve,
 
     status=<s> dv_mm_s=<f> tpoc_final=<f> majors=<n> minors=<n> ipm=<n>
-    e_validation_mm=<f> order2=<n> kkt_dim=<n> banded=<n>
+    e_validation_mm=<f> order2=<n> kkt_dim=<n> banded=<n> warm=<n>
 
 (floats at full precision; minors and IPM iterations summed over the
 majors; ``order2`` counts the segments flown at order 2 over all majors,
-``kkt_dim`` sums the KKT dimension n + p + m over the cone solves and
+``kkt_dim`` sums the KKT dimension n + p + m over the cone solves,
 ``banded`` counts the cone solves whose KKT systems were factored as band
-matrices, those with a ``kkt_band``), so answers that moved in the last
-bits can be compared against tolerances from one run.  camopt is imported from this checkout's ``src``.
+matrices, those with a ``kkt_band``, and ``warm`` those that started from
+an earlier cone solve's result, those with ``"start": "warm"``), so
+answers that moved in the last bits can be compared against tolerances
+from one run.  camopt is imported from this checkout's ``src``.
 
 With ``--against OLD.txt`` the lines are also compared with those of an
 earlier run.  Per artifact (``summary.json``, ``maneuver.csv``,
@@ -30,7 +32,7 @@ repeated exactly, followed by every line that differs or that only one run
 has.  Per workload one more line reports how many summaries are
 byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
 and ``e_validation_mm``, the majors, minors, IPM iterations, order-2
-segments, KKT dimensions and banded cone solves summed on each side
+segments, KKT dimensions, banded and warm cone solves summed on each side
 (``?`` where the earlier lines do not have the field), and every solve
 whose status or exit code changed.  The exit code is 1 when any line
 differs or is missing on either side, so it alone tells whether two
@@ -101,7 +103,8 @@ def numbers(summary: dict) -> str:
             f"e_validation_mm={summary['e_validation_mm']!r} "
             f"order2={sum(rec['order2_segments'] for rec in log)} "
             f"kkt_dim={sum(cs['kkt_dim'] for cs in solves)} "
-            f"banded={sum(cs['kkt_band'] is not None for cs in solves)}")
+            f"banded={sum(cs['kkt_band'] is not None for cs in solves)} "
+            f"warm={sum(cs['start'] == 'warm' for cs in solves)}")
 
 
 def digests(name: str, seed: int, work: Path):
@@ -128,7 +131,7 @@ def digests(name: str, seed: int, work: Path):
 
 
 RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
-COUNTS = ("majors", "minors", "ipm", "order2", "kkt_dim", "banded")
+COUNTS = ("majors", "minors", "ipm", "order2", "kkt_dim", "banded", "warm")
 
 
 def identical(old_lines, new_lines):

@@ -121,7 +121,8 @@ def emit(sol, scenario, out_dir):
             "ipm_iters": rec.ipm_iters,
             "order2_segments": rec.order2_segments,
             "cone_solves": [{
-                "status": cs["status"], "iterations": cs["iterations"],
+                "status": cs["status"], "start": cs["start"],
+                "iterations": cs["iterations"],
                 "pres": _num(cs["pres"]), "dres": _num(cs["dres"]),
                 "gap": _num(cs["gap"]),
                 "kkt_dim": cs["kkt_dim"], "kkt_band": cs["kkt_band"],

@@ -230,7 +230,8 @@ class IterationRecord:
     e_minor: float
     objective: float
     dv_mm_s: float
-    # one {status, iterations, pres, dres, gap, kkt_dim, kkt_band} per minor
+    # one {status, start, iterations, pres, dres, gap, kkt_dim, kkt_band}
+    # per minor
     cone_solves: list
     # one (q_limit, d2_limit) per channel, the limits the major ran with
     limits: list
@@ -737,12 +738,22 @@ def _xi_stale(x_ref: np.ndarray, x_at: np.ndarray, xi: np.ndarray) -> bool:
         return bool(np.any(np.abs(x_ref - x_at) > NU_BAR / xi[:, :6]))
 
 
-def _cone_solve(prob, cone_solves: list):
+def _cone_solve(prob, cone_solves: list, start=None):
     """Solve the subproblem ``prob`` and append its statistics to
-    ``cone_solves``; returns the solver's result, whatever its status."""
+    ``cone_solves``; returns the solver's result, whatever its status.
+
+    The solve starts warm from ``start``, an earlier optimal result, when
+    its sizes fit.  A warm solve that does not end optimal is solved again
+    cold, so a warm start never fails a subproblem the cold start solves;
+    its entry counts the iterations of both attempts."""
     cone = prob.to_socp()
-    res = socp_solve(cone)
-    cone_solves.append({"status": res.status, "iterations": res.iterations,
+    res = socp_solve(cone, start=start)
+    iterations = res.iterations
+    if res.start == "warm" and res.status != "optimal":
+        res = socp_solve(cone)
+        iterations += res.iterations
+    cone_solves.append({"status": res.status, "start": res.start,
+                        "iterations": iterations,
                         "pres": res.pres, "dres": res.dres, "gap": res.gap,
                         "kkt_dim": len(cone.c) + len(cone.b) + len(cone.h),
                         "kkt_band": res.kkt_band})
@@ -1042,9 +1053,13 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
         checked = (x, _evaluate_final(dyn, st_channels, lt_channels, x))
         return checked[1][0]
 
+    # the last optimal cone solve of the run: each later one starts from it
+    # where the sizes fit
+    last_optimal = None
+
     def run_stage(stage):
         nonlocal segments, resp3, reach, order2_segments, u_frac, x_ref, \
-            states, major
+            states, major, last_optimal
         prev_dv = None
         while major < MAX_MAJOR:
             major += 1
@@ -1075,7 +1090,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                                 nu_bar=NU_BAR, u_scale=u_scale,
                                 u_prev=u_anchor if stage != "smd" else None,
                                 prox=0.05, reach=reach)
-                res = _cone_solve(prob, cone_solves)
+                res = _cone_solve(prob, cone_solves, start=last_optimal)
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -1087,6 +1102,7 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                             continue
                     raise ScpError(f"conic subproblem ended {res.status} "
                                    f"at major {major}")
+                last_optimal = res
                 xsol = res.x
                 states = xsol[prob.var_map["x"]].reshape(N + 1, 6)
                 watch = _constraint_nodes(channels, ref_pos)

@@ -138,13 +138,16 @@ class TestSolveArtifacts:
 
     def test_iteration_log_lists_cone_solves(self, solved_dir):
         log = json.load(open(solved_dir / "summary.json"))["iteration_log"]
+        # nothing earlier to start from
+        assert log[0]["cone_solves"][0]["start"] == "cold"
         for rec in log:
             solves = rec["cone_solves"]
             assert len(solves) == rec["minors"]
             assert sum(cs["iterations"] for cs in solves) == rec["ipm_iters"]
             for cs in solves:
-                assert set(cs) == {"status", "iterations", "pres", "dres",
-                                   "gap", "kkt_dim", "kkt_band"}
+                assert set(cs) == {"status", "start", "iterations", "pres",
+                                   "dres", "gap", "kkt_dim", "kkt_band"}
+                assert cs["start"] in ("cold", "warm")
                 assert isinstance(cs["kkt_dim"], int) and cs["kkt_dim"] > 0
                 # the smd stage has no row that couples distant nodes
                 assert 0 < cs["kkt_band"] <= socp.BAND_MAX

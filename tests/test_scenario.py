@@ -76,6 +76,24 @@ class TestFrames:
         M = rtn_matrix(self.x)
         assert np.allclose(M.T @ (M @ v), v, atol=1e-14)
 
+    def test_stacked_states_give_each_states_frame_bit_for_bit(self):
+        def one(state):  # the frame of one state, built column by column
+            r, v = state[:3], state[3:]
+            rhat = r / np.linalg.norm(r)
+            h = np.cross(r, v)
+            nhat = h / np.linalg.norm(h)
+            return np.column_stack([rhat, np.cross(nhat, rhat), nhat])
+
+        rng = np.random.default_rng(5)
+        X = self.x + rng.standard_normal((40, 6)) * [50, 50, 50, .1, .1, .1]
+        U = rng.standard_normal((40, 3))
+        M = rtn_matrix(X)
+        assert M.shape == (40, 3, 3)
+        assert all(np.array_equal(M[i], one(x)) for i, x in enumerate(X))
+        # the stacked products maneuver.csv takes, against one at a time
+        dv = np.matmul(M.transpose(0, 2, 1), U[:, :, None])[:, :, 0]
+        assert np.array_equal(dv, [one(x).T @ u for x, u in zip(X, U)])
+
     def test_rotate_cov_preserves_eigenvalues(self):
         P = np.diag([1.0, 4.0, 9.0])
         Q = rotate_cov(P, self.x)

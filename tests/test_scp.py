@@ -494,8 +494,8 @@ class TestSolve:
     def test_ipm_iters_sum_each_majors_cone_solves(self, monkeypatch):
         calls = []
 
-        def counted(prob):
-            res = socp_solve(prob)
+        def counted(prob, start=None):
+            res = socp_solve(prob, start=start)
             calls.append(res.iterations)
             return res
 
@@ -503,6 +503,27 @@ class TestSolve:
         res = solve(two_cdm(), Config())
         assert sum(rec.ipm_iters for rec in res.log) == sum(calls)
         assert all(rec.ipm_iters >= rec.minors for rec in res.log)
+
+    def test_warm_starts_that_fail_leave_the_cold_answer(self,
+                                                         monkeypatch):
+        def cold(prob, start=None):
+            return socp_solve(prob)
+
+        def warm_fails(prob, start=None):
+            res = socp_solve(prob, start=start)
+            return dataclasses.replace(res, status="numerical") \
+                if res.start == "warm" else res
+
+        monkeypatch.setattr(scp, "socp_solve", cold)
+        ref = solve(two_cdm(), Config())
+        monkeypatch.setattr(scp, "socp_solve", warm_fails)
+        res = solve(two_cdm(), Config())
+        assert np.array_equal(res.controls_km_s2, ref.controls_km_s2)
+        solves = [cs for rec in res.log for cs in rec.cone_solves]
+        assert all(cs["start"] == "cold" for cs in solves)
+        # the solves that tried a warm start also count its iterations
+        assert sum(rec.ipm_iters for rec in res.log) > \
+            sum(rec.ipm_iters for rec in ref.log)
 
     def test_cone_solves_logged_per_minor(self, sol2):
         for rec in sol2.log:
@@ -761,8 +782,9 @@ class TestConeSolveFallback:
     """Two double-integrator segments of unit length from rest.  Node 1
     may leave its zero reference by at most nu_bar / xi = 0.1 per state,
     and node 2 is one segment of at most unit control past it, so node 2
-    reaches no further than 0.65 along y.  Each subproblem is solved once,
-    and a status other than optimal is handed back, not worked around."""
+    reaches no further than 0.65 along y.  Each subproblem is solved once
+    (a failed warm attempt is solved again cold), and a status other than
+    optimal is handed back, not worked around."""
 
     N = 2
 
@@ -788,6 +810,27 @@ class TestConeSolveFallback:
         assert [cs["status"] for cs in log] == ["optimal"]
         assert res.status == "optimal"
         assert res.x[prob.var_map["x"]][13] >= 0.3 - 1e-9
+
+    def test_failed_warm_attempt_is_solved_again_cold(self, monkeypatch):
+        earlier = scp._cone_solve(self.build(0.3), [])
+        attempts = []
+
+        def warm_fails(prob, start=None):
+            res = socp_solve(prob, start=start)
+            attempts.append(res)
+            if res.start == "warm":
+                return dataclasses.replace(res, status="numerical")
+            return res
+
+        monkeypatch.setattr(scp, "socp_solve", warm_fails)
+        for rho, status in ((0.35, "optimal"), (1.0, "infeasible")):
+            log, attempts[:] = [], []
+            res = scp._cone_solve(self.build(rho), log, start=earlier)
+            assert [a.start for a in attempts] == ["warm", "cold"]
+            assert res is attempts[1] and res.status == status
+            assert log[0]["status"] == status and log[0]["start"] == "cold"
+            assert log[0]["iterations"] == sum(a.iterations
+                                               for a in attempts)
 
 
 # ---------------------------------------------------------------------

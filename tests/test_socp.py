@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -518,7 +519,7 @@ def one_cdm_problem():
     sc = dataclasses.replace(sc, conjunctions=[conj], u_max=2.5 * sc.u_max,
                              horizon=(conj.tca - 1500.0, conj.tca))
 
-    def capture(prob):
+    def capture(prob, start=None):
         raise _Captured(prob)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -781,3 +782,61 @@ class TestTwoColumnSolve:
             one = kkt.solve(rhs[:, k:k + 1])[:, 0]
             assert np.max(np.abs(both[:, k] - one)) <= 1e-12 * max(
                 1.0, np.max(np.abs(one)))
+
+
+# ---------------------------------------------------------------------
+# warm starts from an earlier optimal result
+
+
+@pytest.fixture(scope="module")
+def longterm_pair(tmp_path_factory):
+    """The cone subproblems of the two minors of the first major of the
+    longterm-case3 benchmark workload's base scenario."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    path = tmp_path_factory.mktemp("longterm") / "longterm-case3.json"
+    probs = []
+
+    def capture(prob, start=None):
+        probs.append(prob)
+        if len(probs) == 2:
+            raise _Captured()
+        return solve(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(perfbench))
+        import workloads
+        path.write_text(json.dumps(
+            workloads.scenario_pool("longterm-case3", 0)[0]))
+        mp.setattr(scp, "socp_solve", capture)
+        with pytest.raises(_Captured):
+            scp.solve(load_scenario(path), Config())
+    return probs
+
+
+def same_bits(a, b):
+    return (a.status, a.iterations, a.start) == (b.status, b.iterations,
+                                                 b.start) and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in "xyzs")
+
+
+class TestWarmStart:
+    def test_reaches_the_cold_objective_in_fewer_iterations(
+            self, longterm_pair):
+        first, second = longterm_pair
+        earlier = solve(first)
+        assert earlier.dims == second.dims
+        cold, warm = solve(second), solve(second, start=earlier)
+        assert (cold.start, warm.start) == ("cold", "warm")
+        assert cold.status == warm.status == "optimal"
+        assert warm.obj == pytest.approx(cold.obj, rel=1e-7)
+        assert warm.iterations < cold.iterations
+
+    def test_other_dims_or_status_start_cold(self, longterm_pair,
+                                             one_cdm_problem):
+        first, second = longterm_pair
+        cold = solve(second)
+        other = solve(one_cdm_problem)
+        assert other.status == "optimal" and other.dims != second.dims
+        not_optimal = dataclasses.replace(solve(first), status="max_iter")
+        for start in (other, not_optimal):
+            assert same_bits(solve(second, start=start), cold)
