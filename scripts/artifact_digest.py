@@ -19,9 +19,11 @@ solve,
 (floats at full precision; minors and IPM iterations summed over the
 majors; ``order2`` counts the segments flown at order 2 over all majors,
 ``kkt_dim`` sums the KKT dimension n + p + m over the cone solves,
-``banded`` counts the cone solves whose KKT systems were factored as band
-matrices, those with a ``kkt_band``, and ``warm`` those that started from
-an earlier cone solve's result, those with ``"start": "warm"``), so
+``banded`` counts the cone solves with a ``kkt_band``, which is all of them
+now that every KKT system is factored as a band matrix (the field stays so
+that digests of older checkouts still compare), and ``warm`` those that
+started from an earlier cone solve's result, those with
+``"start": "warm"``), so
 answers that moved in the last bits can be compared against tolerances
 from one run.  camopt is imported from this checkout's ``src``.
 
@@ -38,14 +40,21 @@ whose status or exit code changed.  The exit code is 1 when any line
 differs or is missing on either side, so it alone tells whether two
 checkouts agree bit for bit.
 
-``--workloads NAME ...`` digests only the named workloads (default: all),
-and ``--against`` then compares only their lines, so a change that moves
-one layer can be checked on the workload that exercises it.
+``--workloads NAME ...`` digests only the named workloads (default: all
+of the benchmark's), and ``--against`` then compares only their lines, so a
+change that moves one layer can be checked on the workload that exercises
+it.  One more name, ``criterion2``, is not a benchmark workload: it
+digests the two ``tpoc`` solves of acceptance criterion 2 as
+``tests/test_acceptance.py`` sets them up, case1's first two conjunctions
+over [0, 7460] s (v0) and its first five over [0, 21234] s (v1), the same
+two for every seed.  They are the bundled solves whose TPoC polish couples
+several conjunction nodes.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
     python3 scripts/artifact_digest.py --seeds 0 1 --against old.txt
     python3 scripts/artifact_digest.py --workloads tpoc-1cdm --against old.txt
+    python3 scripts/artifact_digest.py --workloads criterion2 > old2.txt
 """
 
 from __future__ import annotations
@@ -74,6 +83,8 @@ from camopt import cli  # noqa: E402
 import workloads  # noqa: E402
 
 ARTIFACTS = ("summary.json", "maneuver.csv", "bplane.csv", "tipoc.csv")
+# acceptance criterion 2: (conjunctions of case1 kept, horizon end in s)
+CRITERION2 = ((2, 7460.0), (5, 21234.0))
 KINDS = ARTIFACTS + ("risk",)  # the fourth field of every digest line
 
 
@@ -107,12 +118,23 @@ def numbers(summary: dict) -> str:
             f"warm={sum(cs['start'] == 'warm' for cs in solves)}")
 
 
+def variants(name: str, seed: int):
+    """The refine mode and the scenario documents of one workload for
+    ``seed``."""
+    if name != "criterion2":
+        return (workloads.WORKLOADS[name]["mode"],
+                workloads.scenario_pool(name, seed))
+    case1 = json.loads((ROOT / "scenarios" / "case1.json").read_text())
+    return "tpoc", [{**case1, "conjunctions": case1["conjunctions"][:k],
+                     "horizon_s": [0.0, end]} for k, end in CRITERION2]
+
+
 def digests(name: str, seed: int, work: Path):
     """(label, exit code, sha256) of every artifact and risk report of one
     workload's variants for ``seed``, the ``summary.json`` sha256 followed
     by its numbers; ``work`` is an empty directory."""
-    mode = workloads.WORKLOADS[name]["mode"]
-    for k, doc in enumerate(workloads.scenario_pool(name, seed)):
+    mode, docs = variants(name, seed)
+    for k, doc in enumerate(docs):
         label = f"{name} seed{seed} v{k}"
         # relative paths, so no report names the scratch directory
         scenario, out = f"v{k}.json", f"v{k}"
@@ -227,9 +249,10 @@ def main(argv=None):
     p.add_argument("--against", type=Path, metavar="OLD.txt",
                    help="an earlier run's lines to compare with")
     p.add_argument("--workloads", nargs="+", metavar="NAME",
-                   choices=list(workloads.WORKLOADS),
+                   choices=[*workloads.WORKLOADS, "criterion2"],
                    default=list(workloads.WORKLOADS),
-                   help="digest only these workloads (default: all)")
+                   help="digest only these workloads (default: all of the "
+                        "benchmark's)")
     args = p.parse_args(argv)
     lines = run(args.seeds, args.workloads)
     if not args.against:

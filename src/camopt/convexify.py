@@ -274,7 +274,8 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
 
     Variables per segment i: state x_i (6), control u_i (3, fraction of the
     maximum acceleration) and control slack sig_i; plus the terminal state
-    x_N.  A state trust-region row pair is emitted only where its half-width
+    x_N, and after them the running sums of the totals over several nodes.
+    A state trust-region row pair is emitted only where its half-width
     ``nu_bar`` / xi does not exceed the node's :func:`state_reach` (passed
     as ``reach``, or computed here): a wider row cannot bind, so the
     feasible set is the same.  At node 0 the reach is |x_init - x_ref_0|,
@@ -292,7 +293,10 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     off_x, off_u = 0, nx
     off_sig = off_u + nu
     off_pn = off_sig + N
-    n_var = off_pn + (N if with_prox else 0)
+    off_w = off_pn + (N if with_prox else 0)
+    # running sums w_lo..w_{hi-1} of every total over nodes lo < hi
+    n_w = sum(max(nodes) - min(nodes) for nodes, *_ in risk.totals)
+    n_var = off_w + n_w
 
     var_map = {
         "x": slice(off_x, off_x + nx),
@@ -322,11 +326,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
                            np.broadcast_to(col_u[:, None], (N, 6, 3))],
                           axis=2)
     rows = np.broadcast_to(6 + np.arange(6 * N).reshape(N, 6, 1), vals.shape)
-    A = sp.csc_matrix((np.concatenate([np.ones(6), vals[keep]]),
-                       (np.concatenate([np.arange(6), rows[keep]]),
-                        np.concatenate([col_x[0], cols[keep]]))),
-                      shape=(6 * (N + 1), n_var))
-    b = np.concatenate([x_init, segments.c.ravel()])
+    a_rows, a_cols = [np.arange(6), rows[keep]], [col_x[0], cols[keep]]
+    a_vals = [np.ones(6), vals[keep]]
+    b = np.concatenate([x_init, segments.c.ravel(), np.zeros(n_w)])
 
     # inequality rows, nonnegative orthant first
     g_rows, g_cols, g_vals, h = [], [], [], []
@@ -367,11 +369,25 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     for node, a, ar in risk.halfspaces:
         on = a != 0.0
         put(np.zeros(on.sum(), int), col_x[node, :3][on], -a[on], [-ar])
-    # linearized total-probability rows with their trust regions
+    # linearized total-probability rows with their trust regions.  A total
+    # over nodes lo..hi runs along them as a running sum (Rao, Wright &
+    # Rawlings, JOTA 99(3), 1998), so every row is local to a node and the
+    # KKT system banded: w_j = w_{j-1} + (its terms at node j) for j < hi,
+    # w_{lo-1} = 0, then w_{hi-1} + (its terms at hi) <= bound.  w_j's
+    # equality row is its column shifted by eq_shift
+    eq_shift = 6 * (N + 1) - off_w
     for nodes, grads, bound, ref, xi, nu_risk in risk.totals:
         cols = col_x[nodes, :3]
-        on = grads != 0.0
-        put(np.zeros(on.sum(), int), cols[on], grads[on], [bound])
+        lo, hi = min(nodes), max(nodes)
+        w = off_w + np.arange(hi - lo)  # none for a total on one node
+        off_w += hi - lo
+        j = np.broadcast_to(np.asarray(nodes)[:, None], grads.shape)
+        inner, on = (grads != 0.0) & (j < hi), (grads != 0.0) & (j == hi)
+        a_rows += [w + eq_shift, w[1:] + eq_shift, w[j[inner] - lo] + eq_shift]
+        a_cols += [w, w[:-1], cols[inner]]
+        a_vals += [np.ones(len(w)), -np.ones(len(w[1:])), -grads[inner]]
+        put(np.zeros(len(w[-1:]) + on.sum(), int), np.r_[w[-1:], cols[on]],
+            np.r_[np.ones(len(w[-1:])), grads[on]], [bound])
         if xi is not None:
             trust(cols, ref, xi, nu_risk)
     n_nonneg = gr
@@ -386,6 +402,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
                np.column_stack([np.zeros(N), -u_prev]).ravel())
         socs += (4,) * N
 
+    A = sp.csc_matrix((np.concatenate(a_vals),
+                       (np.concatenate(a_rows), np.concatenate(a_cols))),
+                      shape=(len(b), n_var))
     G = sp.csc_matrix((np.concatenate(g_vals),
                        (np.concatenate(g_rows), np.concatenate(g_cols))),
                       shape=(gr, n_var))

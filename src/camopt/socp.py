@@ -20,10 +20,9 @@ serves the initial point (W = I) and the NT iterations and gives the
 residuals; each LU refills only the scaling block's values of its one K, in
 place.  The constant and predictor right-hand sides are solved together as
 one two-column system.  In a Cuthill-McKee order (ACM 1969) the KKT matrix
-of a staged control problem is banded (Domahidi et al., CDC 2012), and up to
-a half-bandwidth of ``BAND_MAX`` LAPACK's ``dgbtrf`` factors it.  A wider
-pattern goes to SuperLU, whose COLAMD column order is computed once per
-pattern, as ECOS does, and reused by every later LU (see ``_Kkt``).
+of a staged control problem is banded (Domahidi et al., CDC 2012), and
+LAPACK's banded ``dgbtrf`` factors it in that order.  Every KKT matrix goes
+this one way, whatever its band (see ``_Kkt``).
 
 A solve given the optimal result of an earlier problem with the same sizes
 starts warm (Skajaa, Andersen & Ye, Math. Prog. Comp. 5, 2013): from that
@@ -40,7 +39,6 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import splu
 
 from . import CamoptError
 
@@ -92,9 +90,6 @@ FEASTOL = 1e-9
 MAX_ITER = 200
 KKT_REG = 1e-9  # static regularization of the KKT diagonal
 STEP_FRAC = 0.99  # fraction of the step to the cone boundary taken
-# widest half-bandwidth factored banded: an NT iteration's LU and solves ran
-# faster banded up to 28, and slower from 29 on KKT systems of 2,000+ rows
-BAND_MAX = 28
 # weight of the earlier solution in a warm start, the rest on the central
 # ray (Skajaa, Andersen & Ye, Math. Prog. Comp. 5, 2013); on the SCP
 # subproblems 0.9 saved about half as many iterations
@@ -113,7 +108,7 @@ class SolveResult:
     y: np.ndarray | None = None
     z: np.ndarray | None = None
     s: np.ndarray | None = None
-    kkt_band: int | None = None  # half-bandwidth of a banded KKT, else None
+    kkt_band: int = 0  # half-bandwidth of the KKT matrix as factored
     dims: ConeDims | None = None  # the cone sizes of the problem solved
     start: str = "cold"  # "warm" when the iterates began at an earlier result
 
@@ -283,18 +278,11 @@ class _Kkt:
     of the embedding.
 
     The layout also orders the (structurally symmetric) pattern for a narrow
-    band.  When its half-bandwidth ``band`` is at most BAND_MAX, each LU is
-    LAPACK's banded ``dgbtrf`` in that order, and a solve runs ``dgbtrs``.
-
-    Otherwise the first factorization lets SuperLU order the columns by
-    COLAMD and keeps that order.  Later ones refill Kq, a copy of K with its
-    columns in that order, and factor it in natural order: the same
-    elimination, without the ordering.  The pivots are chosen as before, the
-    largest entry of each column, with one exception.  On a tie SuperLU
-    prefers the diagonal entry, and the diagonal of Kq is not that of K, so
-    a tie can pick another pivot row.  The solution then differs in its last
-    bits; in one long-term solve it did in 1 of its 33 factorizations.  A
-    zero pivot on either path raises ``SolverError``.
+    band, of half-bandwidth ``band``.  Each LU is LAPACK's banded ``dgbtrf``
+    in that order, and a solve runs ``dgbtrs``; a zero pivot raises
+    ``SolverError``.  The SCP subproblems keep every row local to a node, a
+    total risk over several nodes included (see ``convexify.assemble``), so
+    their band stays narrow.
     """
 
     def __init__(self, A, G, reg, rows, cols):
@@ -324,10 +312,6 @@ class _Kkt:
         kc = kc[order]
         self.M = sp.csc_matrix((np.where(self.indices == kc, 0.0, self.base),
                                 self.indices, self.indptr), shape=self.shape)
-        # the column order of the first factorization, and the K with its
-        # columns in that order, whose (3,3) values later ones refill
-        self.order = self.Kq = self.qslots = None
-        self.permuted = False  # whether ``lu`` factors Kq instead of K
         # the narrower of two Cuthill-McKee orders: scipy's reverse one starts
         # at a lowest-degree node, which can sit mid-horizon and double the
         # band; a breadth-first one restarts from the node it reached last.
@@ -343,7 +327,7 @@ class _Kkt:
             r, c = rank[self.indices], rank[kc]
             found.append((int(np.max(np.abs(r - c))), perm, rank, r, c))
         band, self.perm, self.rank, r, c = min(found, key=lambda f: f[0])
-        self.band = band if band <= BAND_MAX else None
+        self.band = band
         # entry (r, c) sits in row 2 band + r - c, column c of the
         # (3 band + 1, n + p + m) Fortran array dgbtrf factors in place
         self.slots_band = 2 * band + r - c + (3 * band + 1) * c
@@ -358,40 +342,12 @@ class _Kkt:
     def factor(self, w2: np.ndarray):
         self.lu = None  # released before the next factors are built
         self.K.data[self.slots] = -(w2 + self.reg_diag)
-        if self.band is not None:
-            ab = np.bincount(self.slots_band, self.K.data,
-                             len(self.perm) * (3 * self.band + 1))
-            *self.lu, info = dgbtrf(ab.reshape(len(self.perm), -1).T,
-                                    self.band, self.band, overwrite_ab=True)
-            if info > 0:
-                raise SolverError("KKT matrix is exactly singular")
-            return
-        try:
-            if self.order is None:
-                self.lu = splu(self.K)
-                self._keep_order()
-                return
-            self.Kq.data[self.qslots] = self.K.data[self.slots]
-            self.lu = splu(self.Kq, permc_spec="NATURAL")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError(str(exc)) from exc
-        self.permuted = True
-
-    def _keep_order(self):
-        """Lay out Kq = K[:, order] for the column order COLAMD chose."""
-        # SuperLU factors Pr K Pc with Pc[k, j] = 1 for perm_c[k] = j
-        self.order = np.argsort(self.lu.perm_c)
-        lens = np.diff(self.indptr)[self.order]
-        indptr = np.zeros(len(lens) + 1, np.int32)
-        np.cumsum(lens, out=indptr[1:])
-        # each column moves whole, so its rows stay sorted
-        gather = np.repeat(self.indptr[self.order] - indptr[:-1], lens) \
-            + np.arange(indptr[-1])
-        self.Kq = sp.csc_matrix((self.K.data[gather], self.indices[gather],
-                                 indptr), shape=self.shape)
-        pos = np.empty(len(gather), np.intp)
-        pos[gather] = np.arange(len(gather))
-        self.qslots = pos[self.slots]
+        ab = np.bincount(self.slots_band, self.K.data,
+                         len(self.perm) * (3 * self.band + 1))
+        *self.lu, info = dgbtrf(ab.reshape(len(self.perm), -1).T,
+                                self.band, self.band, overwrite_ab=True)
+        if info > 0:
+            raise SolverError("KKT matrix is exactly singular")
 
     def solve(self, rhs: np.ndarray, refine=1) -> np.ndarray:
         """Solutions of the unregularized system for the columns of
@@ -399,33 +355,23 @@ class _Kkt:
         rhs = rhs.reshape(len(rhs), -1)
         sol = self._lu_solve(rhs)
         for _ in range(refine):
-            # the unpermuted K: permuted columns would sum in another order
             res = rhs - self.K @ sol + self.unreg * sol
             sol = sol + self._lu_solve(res)
         return sol
 
     def _lu_solve(self, rhs):
-        if self.band is not None:
-            lu, piv = self.lu
-            ordered = rhs.take(self.perm, axis=0)
-            sol, _ = dgbtrs(lu, self.band, self.band, ordered, piv,
-                            overwrite_b=True)
-            return sol.take(self.rank, axis=0)
-        sol = self.lu.solve(rhs)
-        if not self.permuted:
-            return sol
-        # in SuperLU's own (Fortran) layout: BLAS sums over the columns of
-        # a C-ordered copy in another order
-        out = np.empty_like(sol, order="F")
-        out[self.order] = sol
-        return out
+        lu, piv = self.lu
+        sol, _ = dgbtrs(lu, self.band, self.band, rhs.take(self.perm, axis=0),
+                        piv, overwrite_b=True)
+        return sol.take(self.rank, axis=0)
 
 
 def _canonical(M) -> sp.csc_matrix:
     """``M`` as a CSC matrix with sorted indices and no duplicate entries;
-    a copy when ``M`` has either.  SuperLU sums the duplicates of K in
-    place, which would leave K's data out of step with the KKT layout, and
-    the caller's matrix is never changed."""
+    a copy when ``M`` has either.  The KKT layout stores every entry of A
+    and G as given: a duplicate pair would enter the products with K and M
+    as two terms, and the answer would differ in its last bits from the
+    same matrix's canonical form.  The caller's matrix is never changed."""
     M = sp.csc_matrix(M)
     if not M.has_canonical_format:
         M = M.copy()

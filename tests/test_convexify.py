@@ -397,8 +397,9 @@ class TestAssembly:
 
     def test_rows_match_dense_oracle(self):
         # N = 2 with every row family: proximal cones, a short-term total
-        # with its risk trust region, a long-term total with 3 items at one
-        # node, and a half-space with a zero component
+        # over nodes 1 and 2 (a running sum and its equality row) with its
+        # risk trust region, a long-term total with 3 items at one node
+        # (one row), and a half-space with a zero component
         N, dt, u_scale, nu_bar, prox = 2, 3.0, 0.5, 1e-2, 0.05
         rng = np.random.default_rng(11)
         grid = NodeGrid(times=dt * np.arange(N + 1.0))
@@ -421,26 +422,30 @@ class TestAssembly:
                         u_scale=u_scale, u_prev=u_prev, prox=prox,
                         reach=np.inf)
 
-        # variables: x 0-17, u 18-23, sigma 24-25, pn 26-27
+        # variables: x 0-17, u 18-23, sigma 24-25, pn 26-27, and w_1 28,
+        # the short-term total's running sum over node 1
         def x(i, k):
             return 6 * i + k
 
         def u(i, k):
             return 18 + 3 * i + k
 
-        n_var = 28
+        n_var = 29
         c = np.zeros(n_var)
         c[24:26] = dt * u_scale
         c[26:28] = prox * dt * u_scale
-        A = np.zeros((18, n_var))
+        A = np.zeros((19, n_var))
         A[np.arange(6), np.arange(6)] = 1.0
-        b = np.concatenate([x_init, seg.c.ravel()])
+        b = np.concatenate([x_init, seg.c.ravel(), [0.0]])
         for i in range(N):
             for j in range(6):
                 r = 6 + 6 * i + j
                 A[r, x(i + 1, j)] = 1.0
                 A[r, x(i, 0):x(i, 6)] = -seg.A[i, j]
                 A[r, u(i, 0):u(i, 3)] = -seg.B[i, j] * u_scale
+        # w_1 - g_0 . r_1 = 0
+        A[18, 28] = 1.0
+        A[18, x(1, 0):x(1, 3)] = -st_grads[0]
         G, h = [], []
 
         def row(entries, rhs):
@@ -461,8 +466,7 @@ class TestAssembly:
             for k in range(6):
                 trust(x(i, k), x_ref[i, k], seg.xi[i, k], nu_bar)
         row([(x(2, 0), -1.5), (x(2, 2), 2.0)], -0.3)
-        row([(x(nd, k), st_grads[m, k]) for m, nd in enumerate([1, 2])
-             for k in range(3)], 1e-6)
+        row([(28, 1.0)] + [(x(2, k), st_grads[1, k]) for k in range(3)], 1e-6)
         for m, nd in enumerate([1, 2]):
             for k in range(3):
                 trust(x(nd, k), st_ref[m, k], st_xi[m, k], 0.02)

@@ -525,6 +525,15 @@ class TestSolve:
         assert sum(rec.ipm_iters for rec in res.log) > \
             sum(rec.ipm_iters for rec in ref.log)
 
+    def test_tpoc_polish_over_two_nodes_is_banded(self):
+        # the polish's total over both conjunction nodes runs along them as
+        # a running sum, so no row couples distant nodes
+        res = solve(two_cdm(), Config(refine_mode="tpoc"))
+        assert res.status == "converged"
+        bands = [cs["kkt_band"] for rec in res.log for cs in rec.cone_solves]
+        assert all(isinstance(band, int) and 0 < band <= 28
+                   for band in bands)
+
     def test_cone_solves_logged_per_minor(self, sol2):
         for rec in sol2.log:
             assert len(rec.cone_solves) == rec.minors

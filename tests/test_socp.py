@@ -211,14 +211,11 @@ class TestValidation:
         with pytest.raises(SolverError):
             solve(prob)
 
-    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
     @pytest.mark.parametrize("split", ["A", "G"])
-    def test_duplicate_entries_solve_as_canonical(self, monkeypatch,
-                                                  band_max, split):
+    def test_duplicate_entries_solve_as_canonical(self, split):
         # a matrix whose first stored entry is split into two halves is
-        # the same matrix: both KKT paths solve it as the canonical one,
-        # and the caller's matrix keeps its duplicate
-        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+        # the same matrix: it is solved as the canonical one, and the
+        # caller's matrix keeps its duplicate
         prob = random_feasible(np.random.default_rng(3), 8, 2, 4, [3, 4])
         M = getattr(prob, split)
         indptr = M.indptr.copy()
@@ -259,17 +256,15 @@ class TestEarlyStop:
         assert r.status == "numerical"
         assert r.iterations == 1
 
-    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
-    def test_singular_kkt_reports_numerical(self, monkeypatch, band_max):
+    def test_singular_kkt_reports_numerical(self, monkeypatch):
         # without regularization a repeated equality row leaves a zero pivot
         monkeypatch.setattr(socp, "KKT_REG", 0.0)
-        monkeypatch.setattr(socp, "BAND_MAX", band_max)
         prob = random_feasible(np.random.default_rng(5), 6, 2, 3, [3], 0.5)
         prob.A = sp.csc_matrix(prob.A[[0, 1, 0]])
         prob.b = prob.b[[0, 1, 0]]
         r = solve(prob)
         assert r.status == "numerical"
-        assert (r.kkt_band is None) == (band_max < 0)
+        assert r.kkt_band > 0
 
     def test_iteration_limit_reports_max_iter(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -382,8 +377,6 @@ class TestCachedKkt:
                  for density in (1.0, 0.5, 0.5)]
         probs.append(random_feasible(rng, 8, p, 4, [3, 4], 0.5))
         fast = [solve(prob) for prob in probs]
-        # both factorization paths
-        assert {r.kkt_band is None for r in fast} == {True, False}
         monkeypatch.setattr(socp, "_Kkt", ReferenceKkt)
         for prob, r in zip(probs, fast):
             ref = solve(prob)
@@ -391,38 +384,6 @@ class TestCachedKkt:
             assert r.iterations == ref.iterations
             for a, b in ((r.x, ref.x), (r.y, ref.y), (r.z, ref.z)):
                 assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("p", [0, 3])
-    def test_reused_order_bit_identical_to_fresh_lu(self, p, monkeypatch):
-        specs = []
-
-        def counting_splu(K, permc_spec="COLAMD"):
-            specs.append(permc_spec)
-            return splu(K, permc_spec=permc_spec)
-
-        monkeypatch.setattr(socp, "splu", counting_splu)
-        rng = np.random.default_rng(37 + p)
-        # dense G: every cone row couples every variable, too wide a band
-        prob = random_feasible(rng, 40, p, 4, MIXED_SOCS, 1.0)
-        A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
-        cone = socp._Cone(prob.dims)
-        kkt = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
-        assert kkt.band is None
-        for _ in range(4):
-            _, _, w2 = block_pattern(rng, prob, "nt")
-            kkt.factor(w2)
-            fresh = socp._Kkt(A, G, socp.KKT_REG, cone.w2_rows, cone.w2_cols)
-            fresh.K, fresh.lu = kkt.K, splu(kkt.K)
-            rhs = rng.standard_normal((kkt.shape[0], 2))
-            assert np.array_equal(kkt.solve(rhs), fresh.solve(rhs))
-            assert np.array_equal(kkt.solve(rhs[:, 1]), fresh.solve(rhs[:, 1]))
-        # COLAMD once per pattern: here one, and in a solve one too, the
-        # initial point's, whose order every NT iteration reuses
-        assert specs == ["COLAMD"] + ["NATURAL"] * 3
-        specs.clear()
-        assert solve(prob).status == "optimal"
-        assert specs[0] == "COLAMD" and set(specs[1:]) == {"NATURAL"}
-        assert len(specs) > 3
 
 
 class TestSingleLayout:
@@ -462,9 +423,7 @@ class TestSingleLayout:
             assert np.array_equal(kkt.M.toarray(),
                                   reference_residual_operator(A, G).toarray())
 
-    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
-    def test_kept_k_equals_a_fresh_one(self, monkeypatch, band_max):
-        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+    def test_kept_k_equals_a_fresh_one(self):
         rng = np.random.default_rng(73)
         for prob in self.problems():
             A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
@@ -481,10 +440,7 @@ class TestSingleLayout:
             fresh.factor(w2)
             assert np.array_equal(kkt.solve(rhs), fresh.solve(rhs))
 
-    @pytest.mark.parametrize("band_max", [socp.BAND_MAX, -1])
-    def test_identity_on_the_nt_pattern_gives_the_initial_point(
-            self, monkeypatch, band_max):
-        monkeypatch.setattr(socp, "BAND_MAX", band_max)
+    def test_identity_on_the_nt_pattern_gives_the_initial_point(self):
         for prob in self.problems():
             A, G = sp.csc_matrix(prob.A), sp.csc_matrix(prob.G)
             cone = socp._Cone(prob.dims)
@@ -548,33 +504,52 @@ def random_mixed(rng):
                            float(rng.uniform(0.2, 1.0)))
 
 
+class SuperLuKkt(socp._Kkt):
+    """Factors the same K with SuperLU in its COLAMD column order instead
+    of the banded LU, as a reference for it; counts its factorizations."""
+
+    factors = 0
+
+    def factor(self, w2):
+        self.K.data[self.slots] = -(w2 + self.reg_diag)
+        try:
+            self.lu = splu(self.K)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SolverError(str(exc)) from exc
+        SuperLuKkt.factors += 1
+
+    def _lu_solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
 class TestBandedKkt:
     def test_same_answers_as_the_sparse_path(self, monkeypatch):
         rng = np.random.default_rng(97)
         probs = [random_mixed(rng) for _ in range(120)]
         banded = [solve(prob) for prob in probs]
-        monkeypatch.setattr(socp, "BAND_MAX", -1)
+        monkeypatch.setattr(socp, "_Kkt", SuperLuKkt)
+        monkeypatch.setattr(SuperLuKkt, "factors", 0)
         for prob, r in zip(probs, banded):
             ref = solve(prob)
-            assert ref.kkt_band is None
             assert r.status == ref.status
             assert r.obj == pytest.approx(ref.obj, rel=1e-8)
-        assert sum(r.kkt_band is not None for r in banded) >= 60
+        assert SuperLuKkt.factors >= 120
 
     def test_staged_subproblem_is_banded_and_a_coupling_row_is_not(
             self, one_cdm_problem):
         prob = one_cdm_problem
         res = solve(prob)
         assert res.status == "optimal"
-        assert 0 < res.kkt_band <= socp.BAND_MAX
-        # one inactive orthant row over every variable couples all stages
+        assert 0 < res.kkt_band <= 28
+        # one inactive orthant row over every variable couples all stages:
+        # the band widens, and the answer stays
         ones = np.ones(len(prob.c))
         coupled = dataclasses.replace(
             prob, G=sp.vstack([ones, prob.G], format="csc"),
             h=np.concatenate([[ones @ res.x + 1.0], prob.h]),
             dims=ConeDims(prob.dims.nonneg + 1, prob.dims.soc))
         wide = solve(coupled)
-        assert wide.status == "optimal" and wide.kkt_band is None
+        assert wide.status == "optimal" and wide.kkt_band > 28
         assert wide.obj == pytest.approx(res.obj, rel=1e-6)
 
     def test_breadth_first_restart_narrows_the_band(self, monkeypatch):
@@ -591,7 +566,7 @@ class TestBandedKkt:
         monkeypatch.setattr(csgraph, "breadth_first_order",
                             lambda *args, **kwargs: np.zeros(0, np.int32))
         rcm = kkt()
-        assert rcm.band is not None and 0 < narrow.band < rcm.band
+        assert 0 < narrow.band < rcm.band
         rhs = np.random.default_rng(3).standard_normal((len(narrow.perm), 2))
         _, _, w2 = block_pattern(np.random.default_rng(4), prob, "nt")
         for k in (narrow, rcm):
@@ -614,7 +589,7 @@ class TestBandedKkt:
             env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": n,
                  "OMP_NUM_THREADS": n}).stdout for n in ("1", "2")]
         status, _, band, _ = outs[0].split()
-        assert status == "optimal" and band != "None"
+        assert status == "optimal" and int(band) > 0
         assert outs[0] == outs[1]
 
 
