@@ -248,8 +248,11 @@ def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = INTEG_TOL):
     ``y`` holds (N, 6, space.size) state coefficients, ``t0`` and ``t1``
     are one epoch (or one for all rows) each, and ``u`` is (N, 3, size)
     control jets or (N, 3) constant controls, zero when omitted.  Each row
-    keeps its own clock, step size and accept/reject decision, so it takes
-    the steps it would take alone; backward spans are flown with the
+    keeps its own clock, step size and accept/reject decision, all taken
+    from its constant part: it takes the steps :func:`flow` takes for its
+    state, its constant part is :func:`flow`'s answer bit for bit, and its
+    derivatives are those of that discrete flow (internal numerical
+    differentiation, Bock 1981).  Backward spans are flown with the
     velocity flipped, as in :func:`flow`.
     """
     if tol <= 0:
@@ -274,9 +277,14 @@ def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = INTEG_TOL):
 def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
     """The step loop of :func:`_rkf78`, run for every row at once.
 
-    Rows that reject a step retry it alongside rows that take their next
-    one; a row leaves the batch when it reaches its end epoch.  Step-size
-    factors are computed per row in Python floats, like the float loop.
+    A row's error estimate is :func:`_rkf78`'s, taken on the constant parts
+    only, so it accepts, rejects and sizes its steps as the float loop does
+    on its state, and the derivative coefficients ride along.  A non-finite
+    coefficient anywhere, derivatives included, still ends the flight at
+    once.  Rows that reject a step retry it alongside rows that take their
+    next one; a row leaves the batch when it reaches its end epoch.
+    Step-size factors are computed per row in Python floats, like the
+    float loop.
     """
     out = np.empty_like(y)
     rows = np.arange(len(y))
@@ -299,9 +307,11 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
                 acc = acc + (h * a)[:, None, None] * f[j]
             f.append(_eom_jets(space, acc, u, dyn))
         ecomb = f[0] + f[10] - f[11] - f[12]
-        err = np.abs(ecomb).max(axis=(1, 2)) * np.abs(_ERR_W * h)
-        if not np.isfinite(err).all():
+        # a NaN or inf in any coefficient, derivatives included, fails at once
+        if not np.isfinite(ecomb).all():
             raise StiffnessError(f"non-finite step error at t={t.min()}")
+        # the step is controlled by the state alone, as in _rkf78
+        err = np.abs(ecomb[..., 0]).max(axis=1) * np.abs(_ERR_W * h)
         ok = (err <= tol) | (h <= 1e-14 * np.maximum(np.abs(t), 1.0))
 
         rej = ~ok
@@ -342,10 +352,11 @@ class SegmentMaps:
     ``A`` (N, 6, 6) and ``B`` (N, 6, 3) map state and control perturbations
     at each segment's start node to state perturbations at its end node;
     ``c`` (N, 6) is the linearization residual so that A x + B u + c
-    reproduces the reference endpoint exactly.  ``xi`` (N, 9) holds the
-    per-variable nonlinearity ratios (6 state + 3 control entries) used to
-    size trust regions: measured by an order-2 flight, bounded from above
-    by :func:`xi_bound`, or carried over from an earlier flight.
+    reproduces the reference endpoint, :func:`flow`'s, up to the roundoff
+    of the products.  ``xi`` (N, 9) holds the per-variable nonlinearity
+    ratios (6 state + 3 control entries) used to size trust regions:
+    measured by an order-2 flight, bounded from above by :func:`xi_bound`,
+    or carried over from an earlier flight.
     """
 
     A: np.ndarray
@@ -363,10 +374,13 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     durations are flown in one batch; returns the stacked
     :class:`SegmentMaps` (``A`` (N, 6, 6), ``B`` (N, 6, 3), ``c`` (N, 6),
     ``xi`` (N, 9)), each row the same bit for bit as that row linearized
-    on its own.  Without ``xi`` the jets are of order 2 and ``xi`` is
-    measured from their second derivatives.  Otherwise they are of order
-    1, which is all A, B and c need: an (N, 9) ``xi`` is handed back as it
-    came, and ``xi="bound"`` takes :func:`xi_bound` of the maps.
+    on its own.  Every row takes the steps :func:`flow` takes, so the
+    endpoint that ``c`` closes on is :func:`flow`'s bit for bit, and A and
+    B are the derivatives of that discrete flow.  Without ``xi`` the jets
+    are of order 2 and ``xi`` is measured from their second derivatives.
+    Otherwise they are of order 1, which is all A, B and c need: an (N, 9)
+    ``xi`` is handed back as it came, and ``xi="bound"`` takes
+    :func:`xi_bound` of the maps.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)

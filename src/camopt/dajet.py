@@ -168,8 +168,11 @@ def sqrt(space: JetSpace, x: np.ndarray) -> np.ndarray:
     if (a <= 0.0).any():
         raise DomainError("sqrt of jet with non-positive constant part")
     consts = a.ravel().tolist()
-    derivs, coef = [], 1.0
-    for k in range(space.order + 1):
+    # the value by math.sqrt, correctly rounded like the float equations of
+    # motion; pow(c, 0.5) is off by an ulp for about 1 in 1,000 arguments
+    derivs = [np.array([math.sqrt(c) for c in consts]).reshape(a.shape)]
+    coef = 0.5
+    for k in range(1, space.order + 1):
         derivs.append(np.array([coef * c ** (0.5 - k) for c in consts]).reshape(a.shape))
         coef *= 0.5 - k
     return compose_series(space, x, derivs)

@@ -314,7 +314,9 @@ def _stm_track(x0: np.ndarray, times, dyn):
     longer than :data:`_STM_PIECE` are cut into equal pieces.  The mean is
     chained through the pieces with float flows, every piece's own STM comes
     from one batched order-1 jet flight seeded at its start, and the
-    cumulative STMs are their running product."""
+    cumulative STMs are their running product.  Each jet row takes the steps
+    of its piece's float flow, so a piece's STM is the derivative of the
+    very flight that carried the mean across it."""
     times = np.asarray(times, float)
     pieces = np.maximum(np.ceil(np.abs(np.diff(times)) / _STM_PIECE),
                         1).astype(int)

@@ -323,6 +323,97 @@ def segment_batch():
     return x, u, dt
 
 
+def j2_arc(n=113, u_max=1e-3):
+    """Start states, controls and durations of ``n`` grid segments of
+    2 pi / 60 along one scaled J2 orbit inclined by 53 degrees."""
+    dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
+    incl = math.radians(53.0)
+    t = np.arange(n + 1) * 2.0 * math.pi / 60.0
+    x = [np.array([1.0, 0.0, 0.0, 0.0, math.cos(incl), math.sin(incl)])]
+    for ta, tb in zip(t[:-2], t[1:-1]):
+        x.append(flow(x[-1], ta, tb, np.zeros(3), dyn))
+    u = np.random.default_rng(1).uniform(-u_max, u_max, (n, 3))
+    return dyn, np.array(x), u, np.diff(t)
+
+
+class TestJetsFlyTheStateSteps:
+    """Every jet row takes the steps :func:`flow` takes for its state
+    (internal numerical differentiation), so its constant part is that
+    flow's answer and its derivatives are those of the same discrete map."""
+
+    @SCALED_DYNAMICS
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_part_is_the_float_flow(self, dyn, order):
+        rng = np.random.default_rng(17 + order)
+        n = 24
+        incl = rng.uniform(0.0, math.pi, n)
+        r = rng.uniform(0.95, 1.2, n)
+        x = np.column_stack([r, 0 * r, 0 * r, 0 * r, np.cos(incl) / np.sqrt(r),
+                             np.sin(incl) / np.sqrt(r)])
+        x[:, 3:] *= rng.uniform(0.97, 1.03, (n, 1))
+        # rows 0-7 keep exactly-zero components (every other one equatorial),
+        # the others are turned to a random orientation
+        x[:8:2, [2, 5]] = 0.0
+        rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        x[8:, :3] = x[8:, :3] @ rot
+        x[8:, 3:] = x[8:, 3:] @ rot
+        u = rng.normal(size=(n, 3)) * 1e-3
+        u[::3] = 0.0
+        t0 = rng.uniform(-2.0, 2.0, n)
+        t1 = t0 + rng.uniform(-1.5, 1.5, n)  # forward and backward spans
+        t1[::5] = t0[::5]  # zero spans
+        space = jet_space(9, order)
+        for tol in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            xu = identity(space, np.concatenate([x, u], axis=1))
+            jets = flow_jets(space, xu[:, :6], t0, t1, dyn, u=xu[:, 6:],
+                             tol=tol)
+            consts = flow_jets(space, xu[:, :6], t0, t1, dyn, u=u, tol=tol)
+            for i in range(n):
+                want = flow(x[i], t0[i], t1[i], u[i], dyn, tol)
+                assert np.array_equal(jets[i, :, 0], want), (tol, i)
+                assert np.array_equal(consts[i, :, 0], want), (tol, i)
+
+    def test_maps_match_a_tight_flight(self):
+        # the derivatives of the discrete flow stay close to those of the
+        # exact flow: a grid of 113 J2 segments against tolerance 1e-15
+        dyn, x, u, dt = j2_arc()
+        got = linearize_segment(x, u, dt, dyn, xi="bound")
+        ref = linearize_segment(x, u, dt, dyn, tol=1e-15, xi="bound")
+        for name in ("A", "B", "c"):
+            assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) \
+                <= 1e-11, name
+
+    def test_residual_reproduces_the_float_flow(self):
+        # A x + B u + c gives back the float flow of the reference exactly,
+        # up to the roundoff of the products
+        dyn, x, u, dt = j2_arc(20)
+        maps = linearize_segment(x, u, dt, dyn, xi="bound")
+        recon = (maps.A @ x[..., None])[..., 0] + (maps.B @ u[..., None])[..., 0] \
+            + maps.c
+        want = np.array([flow(x[i], 0.0, dt[i], u[i], dyn) for i in range(len(dt))])
+        assert np.max(np.abs(recon - want)) <= 1e-14
+
+    def test_nan_in_a_derivative_fails_in_the_first_trial_step(self,
+                                                               monkeypatch):
+        # the state's error estimate stays finite, but a NaN in any
+        # coefficient must still end the flight at once
+        calls = []
+        real = astro._eom_jets
+
+        def nan_derivative(space, y, u, dyn):
+            calls.append(None)
+            out = real(space, y, u, dyn)
+            if len(calls) == 13:
+                out[:, 4, 1] = math.nan
+            return out
+
+        monkeypatch.setattr(astro, "_eom_jets", nan_derivative)
+        dyn, x, u, dt = j2_arc(3)
+        with pytest.raises(StiffnessError, match="non-finite step error"):
+            linearize_segment(x, u, dt, dyn, xi="bound")
+        assert len(calls) == 13
+
+
 class TestBatchedLinearization:
     @SCALED_DYNAMICS
     def test_rows_match_single_row_calls(self, dyn, monkeypatch):

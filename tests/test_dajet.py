@@ -92,6 +92,14 @@ class TestArithmetic:
         s = sqrt(sp, x)
         assert np.allclose(mul(sp, s, s), x, atol=1e-12)
 
+    def test_sqrt_value_is_correctly_rounded(self):
+        # pow(c, 0.5) is off by an ulp for some c; the jet's value is math.sqrt
+        c = np.random.default_rng(3).uniform(0.5, 2.0, 20000)
+        for order in (1, 2):
+            sp = jet_space(1, order)
+            got = sqrt(sp, identity(sp, c[:, None])[:, 0])[:, 0]
+            assert np.array_equal(got, [math.sqrt(v) for v in c.tolist()])
+
     def test_domain_errors(self):
         sp = jet_space(1, 2)
         with pytest.raises(DomainError):

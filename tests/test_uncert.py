@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from camopt.astro import GM_EARTH, Dynamics, flow, linearize_segment
+from camopt.astro import (
+    GM_EARTH,
+    J2_EARTH,
+    R_EARTH,
+    Dynamics,
+    flow,
+    linearize_segment,
+)
 from camopt.uncert import (
     GaussianMixture,
     UncertaintyError,
@@ -126,6 +133,16 @@ class TestNonlinearity:
         assert np.argmax(nli) == np.argmax(maps.xi[0, :6])
         ratio = nli / maps.xi[0, :6]
         assert ratio.max() / ratio.min() < 1.5
+
+    def test_matches_a_tight_flight(self):
+        # the jets take the steps of the state's own flight, at the split's
+        # tolerance, over one scaled J2 orbit
+        dyn = Dynamics.two_body_j2(1.0, J2_EARTH, R_EARTH / 6928.0)
+        incl = math.radians(53.0)
+        x = np.array([1.0, 0.0, 0.0, 0.0, math.cos(incl), math.sin(incl)])
+        got = nonlinearity_index(x, 2.0 * math.pi, dyn, tol=1e-9)
+        ref = nonlinearity_index(x, 2.0 * math.pi, dyn, tol=1e-14)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-7
 
 
 class TestCovariancePropagation:
