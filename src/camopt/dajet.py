@@ -25,15 +25,11 @@ import numpy as np
 from . import CamoptError
 
 
-class JetError(CamoptError):
+class DimensionError(CamoptError):
     pass
 
 
-class DimensionError(JetError):
-    pass
-
-
-class DomainError(JetError):
+class DomainError(CamoptError):
     pass
 
 

@@ -137,7 +137,6 @@ class Scenario:
     x_primary: np.ndarray  # ECI state at state_epoch [km, km/s]
     state_epoch: float  # s past t0
     u_max: float  # km/s^2
-    mass: float  # kg
     horizon: tuple  # (t0, tf) in s past t0
     short_term: bool
     long_term: bool
@@ -283,7 +282,8 @@ def load_scenario(path) -> Scenario:
     prim = _get(doc, "primary", "$", dict)
     x_p = _primary_state(prim, mu)
     u_max = _get(prim, "u_max_mm_s2", "primary", _NUMBER) * 1e-6  # km/s^2
-    mass = _opt(prim, "mass_kg", "primary", _NUMBER, 0.0)
+    # accepted, type-checked and unused
+    _opt(prim, "mass_kg", "primary", _NUMBER, 0.0)
     horizon = _vector(doc, "horizon_s", "$", 2)
     state_epoch = float(_opt(prim, "state_epoch_s", "primary", _NUMBER,
                              horizon[0]))
@@ -325,7 +325,7 @@ def load_scenario(path) -> Scenario:
             hbr=hbr)
 
     return Scenario(mu=mu, dynamics=dynamics, x_primary=x_p,
-                    state_epoch=state_epoch, u_max=u_max, mass=mass,
+                    state_epoch=state_epoch, u_max=u_max,
                     horizon=(float(horizon[0]), float(horizon[1])),
                     short_term=short_term, long_term=long_term, n_mix=n_mix,
                     conjunctions=conjunctions,

@@ -879,119 +879,93 @@ def _reports(scl, channels, grid, states):
     return [ch.report(scl, grid, states) for ch in channels]
 
 
-def _start(scenario: Scenario, total_limit: float):
-    """What a solve starts from, in scaled units: dynamics, node grid,
-    ballistic node states, the short- and long-term channels around them,
-    and the ``package`` that reports a trajectory against them."""
-    if not (scenario.short_term or scenario.long_term):
-        raise ScpError("scenario enables neither short- nor long-term mode")
-    scl = scenario.scaling()
-    dyn = scaled_dynamics(scenario)
-    L, V, T = scl.length, scl.velocity, scl.time
-    t0, tf = scenario.horizon[0] / T, scenario.horizon[1] / T
-    u_scale = scenario.u_max / scl.acceleration
-    if u_scale <= 0.0:
-        raise ScpError("maximum acceleration must be positive")
-    x_init = _scale_state(scenario.primary_at(scenario.horizon[0]), L, V)
+class _Run:
+    """One solve in scaled units: dynamics, node grid, the reference
+    ``x_ref`` (ballistic at first) and the channels around it, and the
+    state the steps of the major/minor loop share, one method each."""
 
-    st_channels = (_build_short_channels(scenario, scl, dyn, t0, tf)
-                   if scenario.short_term and scenario.conjunctions else [])
-    epochs = {(i, 0): ch.epoch for i, ch in enumerate(st_channels)}
-    grid = build_grid(t0, tf, 2.0 * math.pi, NODES_PER_ORBIT, epochs)
-    for i, ch in enumerate(st_channels):
-        ch.node = grid.conjunction_nodes[(i, 0)]
-    x_ref = _node_states(x_init, grid.times, dyn, np.zeros(3))
-    lt_channels = (_build_long_channels(scenario, scl, dyn, grid, x_ref)
-                   if scenario.long_term and scenario.conjunctions else [])
-    for ch in st_channels:
-        ch.p0 = ch.weight * ch.poc(x_ref[ch.node, :3])
-    channels = st_channels + lt_channels
-    tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels]))
+    def __init__(self, scenario: Scenario, total_limit: float):
+        if not (scenario.short_term or scenario.long_term):
+            raise ScpError("scenario enables neither short- nor long-term "
+                           "mode")
+        self.scenario, self.total_limit = scenario, total_limit
+        self.scl = scl = scenario.scaling()
+        self.dyn = dyn = scaled_dynamics(scenario)
+        L, V, T = scl.length, scl.velocity, scl.time
+        t0, tf = scenario.horizon[0] / T, scenario.horizon[1] / T
+        self.u_scale = scenario.u_max / scl.acceleration
+        if self.u_scale <= 0.0:
+            raise ScpError("maximum acceleration must be positive")
+        self.x_init = _scale_state(scenario.primary_at(scenario.horizon[0]),
+                                   L, V)
 
-    def package(status, majors, log, x_out, u_frac, e_val, final,
-                con_states=None):
-        """The solution for node states ``x_out`` and their evaluation
-        ``final``, a (total probability, TIPoC per node) pair."""
-        controls = u_frac * scenario.u_max
-        dv = float(np.sum(np.linalg.norm(controls, axis=1) * (grid.dt * T))) \
-            * 1e6
-        return TrajectorySolution(
-            status=status, majors=majors, log=log,
-            times_s=grid.times * T, states_km=x_out * np.repeat([L, V], 3),
-            controls_km_s2=controls, u_frac=u_frac, dv_mm_s=dv,
-            e_validation_mm=e_val,
-            total_limit=total_limit, tpoc_ballistic=tpoc_ball,
-            tpoc_final=final[0],
-            # the keep-out cuts are supporting planes of the convex
-            # ellipses, so the converged subproblem iterate satisfies them
-            # exactly; it is the point reported against the circle
-            channels=_reports(scl, channels, grid,
-                              x_out if con_states is None else con_states),
-            tipoc_nodes=final[1],
-            tipoc_mix=np.column_stack([ch.ipoc_prof for ch in lt_channels])
-            if lt_channels else None)
+        st_channels = (_build_short_channels(scenario, scl, dyn, t0, tf)
+                       if scenario.short_term and scenario.conjunctions
+                       else [])
+        epochs = {(i, 0): ch.epoch for i, ch in enumerate(st_channels)}
+        self.grid = grid = build_grid(t0, tf, 2.0 * math.pi, NODES_PER_ORBIT,
+                                      epochs)
+        for i, ch in enumerate(st_channels):
+            ch.node = grid.conjunction_nodes[(i, 0)]
+        self.x_ref = x_ref = _node_states(self.x_init, grid.times, dyn,
+                                          np.zeros(3))
+        lt_channels = (_build_long_channels(scenario, scl, dyn, grid, x_ref)
+                       if scenario.long_term and scenario.conjunctions else [])
+        for ch in st_channels:
+            ch.p0 = ch.weight * ch.poc(x_ref[ch.node, :3])
+        self.st_channels, self.lt_channels = st_channels, lt_channels
+        self.channels = channels = st_channels + lt_channels
+        self.tpoc_ball = 1.0 - float(np.prod([1.0 - ch.p0 for ch in channels]))
 
-    return dyn, grid, u_scale, x_ref, st_channels, lt_channels, package
+        self.u_frac = np.zeros((grid.n_segments, 3))
+        # the last minor's subproblem states
+        self.states = x_ref.copy()
+        self.log = []
+        self.major = 0
+        self.evaluated = (None, None)
+        # channel index -> exit table at the reference of this major, shared
+        # by its limit adaptation and anchor selection; relinearization
+        # starts the next major and drops them
+        self.tables = {}
+        # the nonlinearity ratios xi only size the state trust regions.
+        # Every segment flies order-1 jets and takes the analytic upper
+        # bound of astro.xi_bound; a segment flies order 2 for its exact
+        # ratios only where a bounded row could bind (NU_BAR / bound <= its
+        # reach), so the lean subproblem keeps exactly the rows the exact
+        # ratios would keep.  The ratios barely move during a solve: they
+        # are kept, as (node states they were taken at, ratios, exact per
+        # segment), until the reference leaves the trust region they set
+        self.xi_at = None
+        # the last optimal cone solve of the run: each later one starts from
+        # it where the sizes fit
+        self.last_optimal = None
+        # per channel, its limit_d2 over the adaptation's limit grid
+        self.limit_tables = [{} for _ in channels]
+        weights = np.array([ch.weight for ch in channels])
+        self.q_cur = total_limit * weights / float(np.sum(weights))
 
+    def exit_table(self, i):
+        if i not in self.tables:
+            ch = self.channels[i]
+            self.tables[i] = _exit_table(
+                *ch.miss(self.x_ref[ch.node, :3], ch.node), ch.M)
+        return self.tables[i]
 
-def ballistic(scenario: Scenario,
-              config: Config | None = None) -> TrajectorySolution:
-    """The unmaneuvered trajectory and its risk, evaluated as :func:`solve`
-    evaluates its answer, without entering the optimizer."""
-    cfg = (config or Config()).validated()
-    dyn, grid, _, x_ref, st_channels, lt_channels, package = \
-        _start(scenario, cfg.total_limit)
-    return package("ballistic", 0, [], x_ref, np.zeros((grid.n_segments, 3)),
-                   0.0, _evaluate_final(dyn, st_channels, lt_channels, x_ref))
-
-
-def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
-    cfg = (config or Config()).validated()
-    if not scenario.conjunctions:
-        # every conjunction makes at least one channel; without any there
-        # is nothing to optimize
-        return ballistic(scenario, cfg)
-    dyn, grid, u_scale, x_ref, st_channels, lt_channels, package = \
-        _start(scenario, cfg.total_limit)
-    channels = st_channels + lt_channels
-    scl = scenario.scaling()
-    x_init = x_ref[0]
-    N = grid.n_segments
-
-    # channel index -> exit table at the reference of this major, shared
-    # by its limit adaptation and anchor selection; relinearization starts
-    # the next major and drops them
-    tables = {}
-
-    def exit_table(i):
-        if i not in tables:
-            ch = channels[i]
-            tables[i] = _exit_table(*ch.miss(x_ref[ch.node, :3], ch.node),
-                                    ch.M)
-        return tables[i]
-
-    # the nonlinearity ratios xi only size the state trust regions.  Every
-    # segment flies order-1 jets and takes the analytic upper bound of
-    # astro.xi_bound; a segment flies order 2 for its exact ratios only
-    # where a bounded row could bind (NU_BAR / bound <= its reach), so the
-    # lean subproblem keeps exactly the rows the exact ratios would keep.
-    # The ratios barely move during a solve: they are kept, as (node states
-    # they were taken at, ratios, exact per segment), until the reference
-    # leaves the trust region they set
-    xi_at = None
-
-    def relinearize(uf):
-        nonlocal xi_at
-        tables.clear()
-        u = uf * u_scale
-        if xi_at is None or _xi_stale(x_ref[:N], *xi_at[:2]):
+    def relinearize(self):
+        """Segment maps around ``x_ref`` for the controls ``u_frac``."""
+        self.tables.clear()
+        grid, dyn, x_ref = self.grid, self.dyn, self.x_ref
+        N = grid.n_segments
+        u = self.u_frac * self.u_scale
+        if self.xi_at is None or _xi_stale(x_ref[:N], *self.xi_at[:2]):
             segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, xi="bound")
-            xi_at = (x_ref[:N].copy(), segs.xi, np.zeros(N, dtype=bool))
+            self.xi_at = (x_ref[:N].copy(), segs.xi, np.zeros(N, dtype=bool))
         else:
-            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, xi=xi_at[1])
-        x_at, xi, exact = xi_at
+            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn,
+                                     xi=self.xi_at[1])
+        x_at, xi, exact = self.xi_at
         # fixed for the major: every minor's lean subproblem reuses it
-        reach = state_reach(segs, x_init, x_ref, u_scale)
+        reach = state_reach(segs, self.x_init, x_ref, self.u_scale)
         order2 = ~exact & (NU_BAR / xi[:, 0] <= reach.max(axis=1))
         if order2.any():
             xi[order2] = linearize_segment(x_ref[:N][order2], u[order2],
@@ -999,100 +973,82 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             x_at[order2] = x_ref[:N][order2]
             exact |= order2
         r3 = _impulse_responses(segs, grid)
-        for ch in channels:
+        for ch in self.channels:
             ch.relinearize(x_ref[:, :3], r3)
-        return segs, r3, reach, int(order2.sum())
+        self.segments, self.resp3, self.reach = segs, r3, reach
+        self.order2_segments = int(order2.sum())
 
-    def select_anchors(ref_pos):
+    def select_anchors(self, ref_pos):
         items, picked = [], []
-        for i, ch in enumerate(channels):
+        for i, ch in enumerate(self.channels):
             ch.anchor = ch.push = None
             if not np.isfinite(ch.d2_limit) or ch.d2_limit <= 0.0:
                 continue
             if smd_3d(*ch.miss(ref_pos[ch.node], ch.node)) < ch.d2_limit:
-                items.append((exit_table(i), ch.d2_limit, ch.M))
+                items.append((self.exit_table(i), ch.d2_limit, ch.M))
                 picked.append(ch)
         if items:
-            anchors, normals = _select_anchors(items, u_scale * grid.dt)
+            anchors, normals = _select_anchors(items,
+                                               self.u_scale * self.grid.dt)
             for ch, z, n in zip(picked, anchors, normals):
                 ch.anchor, ch.push = z, n
 
-    segments, resp3, reach, order2_segments = relinearize(np.zeros((N, 3)))
-
-    weights = np.array([ch.weight for ch in channels])
-    # per channel, its limit_d2 over the adaptation's limit grid
-    limit_tables = [{} for _ in channels]
-    q_cur = cfg.total_limit * weights / float(np.sum(weights))
-
-    def adapt():
-        # reallocate the budget against the current reference: channels the
-        # maneuver has already cleared release their share down to the floor
-        nonlocal q_cur
+    def adapt(self):
+        """Reallocate the budget against the current reference: channels the
+        maneuver has already cleared release their share down to the floor."""
         # a single channel takes the whole budget unpriced
-        rho_fns = [_rho_fn(ch, exit_table(i), limit_tables[i])
-                   for i, ch in enumerate(channels)] \
-            if len(channels) > 1 else []
-        q_cur = adapt_limits([ch.p0 for ch in channels], rho_fns,
-                             cfg.total_limit, guesses=q_cur)
-        for ch, qs in zip(channels, q_cur):
+        rho_fns = [_rho_fn(ch, self.exit_table(i), self.limit_tables[i])
+                   for i, ch in enumerate(self.channels)] \
+            if len(self.channels) > 1 else []
+        self.q_cur = adapt_limits([ch.p0 for ch in self.channels], rho_fns,
+                                  self.total_limit, guesses=self.q_cur)
+        for ch, qs in zip(self.channels, self.q_cur):
             ch.q_limit = float(qs)
             ch.d2_limit = ch.limit_d2(min(qs / ch.weight, 1.0 - 1e-12))
 
-    adapt()
+    def evaluate(self, x):
+        """Total risk of node states ``x`` and TIPoC per node, kept until
+        other states are evaluated: the next polish major's risk cap and
+        the closing report reuse a major's check, and the final
+        probabilities it left on the channels are still those of ``x``."""
+        if self.evaluated[0] is not x:
+            self.evaluated = (x, _evaluate_final(self.dyn, self.st_channels,
+                                                 self.lt_channels, x))
+        return self.evaluated[1]
 
-    u_frac = np.zeros((N, 3))
-    states = x_ref.copy()
-    log = []
-    major = 0
-    checked = (None, None)
-
-    def check(x):
-        """Total risk of a major's end states, kept for the next polish
-        major's risk cap and for the closing report: when no major follows,
-        the final probabilities this evaluation left on the channels are
-        still those of the reported states."""
-        nonlocal checked
-        checked = (x, _evaluate_final(dyn, st_channels, lt_channels, x))
-        return checked[1][0]
-
-    # the last optimal cone solve of the run: each later one starts from it
-    # where the sizes fit
-    last_optimal = None
-
-    def run_stage(stage):
-        nonlocal segments, resp3, reach, order2_segments, u_frac, x_ref, \
-            states, major, last_optimal
+    def run_stage(self, stage):
+        """Majors of the ``smd`` or ``tpoc`` stage until they converge
+        (True) or the run reaches ``MAX_MAJOR`` majors (False)."""
+        grid, limit, N = self.grid, self.total_limit, self.grid.n_segments
         prev_dv = None
-        while major < MAX_MAJOR:
-            major += 1
-            if major > 1:
-                segments, resp3, reach, order2_segments = relinearize(u_frac)
-            ref_pos = x_ref[:, :3].copy()
-            cap = cfg.total_limit
+        while self.major < MAX_MAJOR:
+            self.major += 1
+            self.relinearize()
+            ref_pos = self.x_ref[:, :3].copy()
+            cap = limit
             if stage == "smd":
-                if major > 1:
-                    adapt()
-                select_anchors(ref_pos)
+                self.adapt()
+                self.select_anchors(ref_pos)
             else:
                 # refining each closest approach off its grid node shifts
                 # the total slightly; budget the grid-node total so the
                 # refined one lands on the limit
-                tp_ref, _ = checked[1] if checked[0] is x_ref else \
-                    _evaluate_final(dyn, st_channels, lt_channels, x_ref)
-                tp_grid = _grid_tpoc(st_channels, lt_channels, ref_pos)
+                tp_ref, _ = self.evaluate(self.x_ref)
+                tp_grid = _grid_tpoc(self.st_channels, self.lt_channels,
+                                     ref_pos)
                 if tp_ref > 0.0 and tp_grid > 0.0:
-                    cap = cfg.total_limit * tp_grid / tp_ref
+                    cap = limit * tp_grid / tp_ref
             minors, e_m, cone_solves = 0, math.inf, []
-            u_anchor, obj_hist, nu_mult = u_frac, [], 1.0
+            u_anchor, obj_hist, nu_mult = self.u_frac, [], 1.0
             while True:
-                rows = _risk_rows(stage, cfg.total_limit, st_channels,
-                                  lt_channels, ref_pos, resp3,
+                rows = _risk_rows(stage, limit, self.st_channels,
+                                  self.lt_channels, ref_pos, self.resp3,
                                   nu_risk=NU_BAR * nu_mult, total_cap=cap)
-                prob = assemble(segments, grid, x_ref, x_init, rows,
-                                nu_bar=NU_BAR, u_scale=u_scale,
+                prob = assemble(self.segments, grid, self.x_ref, self.x_init,
+                                rows, nu_bar=NU_BAR, u_scale=self.u_scale,
                                 u_prev=u_anchor if stage != "smd" else None,
-                                prox=0.05, reach=reach)
-                res = _cone_solve(prob, cone_solves, start=last_optimal)
+                                prox=0.05, reach=self.reach)
+                res = _cone_solve(prob, cone_solves, start=self.last_optimal)
                 if res.status != "optimal":
                     if stage != "smd" and res.status == "infeasible" \
                             and nu_mult < 1e6:
@@ -1103,11 +1059,12 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         if minors < MAX_MINOR:
                             continue
                     raise ScpError(f"conic subproblem ended {res.status} "
-                                   f"at major {major}")
-                last_optimal = res
+                                   f"at major {self.major}")
+                self.last_optimal = res
                 xsol = res.x
-                states = xsol[prob.var_map["x"]].reshape(N + 1, 6)
-                watch = _constraint_nodes(channels, ref_pos)
+                self.states = states = \
+                    xsol[prob.var_map["x"]].reshape(N + 1, 6)
+                watch = _constraint_nodes(self.channels, ref_pos)
                 e_m = max((float(np.linalg.norm(states[j, :3] - ref_pos[j]))
                            for j in watch), default=0.0)
                 if watch:
@@ -1133,23 +1090,21 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
                         nu_mult = max(nu_mult * 0.25, 1.0)
                     obj_hist.append(res.obj)
             u_new = xsol[prob.var_map["u"]].reshape(N, 3)
-            e_M = float(np.max(np.linalg.norm(u_new - u_frac, axis=1)))
+            e_M = float(np.max(np.linalg.norm(u_new - self.u_frac, axis=1)))
             dv = float(np.sum(np.linalg.norm(u_new, axis=1) * grid.dt)
-                       * u_scale * scl.velocity) * 1e6
-            log.append(IterationRecord(major=major, minors=minors,
-                                       e_major=e_M, e_minor=e_m,
-                                       objective=res.obj, dv_mm_s=dv,
-                                       cone_solves=cone_solves,
-                                       limits=[(ch.q_limit, ch.d2_limit)
-                                               for ch in channels],
-                                       order2_segments=order2_segments))
-            u_frac = u_new
+                       * self.u_scale * self.scl.velocity) * 1e6
+            self.log.append(IterationRecord(
+                major=self.major, minors=minors, e_major=e_M, e_minor=e_m,
+                objective=res.obj, dv_mm_s=dv, cone_solves=cone_solves,
+                limits=[(ch.q_limit, ch.d2_limit) for ch in self.channels],
+                order2_segments=self.order2_segments))
+            self.u_frac = u_new
             # relinearize around the propagated trajectory, not the
             # subproblem states, so linearization drift cannot accumulate
-            x_ref = _node_states(x_init, grid.times, dyn, u_frac * u_scale)
-            feasible = True
-            if stage != "smd":
-                feasible = check(x_ref) <= cfg.total_limit * 1.02
+            self.x_ref = _node_states(self.x_init, grid.times, self.dyn,
+                                      u_new * self.u_scale)
+            feasible = stage == "smd" or \
+                self.evaluate(self.x_ref)[0] <= limit * 1.02
             if e_M <= MAJOR_TOL and feasible:
                 return True
             # fuel-flat directions leave the control profile non-unique,
@@ -1161,24 +1116,60 @@ def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolutio
             prev_dv = dv
         return False
 
-    converged = run_stage("smd")
+    def package(self, status, e_val=0.0) -> TrajectorySolution:
+        """The solution for the reference ``x_ref``, flown under the
+        controls ``u_frac``, and its :meth:`evaluate` answer."""
+        scn, scl, grid, T = self.scenario, self.scl, self.grid, self.scl.time
+        final = self.evaluate(self.x_ref)
+        controls = self.u_frac * scn.u_max
+        dv = float(np.sum(np.linalg.norm(controls, axis=1) * (grid.dt * T))) \
+            * 1e6
+        return TrajectorySolution(
+            status=status, majors=len(self.log), log=self.log,
+            times_s=grid.times * T,
+            states_km=self.x_ref * np.repeat([scl.length, scl.velocity], 3),
+            controls_km_s2=controls, u_frac=self.u_frac, dv_mm_s=dv,
+            e_validation_mm=e_val,
+            total_limit=self.total_limit, tpoc_ballistic=self.tpoc_ball,
+            tpoc_final=final[0],
+            # the keep-out cuts are supporting planes of the convex
+            # ellipses, so the converged subproblem iterate satisfies them
+            # exactly; it is the point reported against the circle
+            channels=_reports(scl, self.channels, grid, self.states),
+            tipoc_nodes=final[1],
+            tipoc_mix=np.column_stack([ch.ipoc_prof
+                                       for ch in self.lt_channels])
+            if self.lt_channels else None)
+
+
+def ballistic(scenario: Scenario,
+              config: Config | None = None) -> TrajectorySolution:
+    """The unmaneuvered trajectory and its risk, evaluated as :func:`solve`
+    evaluates its answer, without entering the optimizer."""
+    cfg = (config or Config()).validated()
+    return _Run(scenario, cfg.total_limit).package("ballistic")
+
+
+def solve(scenario: Scenario, config: Config | None = None) -> TrajectorySolution:
+    cfg = (config or Config()).validated()
+    if not scenario.conjunctions:
+        # every conjunction makes at least one channel; without any there
+        # is nothing to optimize
+        return ballistic(scenario, cfg)
+    run = _Run(scenario, cfg.total_limit)
+    converged = run.run_stage("smd")
     if converged and cfg.refine_mode == "tpoc":
-        converged = run_stage("tpoc")
-    status = "converged" if converged else "max_iterations"
+        converged = run.run_stage("tpoc")
 
     # nonlinear validation of the converged zero-order-hold profile, whose
     # propagation ended the last major; the linear prediction is rebuilt
     # from the segment maps in exact arithmetic so solver roundoff in the
     # subproblem states does not pollute the check
-    x_val = x_ref
-    x_lin = [x_init]
-    for A, B, c, ui in zip(segments.A, segments.B, segments.c,
-                           u_frac * u_scale):
+    x_lin = [run.x_init]
+    segs = run.segments
+    for A, B, c, ui in zip(segs.A, segs.B, segs.c, run.u_frac * run.u_scale):
         x_lin.append(A @ x_lin[-1] + B @ ui + c)
     x_lin = np.array(x_lin)
-    e_val = float(np.max(np.linalg.norm(x_val[:, :3] - x_lin[:, :3],
-                                        axis=1))) * scl.length * 1e6
-    final = checked[1] if checked[0] is x_val else \
-        _evaluate_final(dyn, st_channels, lt_channels, x_val)
-    return package(status, len(log), log, x_val, u_frac, e_val, final,
-                   con_states=states)
+    e_val = float(np.max(np.linalg.norm(run.x_ref[:, :3] - x_lin[:, :3],
+                                        axis=1))) * run.scl.length * 1e6
+    return run.package("converged" if converged else "max_iterations", e_val)

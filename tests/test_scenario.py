@@ -248,9 +248,11 @@ class TestLoader:
         lambda d: d.update(mode={"n_mix": True}),
         lambda d: d["conjunctions"][0]["dr_m"].__setitem__(0, math.inf),
         lambda d: d["primary"].update(u_max_mm_s2=10 ** 400),
+        lambda d: d["primary"].update(mass_kg="heavy"),
     ], ids=["top_level_array", "mu", "n_mix", "mode", "state_epoch", "raan",
             "argp", "nu", "conjunction", "hyperbolic", "negative_sma",
-            "boolean_sma", "boolean_n_mix", "infinite_miss", "huge_int"])
+            "boolean_sma", "boolean_n_mix", "infinite_miss", "huge_int",
+            "mass"])
     def test_bad_field_rejected(self, tmp_path, edit):
         doc = minimal_doc()
         doc = edit(doc) or doc

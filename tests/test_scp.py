@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camopt import astro, scp
+from camopt import astro, cli, scp
 from camopt.astro import J2_EARTH, R_EARTH, Dynamics, NodeGrid, flow, flow_jets
 from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import RiskRows, assemble, cut_normal, \
@@ -603,6 +603,80 @@ class TestSolve:
                    for cs in rec.cone_solves)
 
 
+def polish_infeasible(monkeypatch, first_only):
+    """Make the TPoC polish's cone solves report infeasible, every one or
+    only the first; returns the ``nu_risk`` of every polish subproblem's
+    risk rows, in order."""
+    nu_risk, stage = [], [None]
+    real_rows, real_solve = scp._risk_rows, scp._cone_solve
+
+    def rows(st, *args, **kwargs):
+        stage[0] = st
+        if st != "smd":
+            nu_risk.append(kwargs["nu_risk"])
+        return real_rows(st, *args, **kwargs)
+
+    def cone_solve(prob, cone_solves, start=None):
+        res = real_solve(prob, cone_solves, start=start)
+        if stage[0] != "smd" and (len(nu_risk) == 1 or not first_only):
+            cone_solves[-1]["status"] = "infeasible"
+            return dataclasses.replace(res, status="infeasible")
+        return res
+
+    monkeypatch.setattr(scp, "_risk_rows", rows)
+    monkeypatch.setattr(scp, "_cone_solve", cone_solve)
+    return nu_risk
+
+
+class TestDriverLimits:
+    """Branches of the major/minor loop that the bundled cases never
+    take: the polish's infeasible-widening retry and the iteration
+    limits."""
+
+    def test_polish_that_stays_infeasible_fails(self, monkeypatch):
+        # the risk trust region widens fourfold per retry until it passes
+        # 1e6 times its start, then the solve gives up
+        nu_risk = polish_infeasible(monkeypatch, first_only=False)
+        with pytest.raises(ScpError, match="conic subproblem ended "
+                                           "infeasible at major"):
+            solve(two_cdm(), Config(refine_mode="tpoc"))
+        assert nu_risk == [scp.NU_BAR * 4.0 ** k for k in range(11)]
+
+    def test_polish_retries_an_infeasible_subproblem_wider(self,
+                                                           monkeypatch):
+        nu_risk = polish_infeasible(monkeypatch, first_only=True)
+        sol = solve(two_cdm(), Config(refine_mode="tpoc"))
+        assert sol.status == "converged"
+        assert nu_risk[:2] == [scp.NU_BAR, 4.0 * scp.NU_BAR]
+        [rec] = [rec for rec in sol.log
+                 if any(cs["status"] != "optimal" for cs in rec.cone_solves)]
+        assert rec.minors == 3
+        assert [cs["status"] for cs in rec.cone_solves] == \
+            ["infeasible", "optimal", "optimal"]
+
+    def test_major_limit_ends_max_iterations(self, monkeypatch, tmp_path,
+                                             capsys):
+        monkeypatch.setattr(scp, "MAX_MAJOR", 1)
+        for mode in ("smd", "tpoc"):
+            sol = solve(two_cdm(), Config(refine_mode=mode))
+            assert (sol.status, sol.majors) == ("max_iterations", 1), mode
+            assert sol.tpoc_final == pytest.approx(7.26e-7, rel=1e-3), mode
+        doc = json.load(open(CASE1))
+        doc["conjunctions"] = doc["conjunctions"][:2]
+        doc["horizon_s"] = [0.0, 7460.0]
+        path = tmp_path / "two_cdm.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert "warning: iteration limit reached" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["smd", "tpoc"])
+    def test_minor_limit_of_one(self, monkeypatch, mode):
+        monkeypatch.setattr(scp, "MAX_MINOR", 1)
+        sol = solve(two_cdm(), Config(refine_mode=mode))
+        assert sol.log and all(rec.minors == 1 for rec in sol.log)
+
+
 class TestLongTermMixture:
     """case3's encounter over 10500 s, split into three mixands: limit
     adaptation prices more than one long-term channel."""
@@ -903,3 +977,20 @@ class TestBenchmarkLayers:
         monkeypatch.syspath_prepend(str(perfbench))
         import layertrace
         layertrace.Tracer()
+
+    def test_traced_solves_reach_every_layer(self, monkeypatch, tmp_path):
+        # a name that still resolves but that the solve no longer calls
+        # would read as a layer taking no time
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        import layertrace
+        import workloads
+        for name, spec in workloads.WORKLOADS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(workloads.scenario_pool(name, 0)[0]))
+            tracer = layertrace.Tracer()
+            with tracer.installed(name):
+                assert cli.main(["solve", str(path), "--mode", spec["mode"],
+                                 "--out", str(tmp_path / name)]) == 0
+            reached = {span[1] for span in tracer.spans}
+            assert set(layertrace.LAYERS) <= reached, name
