@@ -43,18 +43,22 @@ checkouts agree bit for bit.
 ``--workloads NAME ...`` digests only the named workloads (default: all
 of the benchmark's), and ``--against`` then compares only their lines, so a
 change that moves one layer can be checked on the workload that exercises
-it.  One more name, ``criterion2``, is not a benchmark workload: it
+it.  Two more names are not benchmark workloads and are not digested by
+default, so digests of older checkouts still compare.  ``criterion2``
 digests the two ``tpoc`` solves of acceptance criterion 2 as
 ``tests/test_acceptance.py`` sets them up, case1's first two conjunctions
 over [0, 7460] s (v0) and its first five over [0, 21234] s (v1), the same
 two for every seed.  They are the bundled solves whose TPoC polish couples
-several conjunction nodes.
+several conjunction nodes.  ``criterion3`` digests the ``smd`` solve of
+acceptance criterion 3, case1 with its ten conjunctions as bundled (v0),
+the same for every seed: the bundled solve with the most channels.
 
 Run from the repository root:
     python3 scripts/artifact_digest.py --seeds 0 1 > old.txt
     python3 scripts/artifact_digest.py --seeds 0 1 --against old.txt
     python3 scripts/artifact_digest.py --workloads tpoc-1cdm --against old.txt
     python3 scripts/artifact_digest.py --workloads criterion2 > old2.txt
+    python3 scripts/artifact_digest.py --workloads criterion3 > old3.txt
 """
 
 from __future__ import annotations
@@ -121,10 +125,12 @@ def numbers(summary: dict) -> str:
 def variants(name: str, seed: int):
     """The refine mode and the scenario documents of one workload for
     ``seed``."""
-    if name != "criterion2":
+    if name in workloads.WORKLOADS:
         return (workloads.WORKLOADS[name]["mode"],
                 workloads.scenario_pool(name, seed))
     case1 = json.loads((ROOT / "scenarios" / "case1.json").read_text())
+    if name == "criterion3":
+        return "smd", [case1]
     return "tpoc", [{**case1, "conjunctions": case1["conjunctions"][:k],
                      "horizon_s": [0.0, end]} for k, end in CRITERION2]
 
@@ -249,7 +255,8 @@ def main(argv=None):
     p.add_argument("--against", type=Path, metavar="OLD.txt",
                    help="an earlier run's lines to compare with")
     p.add_argument("--workloads", nargs="+", metavar="NAME",
-                   choices=[*workloads.WORKLOADS, "criterion2"],
+                   choices=[*workloads.WORKLOADS, "criterion2",
+                            "criterion3"],
                    default=list(workloads.WORKLOADS),
                    help="digest only these workloads (default: all of the "
                         "benchmark's)")

@@ -367,7 +367,7 @@ class SegmentMaps:
 
 def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
                       dyn: Dynamics, tol: float = INTEG_TOL,
-                      xi: np.ndarray | str | None = None) -> SegmentMaps:
+                      order: int = 2) -> SegmentMaps:
     """Jet propagation of (x + dx, u + du) over N segments.
 
     ``x`` (N, 6) start states, ``u`` (N, 3) controls and ``dt`` (N,)
@@ -376,10 +376,9 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     ``xi`` (N, 9)), each row the same bit for bit as that row linearized
     on its own.  Every row takes the steps :func:`flow` takes, so the
     endpoint that ``c`` closes on is :func:`flow`'s bit for bit, and A and
-    B are the derivatives of that discrete flow.  Without ``xi`` the jets
-    are of order 2 and ``xi`` is measured from their second derivatives.
-    Otherwise they are of order 1, which is all A, B and c need: an (N, 9)
-    ``xi`` is handed back as it came, and ``xi="bound"`` takes
+    B are the derivatives of that discrete flow.  The jets are of
+    ``order`` 2 or 1.  Order 2 measures ``xi`` from their second
+    derivatives; order 1, which is all A, B and c need, takes
     :func:`xi_bound` of the maps.
     """
     x = np.asarray(x, dtype=float)
@@ -387,22 +386,21 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     dt = np.asarray(dt, dtype=float)
     if dt.ndim != 1 or x.shape != (len(dt), 6) or u.shape != (len(dt), 3):
         raise PropagationError("need x (N, 6), u (N, 3) and dt (N,)")
-    bound = isinstance(xi, str) and xi == "bound"
-    if not bound and xi is not None and np.shape(xi) != (len(dt), 9):
-        raise PropagationError('need xi (N, 9) or "bound"')
+    if order not in (1, 2):
+        raise PropagationError("need order 1 or 2")
     if np.any(dt <= 0):
         raise PropagationError("segment duration must be positive")
-    sp = jet_space(9, 2 if xi is None else 1)
+    sp = jet_space(9, order)
     xu = dajet.identity(sp, np.concatenate([x, u], axis=1))
     yend = flow_jets(sp, xu[:, :6], 0.0, dt, dyn, u=xu[:, 6:], tol=tol)
 
     G = dajet.gradient(sp, yend)  # N x 6 x 9
     A, B = G[..., :6], G[..., 6:9]
     c = yend[..., 0] - (A @ x[..., None])[..., 0] - (B @ u[..., None])[..., 0]
-    if xi is None:
+    if order == 2:
         # one norm per row: a batched norm rounds differently
         xi = np.array([dajet.second_order_ratio(sp, ye) for ye in yend])
-    elif bound:
+    else:
         xi = xi_bound(x, u, dt, dyn, G)
     return SegmentMaps(A=A, B=B, c=c, xi=xi)
 

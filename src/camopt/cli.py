@@ -31,7 +31,7 @@ from .scenario import (
     rtn_matrix,
     scaled_dynamics,
 )
-from .scp import ScpError, ballistic, solve
+from .scp import ScpError, ballistic, solve, tca_states
 from .uncert import split_along_flow
 
 
@@ -200,11 +200,9 @@ def _cmd_split(args):
         if K > 1 and conj.cov.shape != (6, 6):
             raise ScpError(f"conjunction {ci}: mixture splitting needs a "
                            "velocity covariance")
-        xp = scn.primary_at(conj.tca)
-        xs = np.concatenate([(xp[:3] - conj.dr) / L, (xp[3:] - conj.dv) / V])
+        _, _, xs, P, _ = tca_states(conj, scl)
         # a position-only covariance scales by the position units alone
         Dc = D[:len(conj.cov)]
-        P = conj.cov / np.outer(Dc, Dc)
         gmm = split_along_flow(xs, P, (scn.horizon[1] - conj.tca) / T, dyn, K)
         out["conjunctions"].append({
             "index": ci,

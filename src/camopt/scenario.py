@@ -120,14 +120,16 @@ class Scaling:
 @dataclass
 class Conjunction:
     """One predicted close approach. dr/dv follow the primary-minus-secondary
-    convention so the secondary state is x_p(tca) - [dr, dv].  All members
-    are ECI; the loader has already rotated the file's RTN quantities."""
+    convention so the secondary state is xp - [dr, dv].  All members
+    are ECI; the loader has already rotated the file's RTN quantities, in
+    the RTN frame of ``xp``."""
 
     tca: float  # s past t0
     dr: np.ndarray  # km, ECI
     dv: np.ndarray  # km/s, ECI
     cov: np.ndarray  # 3x3 or 6x6 combined covariance, km^2 blocks, ECI
     hbr: float  # km, combined hard-body radius
+    xp: np.ndarray  # the primary's ballistic ECI state at tca [km, km/s]
 
 
 @dataclass
@@ -313,7 +315,8 @@ def load_scenario(path) -> Scenario:
         raw.append((idx, float(tca), dr, dv, cov, float(hbr)))
 
     # rotate each record from the primary's RTN at its TCA into ECI,
-    # propagating the primary once through the sorted TCAs
+    # propagating the primary once through the sorted TCAs; each record
+    # keeps the primary's state at its TCA
     conjunctions = [None] * len(raw)
     x_cur, t_cur = x_p, state_epoch
     for idx, tca, dr, dv, cov, hbr in sorted(raw, key=lambda r: r[1]):
@@ -322,7 +325,7 @@ def load_scenario(path) -> Scenario:
         M = rtn_matrix(x_cur)
         conjunctions[idx] = Conjunction(
             tca=tca, dr=M @ dr, dv=M @ dv, cov=rotate_cov(cov, x_cur),
-            hbr=hbr)
+            hbr=hbr, xp=x_cur)
 
     return Scenario(mu=mu, dynamics=dynamics, x_primary=x_p,
                     state_epoch=state_epoch, u_max=u_max,

@@ -406,11 +406,11 @@ def _make_short_channel(ci, mi, ei, weight, xp, xs, P3, hbr):
                         y0=basis @ (np.asarray(xp[:3]) - np.asarray(xs[:3])))
 
 
-def _tca_states(scn: Scenario, conj, scl):
+def tca_states(conj, scl):
     """Scaled TCA of a conjunction, the primary and secondary states there,
     the covariance and the hard-body radius."""
     L, V = scl.length, scl.velocity
-    xp = _scale_state(scn.primary_at(conj.tca), L, V)
+    xp = _scale_state(conj.xp, L, V)
     xs = xp - np.concatenate([conj.dr / L, conj.dv / V])
     return conj.tca / scl.time, xp, xs, _scale_cov(conj.cov, L, V), \
         conj.hbr / L
@@ -419,7 +419,7 @@ def _tca_states(scn: Scenario, conj, scl):
 def _build_short_channels(scn: Scenario, scl, dyn, t0, tf):
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
-        tca, xp, xs, P, hbr = _tca_states(scn, conj, scl)
+        tca, xp, xs, P, hbr = tca_states(conj, scl)
         try:
             dt = refine_tca(xp, xs, dyn)
         except DegenerateEncounterError:
@@ -462,7 +462,7 @@ def _build_short_channels(scn: Scenario, scl, dyn, t0, tf):
 def _build_long_channels(scn: Scenario, scl, dyn, grid, x_ref):
     channels = []
     for ci, conj in enumerate(scn.conjunctions):
-        tca, _, xs, P, hbr = _tca_states(scn, conj, scl)
+        tca, _, xs, P, hbr = tca_states(conj, scl)
         if P.shape != (6, 6):
             raise ScpError("long-term mode needs a velocity covariance")
         gmm = split_along_flow(xs, P, grid.times[-1] - tca, dyn, scn.n_mix)
@@ -957,12 +957,11 @@ class _Run:
         grid, dyn, x_ref = self.grid, self.dyn, self.x_ref
         N = grid.n_segments
         u = self.u_frac * self.u_scale
+        segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, order=1)
         if self.xi_at is None or _xi_stale(x_ref[:N], *self.xi_at[:2]):
-            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn, xi="bound")
             self.xi_at = (x_ref[:N].copy(), segs.xi, np.zeros(N, dtype=bool))
         else:
-            segs = linearize_segment(x_ref[:N], u, grid.dt, dyn,
-                                     xi=self.xi_at[1])
+            segs.xi = self.xi_at[1]
         x_at, xi, exact = self.xi_at
         # fixed for the major: every minor's lean subproblem reuses it
         reach = state_reach(segs, self.x_init, x_ref, self.u_scale)

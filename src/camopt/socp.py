@@ -349,15 +349,14 @@ class _Kkt:
         if info > 0:
             raise SolverError("KKT matrix is exactly singular")
 
-    def solve(self, rhs: np.ndarray, refine=1) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solutions of the unregularized system for the columns of
-        ``rhs`` (shape (n + p + m, k)), stacked as (x, y, z)."""
+        ``rhs`` (shape (n + p + m, k)), stacked as (x, y, z), after one
+        step of iterative refinement."""
         rhs = rhs.reshape(len(rhs), -1)
         sol = self._lu_solve(rhs)
-        for _ in range(refine):
-            res = rhs - self.K @ sol + self.unreg * sol
-            sol = sol + self._lu_solve(res)
-        return sol
+        res = rhs - self.K @ sol + self.unreg * sol
+        return sol + self._lu_solve(res)
 
     def _lu_solve(self, rhs):
         lu, piv = self.lu

@@ -377,8 +377,8 @@ class TestJetsFlyTheStateSteps:
         # the derivatives of the discrete flow stay close to those of the
         # exact flow: a grid of 113 J2 segments against tolerance 1e-15
         dyn, x, u, dt = j2_arc()
-        got = linearize_segment(x, u, dt, dyn, xi="bound")
-        ref = linearize_segment(x, u, dt, dyn, tol=1e-15, xi="bound")
+        got = linearize_segment(x, u, dt, dyn, order=1)
+        ref = linearize_segment(x, u, dt, dyn, tol=1e-15, order=1)
         for name in ("A", "B", "c"):
             assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) \
                 <= 1e-11, name
@@ -387,7 +387,7 @@ class TestJetsFlyTheStateSteps:
         # A x + B u + c gives back the float flow of the reference exactly,
         # up to the roundoff of the products
         dyn, x, u, dt = j2_arc(20)
-        maps = linearize_segment(x, u, dt, dyn, xi="bound")
+        maps = linearize_segment(x, u, dt, dyn, order=1)
         recon = (maps.A @ x[..., None])[..., 0] + (maps.B @ u[..., None])[..., 0] \
             + maps.c
         want = np.array([flow(x[i], 0.0, dt[i], u[i], dyn) for i in range(len(dt))])
@@ -410,7 +410,7 @@ class TestJetsFlyTheStateSteps:
         monkeypatch.setattr(astro, "_eom_jets", nan_derivative)
         dyn, x, u, dt = j2_arc(3)
         with pytest.raises(StiffnessError, match="non-finite step error"):
-            linearize_segment(x, u, dt, dyn, xi="bound")
+            linearize_segment(x, u, dt, dyn, order=1)
         assert len(calls) == 13
 
 
@@ -462,37 +462,33 @@ class TestBatchedLinearization:
 
 
 class TestOrderOneMaps:
-    """With the nonlinearity ratios handed in, the segments fly order-1
-    jets, which carry everything A, B and c need."""
+    """At order 1 the segments fly order-1 jets, which carry everything A,
+    B and c need."""
 
     @SCALED_DYNAMICS
     def test_maps_match_the_order_two_flight(self, dyn):
         x, u, dt = segment_batch()
         two = linearize_segment(x, u, dt, dyn)
-        xi = np.random.default_rng(5).uniform(0.0, 3.0, (len(dt), 9))
-        one = linearize_segment(x, u, dt, dyn, xi=xi)
+        one = linearize_segment(x, u, dt, dyn, order=1)
         for name in ("A", "B", "c"):
             got, ref = getattr(one, name), getattr(two, name)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
-        assert np.array_equal(one.xi, xi)
 
     @SCALED_DYNAMICS
     def test_rows_match_single_row_calls(self, dyn):
         x, u, dt = segment_batch()
-        xi = linearize_segment(x, u, dt, dyn).xi
-        batch = linearize_segment(x, u, dt, dyn, xi=xi)
+        batch = linearize_segment(x, u, dt, dyn, order=1)
         for i in range(len(dt)):
             one = linearize_segment(x[i:i + 1], u[i:i + 1], dt[i:i + 1], dyn,
-                                    xi=xi[i:i + 1])
+                                    order=1)
             for name in ("A", "B", "c", "xi"):
                 assert np.array_equal(getattr(batch, name)[i],
                                       getattr(one, name)[0]), (i, name)
 
-    def test_bad_xi_shape_rejected(self):
+    def test_bad_order_rejected(self):
         x, u, dt = segment_batch()
         with pytest.raises(PropagationError):
-            linearize_segment(x, u, dt, Dynamics.two_body(1.0),
-                              xi=np.zeros((len(dt), 6)))
+            linearize_segment(x, u, dt, Dynamics.two_body(1.0), order=3)
 
 
 def random_segments(rng, n):
@@ -518,7 +514,7 @@ class TestXiBound:
         # bound fails (inf) only on a few of the longest segments
         x, u, dt = random_segments(np.random.default_rng(11), 500)
         measured = linearize_segment(x, u, dt, dyn).xi
-        bounded = linearize_segment(x, u, dt, dyn, xi="bound").xi
+        bounded = linearize_segment(x, u, dt, dyn, order=1).xi
         assert np.all(bounded >= measured)
         finite = np.isfinite(bounded[:, 0])
         assert finite.mean() > 0.95 and np.all(dt[~finite] > 0.3)
@@ -528,10 +524,7 @@ class TestXiBound:
     @SCALED_DYNAMICS
     def test_order_one_flight_takes_the_bound(self, dyn):
         x, u, dt = segment_batch()
-        got = linearize_segment(x, u, dt, dyn, xi="bound")
-        carried = linearize_segment(x, u, dt, dyn, xi=np.zeros((len(dt), 9)))
-        for name in ("A", "B", "c"):
-            assert np.array_equal(getattr(got, name), getattr(carried, name))
+        got = linearize_segment(x, u, dt, dyn, order=1)
         G = np.concatenate([got.A, got.B], axis=2)
         assert np.array_equal(got.xi, xi_bound(x, u, dt, dyn, G))
         assert np.array_equal(got.xi[:, 6:], got.xi[:, :3] * dt[:, None])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from camopt import cli, scp, selftest
-from camopt.scenario import load_scenario
+from camopt.scenario import Scenario, load_scenario
 from test_scenario import mutated_docs
 
 CASE1 = "scenarios/case1.json"
@@ -298,6 +298,14 @@ class TestSplit:
             w = np.array(entry["weights"])
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             assert len(entry["means"]) == 3
+
+    def test_primary_not_flown_again(self, monkeypatch, capsys):
+        # each conjunction already holds the primary's state at its TCA
+        calls, real = [], Scenario.primary_at
+        monkeypatch.setattr(Scenario, "primary_at",
+                            lambda *a: calls.append(a) or real(*a))
+        assert cli.main(["split", CASE2, "--nmix", "3"]) == 0
+        assert calls == []
 
     def test_position_only_covariance_rejected(self, capsys):
         # the ten-CDM fixture carries no velocity block

@@ -282,6 +282,20 @@ class TestBundledScenarios:
         assert tcas == sorted(tcas)
         assert sc.horizon[1] == tcas[-1]
 
+    def test_case1_keeps_the_primary_at_each_tca(self):
+        # the loader's one pass through the sorted TCAs gives each record
+        # the primary's state there, the state whose RTN frame rotated it
+        sc = load_scenario(f"{SCENARIOS}/case1.json")
+        with open(f"{SCENARIOS}/case1.json") as fh:
+            entries = json.load(fh)["conjunctions"]
+        for c, entry in zip(sc.conjunctions, entries):
+            xp = sc.primary_at(c.tca)
+            assert np.max(np.abs(c.xp[:3] - xp[:3])) <= 1e-7
+            assert np.max(np.abs(c.xp[3:] - xp[3:])) <= 1e-10
+            dr = np.array(entry["dr_m"]) * 1e-3
+            assert np.max(np.abs(rtn_matrix(c.xp).T @ c.dr - dr)) \
+                <= 1e-12 * np.linalg.norm(dr)
+
     def test_case2_repeating_encounter(self):
         # the secondary comes back after six primary orbits with the
         # same small miss distance

@@ -14,7 +14,7 @@ from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import RiskRows, assemble, cut_normal, \
     project_onto_ellipsoid
 from camopt.risk import bplane_basis
-from camopt.scenario import Config, load_scenario, scaled_dynamics
+from camopt.scenario import Config, Scenario, load_scenario, scaled_dynamics
 from camopt.socp import solve as socp_solve
 from camopt.scp import (
     LongChannel,
@@ -59,19 +59,22 @@ def sol2():
     return solve(two_cdm(), Config())
 
 
-def record_flights(monkeypatch) -> list:
-    """Wrap the solver's segment linearization; the returned list gets one
-    entry per flight: "bound" for order-1 jets with freshly bounded ratios,
-    "carried" for order-1 jets with kept ones, "order2" for order-2 jets."""
-    flights, real = [], scp.linearize_segment
+def record_flights(monkeypatch):
+    """Wrap the solver's segment linearization; the returned function lists
+    one entry per flight so far: "bound" for order-1 jets whose bounded
+    ratios the solve kept, "carried" for order-1 jets that took the ratios
+    kept from an earlier flight, "order2" for order-2 jets."""
+    records, real = [], scp.linearize_segment
 
-    def linearize(*args, xi=None, **kwargs):
-        flights.append("order2" if xi is None else
-                       "bound" if isinstance(xi, str) else "carried")
-        return real(*args, xi=xi, **kwargs)
+    def linearize(*args, order=2, **kwargs):
+        segs = real(*args, order=order, **kwargs)
+        records.append((order, segs, segs.xi))
+        return segs
 
     monkeypatch.setattr(scp, "linearize_segment", linearize)
-    return flights
+    return lambda: ["order2" if order == 2 else
+                    "bound" if segs.xi is xi else "carried"
+                    for order, segs, xi in records]
 
 
 # ---------------------------------------------------------------------
@@ -472,6 +475,17 @@ class TestSolve:
         assert sol2.tpoc_final <= 1.05e-6
         assert sol2.tpoc_ballistic > 1e-6
 
+    def test_primary_flown_once_per_solve(self, monkeypatch):
+        # once for the start of the horizon; every conjunction already holds
+        # the primary's state at its TCA
+        calls, real = [], Scenario.primary_at
+        monkeypatch.setattr(Scenario, "primary_at",
+                            lambda *a: calls.append(a) or real(*a))
+        assert solve(two_cdm(), Config()).status == "converged"
+        assert len(calls) == 1
+        scp.ballistic(two_cdm())
+        assert len(calls) == 2
+
     def test_dv_recomputes_from_controls(self, sol2):
         dts = np.diff(sol2.times_s)
         dv = float(np.sum(np.linalg.norm(sol2.controls_km_s2, axis=1) * dts))
@@ -597,7 +611,7 @@ class TestSolve:
         # feasible as it stands
         flights = record_flights(monkeypatch)
         sol = solve(two_cdm(), Config())
-        assert flights == ["bound"] + ["carried"] * (len(sol.log) - 1)
+        assert flights() == ["bound"] + ["carried"] * (len(sol.log) - 1)
         assert [rec.order2_segments for rec in sol.log] == [0] * len(sol.log)
         assert all(cs["status"] == "optimal" for rec in sol.log
                    for cs in rec.cone_solves)
@@ -737,7 +751,7 @@ class TestXiRefresh:
         sol = solve(two_cdm(), Config())
         assert sol.status == "converged"
         assert any(fired)
-        assert flights == ["bound"] + ["bound" if f else "carried"
+        assert flights() == ["bound"] + ["bound" if f else "carried"
                                        for f in fired]
         assert [rec.order2_segments for rec in sol.log] == [0] * len(sol.log)
         assert sol.tpoc_final <= 1.05e-6
@@ -819,22 +833,22 @@ class TestXiScreen:
         flights = record_flights(monkeypatch)
         sc = two_cdm()
         args, _ = first_subproblem(monkeypatch, sc)
-        assert flights == ["bound", "order2"]
+        assert flights() == ["bound", "order2"]
         _, measured = first_major_ratios(sc, args)
         assert np.array_equal(args[0].xi[7], measured[7])
 
     def test_bound_holds_on_the_benchmark_workloads(self, monkeypatch,
                                                     tmp_path):
-        # every segment of every derivation of the ratios in a solve of
+        # every segment of every order-1 flight in a solve of
         # each workload's base scenario; no segment flies order 2
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
         monkeypatch.syspath_prepend(str(perfbench))
         import workloads
         real, worst = scp.linearize_segment, []
 
-        def linearize(x, u, dt, dyn, xi=None):
-            segs = real(x, u, dt, dyn, xi=xi)
-            if isinstance(xi, str):
+        def linearize(x, u, dt, dyn, order=2):
+            segs = real(x, u, dt, dyn, order=order)
+            if order == 1:
                 measured = real(x, u, dt, dyn).xi
                 assert np.all(segs.xi >= measured)
                 worst.append(np.min(segs.xi[:, :6] / measured[:, :6]))
