@@ -32,8 +32,10 @@ earlier run.  Per artifact (``summary.json``, ``maneuver.csv``,
 ``bplane.csv``, ``tipoc.csv`` and ``risk``) one line counts the lines
 repeated exactly, followed by every line that differs or that only one run
 has.  Per workload one more line reports how many summaries are
-byte-identical, the largest relative change of ``dv_mm_s``, ``tpoc_final``
-and ``e_validation_mm``, the majors, minors, IPM iterations, order-2
+byte-identical, the largest relative change of ``dv_mm_s`` and
+``tpoc_final``, the largest absolute change of ``e_validation_mm`` in mm
+(it sits at the integration-noise level, a few microns or less, where a
+relative change says nothing), the majors, minors, IPM iterations, order-2
 segments, KKT dimensions, banded and warm cone solves summed on each side
 (``?`` where the earlier lines do not have the field), and every solve
 whose status or exit code changed.  The exit code is 1 when any line
@@ -158,7 +160,8 @@ def digests(name: str, seed: int, work: Path):
         yield f"{label} risk", code, _sha(report.encode())
 
 
-RELATIVE = ("dv_mm_s", "tpoc_final", "e_validation_mm")
+RELATIVE = ("dv_mm_s", "tpoc_final")
+ABSOLUTE = ("e_validation_mm",)  # in mm
 COUNTS = ("majors", "minors", "ipm", "order2", "kkt_dim", "banded", "warm")
 
 
@@ -217,6 +220,11 @@ def compare(old_lines, new_lines):
                              - 1.0) for k in keys
                          if float(old[k][2][field]) != 0.0), default=0.0)
             parts.append(f"{field} max rel change {worst:.3g}")
+        for field in ABSOLUTE:
+            worst = max((abs(float(new[k][2][field]) -
+                             float(old[k][2][field])) for k in keys),
+                        default=0.0)
+            parts.append(f"{field} max abs change {worst:.3g} mm")
         for field in COUNTS:
             parts.append(f"{field} {_total(old, keys, field)} -> "
                          f"{_total(new, keys, field)}")

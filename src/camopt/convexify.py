@@ -7,8 +7,8 @@ node-wise), and
 the assembly of the full second-order-cone program: linearized dynamics,
 lossless control relaxation, nonlinearity trust regions and the risk rows.
 The states move only as far as the controls can push them, so the state
-trust rows wider than that reach are left out, and a subproblem whose
-constraints the linearization cannot reach is infeasible.
+and risk trust rows wider than that reach are left out, and a subproblem
+whose constraints the linearization cannot reach is infeasible.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class RiskRows:
 
 def state_reach(segments, x_init: np.ndarray, x_ref: np.ndarray,
                 u_scale: float) -> np.ndarray:
-    """Upper bound, per node 0..N-1 and state component k, on
+    """Upper bound, per node 0..N and state component k, on
     |x_i,k - x_ref_i,k| over every state sequence of the linear model
     x_{j+1} = A_j x_j + u_scale B_j u_j + c_j from x_0 = x_init with
     ||u_j|| <= 1.
@@ -252,11 +252,11 @@ def state_reach(segments, x_init: np.ndarray, x_ref: np.ndarray,
     of ``S`` holding segment j's, without inverting any cumulative map.
     """
     N = len(segments.A)
-    reach = np.empty((N, 6))
+    reach = np.empty((N + 1, 6))
     x = np.asarray(x_init, float)
     reach[0] = np.abs(x - x_ref[0])
     S = np.empty((6, 3 * N))
-    for i in range(N - 1):
+    for i in range(N):
         A = segments.A[i]
         x = A @ x + segments.c[i]
         S[:, :3 * i] = A @ S[:, :3 * i]
@@ -279,7 +279,9 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     ``nu_bar`` / xi does not exceed the node's :func:`state_reach` (passed
     as ``reach``, or computed here): a wider row cannot bind, so the
     feasible set is the same.  At node 0 the reach is |x_init - x_ref_0|,
-    zero when the reference starts at x_init, and its rows all go.
+    zero when the reference starts at x_init, and its rows all go.  So is
+    a risk total's position trust row pair about ``ref``, where its
+    half-width ``nu_risk`` / xi exceeds that reach plus |ref - x_ref|.
     With ``prox`` > 0 a small penalty on the control change from ``u_prev``
     removes the profile degeneracy of the fuel objective.
     """
@@ -347,7 +349,7 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
         """Rows of one entry each."""
         put(np.arange(len(cols)), cols, vals, rhs)
 
-    def trust(cols, ref, xi, nu, reach=math.inf):
+    def trust(cols, ref, xi, nu, reach):
         """Row pairs +-(x - ref) <= nu / xi for every variable with a
         nonzero nonlinearity ratio whose half-width nu / xi does not exceed
         ``reach``."""
@@ -364,7 +366,8 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     # the rows the controls can reach
     if reach is None:
         reach = state_reach(segments, x_init, x_ref, u_scale)
-    trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar, reach)
+    reach = np.broadcast_to(reach, (N + 1, 6))
+    trust(col_x[:-1], x_ref[:N], segments.xi[:, :6], nu_bar, reach[:N])
     # keep-out half-spaces: a . r_node >= rhs
     for node, a, ar in risk.halfspaces:
         on = a != 0.0
@@ -389,7 +392,8 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
         put(np.zeros(len(w[-1:]) + on.sum(), int), np.r_[w[-1:], cols[on]],
             np.r_[np.ones(len(w[-1:])), grads[on]], [bound])
         if xi is not None:
-            trust(cols, ref, xi, nu_risk)
+            trust(cols, ref, xi, nu_risk,
+                  reach[nodes, :3] + np.abs(ref - x_ref[nodes, :3]))
     n_nonneg = gr
 
     # second-order cones: ||u_i|| <= sig_i, and with the proximal term

@@ -74,7 +74,7 @@ STALL_RTOL = 1e-3  # a polish minor gaining less than this has stalled
 #   miss(r_p, j)      miss vector for the primary at r_p on node j, and its
 #                     covariance (encounter plane or 3D)
 #   plane(z, j)       keep-out cut (a, rhs), a . r_p >= rhs, through the
-#                     boundary point z of that miss space
+#                     boundary point z of that miss space, with |a| = 1
 #   limit_d2(p)       squared Mahalanobis limit of a probability limit p
 #                     (a scalar or an array)
 #   cut_nodes(pos)    nodes that carry a keep-out cut
@@ -114,6 +114,7 @@ class ShortChannel:
 
     def plane(self, z, j):
         n2 = cut_normal(z, self.P2)
+        n2 = n2 / np.linalg.norm(n2)
         a3 = self.basis.T @ n2
         return a3, float(n2 @ z) + float(a3 @ self.xs[:3])
 
@@ -171,6 +172,7 @@ class LongChannel:
 
     def plane(self, z, j):
         a = cut_normal(z, self.P3[j])
+        a = a / np.linalg.norm(a)
         return a, float(a @ z) + float(a @ self.r_s[j])
 
     def limit_d2(self, p):
@@ -965,7 +967,7 @@ class _Run:
         x_at, xi, exact = self.xi_at
         # fixed for the major: every minor's lean subproblem reuses it
         reach = state_reach(segs, self.x_init, x_ref, self.u_scale)
-        order2 = ~exact & (NU_BAR / xi[:, 0] <= reach.max(axis=1))
+        order2 = ~exact & (NU_BAR / xi[:, 0] <= reach[:N].max(axis=1))
         if order2.any():
             xi[order2] = linearize_segment(x_ref[:N][order2], u[order2],
                                            grid.dt[order2], dyn).xi

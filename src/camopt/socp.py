@@ -24,6 +24,42 @@ of a staged control problem is banded (Domahidi et al., CDC 2012), and
 LAPACK's banded ``dgbtrf`` factors it in that order.  Every KKT matrix goes
 this one way, whatever its band (see ``_Kkt``).
 
+The solve ends ``optimal`` when the residuals, divided by max(1, ||c||),
+max(1, ||b||) and max(1, ||h||), are at most ``FEASTOL`` and the gap s'z of
+the normalized iterate is at most ``RELTOL`` |c'x|: a gap test that does
+not depend on the units of c (the dual residual's max(1, ||c||) still
+does).  An objective at or near zero never meets it, so the gap also stops
+at a floor, KKT_REG^2 times the objective's unit max(1, ||c||)
+max(1, ||b||, ||h||), the unit in which those residual norms measure c'x.
+Every KKT solve carries ``KKT_REG`` on the diagonal, and its one refinement
+step leaves a relative error of order KKT_REG^2 in a direction measured in
+those units; so a direction resolves the gap no finer than KKT_REG^2 units,
+and a smaller gap is below what the iteration can tell from zero.  On the
+SCP subproblems only zero objectives come down to the floor: the others
+lose primal feasibility as the gap falls below about 1e-14 of their
+objective's unit, which is why ``RELTOL`` stays at 1e-7.  Some lose it
+before their gap meets ``RELTOL``.  The embedding's residual
+r = M (x, y, z) - tau (-c, b, h) + (0, 0, s) is linear in the iterate, and
+an exact direction scales it by 1 - a (1 - sigma), so ||r|| never rises;
+when it rises and takes an iterate within ``FEASTOL`` out of it, the KKT
+solves' error now sets the residuals, and the solve stops at the iterate
+before.  That iterate is ``optimal`` if its gap is at most 100 ``RELTOL``
+|c'x|, an objective resolved to 1e-5, and ``numerical`` otherwise.  (A step
+that cuts tau can raise ||r|| / tau, the residuals tested against
+``FEASTOL``, in exact arithmetic; it does not raise ||r||.)
+
+Infeasibility is certified by a ray of the embedding (kappa > 0), either
+from its residual ratio, as in CVXOPT, or from the collapse of tau against
+kappa.  kappa/tau is the amount by which the normalized iterate's dual
+objective exceeds its primal one; once tau times the objective's unit is at
+most FEASTOL kappa, tau is zero against kappa to the feasibility tolerance,
+and the iterate is that close to the kappa > 0 limit, whose (y, z) is a
+certificate of primal infeasibility when b'y + h'z < 0 (and whose x one of
+dual infeasibility when c'x < 0).  The residual ratio alone cannot show this
+when b'y + h'z is a small difference of large terms: the rounding of
+A'y + G'z then exceeds FEASTOL |b'y + h'z|, and tau falls until the
+arithmetic fails.
+
 A solve given the optimal result of an earlier problem with the same sizes
 starts warm (Skajaa, Andersen & Ye, Math. Prog. Comp. 5, 2013): from that
 solution pulled slightly toward the central ray, with no least-squares
@@ -82,10 +118,10 @@ class SocpProblem:
             raise SolverError("cone sizes do not cover the inequality rows")
 
 
-# stopping tolerances: absolute and relative duality gap, and the
-# feasibility residuals, also used by the infeasibility certificates
-ABSTOL = 1e-9
-RELTOL = 1e-9
+# stopping tolerances: the duality gap relative to the objective (above the
+# floor of the module docstring), and the feasibility residuals, also used
+# by the infeasibility certificates
+RELTOL = 1e-7
 FEASTOL = 1e-9
 MAX_ITER = 200
 KKT_REG = 1e-9  # static regularization of the KKT diagonal
@@ -437,11 +473,14 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
     resx0 = max(1.0, _norm(c))
     resy0 = max(1.0, _norm(b))
     resz0 = max(1.0, _norm(h))
+    unit = resx0 * max(resy0, resz0)  # the objective's, in those norms
+    floor = KKT_REG ** 2 * unit  # the gap the KKT solves resolve
 
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # a factorization failed, the step or tau/kappa degenerated
     status = "numerical"
     pres = dres = gap = np.inf
+    kept = None  # the last iterate, while it is within FEASTOL
     for it in range(MAX_ITER):
         # residuals of the embedding, stacked as (rx, ry, rz)
         r = kkt.M @ xyz - tau * const
@@ -455,22 +494,33 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
         pcost = cx / tau
         pres = max(_norm(ry) / resy0, _norm(rz) / resz0) / tau
         dres = _norm(rx) / resx0 / tau
-        relgap = gap / tau ** 2 / max(1.0, abs(pcost))
-
-        if pres <= FEASTOL and dres <= FEASTOL and (
-                gap / tau ** 2 <= ABSTOL or relgap <= RELTOL):
+        rnorm = _norm(r)
+        feasible = pres <= FEASTOL and dres <= FEASTOL
+        if feasible and gap / tau ** 2 <= max(RELTOL * abs(pcost), floor):
             status = "optimal"
             break
+        if not feasible and kept is not None and rnorm > kept[0]:
+            # ||r|| rose out of FEASTOL: the KKT solves' error sets the
+            # residuals now (see the module docstring)
+            _, close, xyz[:], s, tau, kappa, pres, dres, gap = kept
+            if close:
+                status = "optimal"
+            break
+        kept = None if not feasible else (
+            rnorm, gap / tau ** 2 <= 100.0 * RELTOL * abs(pcost),
+            xyz.copy(), s, tau, kappa, pres, dres, gap)
         # infeasibility certificates: A'y + G'z = rx - c tau,
-        # A x = ry + b tau, G x + s = rz + h tau
+        # A x = ry + b tau, G x + s = rz + h tau, or tau collapsed against
+        # kappa (see the module docstring)
+        collapse = tau * unit <= FEASTOL * kappa
         if hz_by < -1e-12:
-            if _norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
+            if collapse or _norm(rx - c * tau) / resx0 <= -FEASTOL * hz_by:
                 return result(status="infeasible", x=None, obj=np.nan,
                               iterations=it, pres=pres, dres=dres, gap=gap)
         if cx < -1e-12:
             unb = max(_norm(ry + b * tau) / resy0,
                       _norm(rz + h * tau) / resz0)
-            if unb <= -FEASTOL * cx:
+            if collapse or unb <= -FEASTOL * cx:
                 return result(status="unbounded", x=None, obj=-np.inf,
                               iterations=it, pres=pres, dres=dres, gap=gap)
 

@@ -315,16 +315,17 @@ def phi_b(seg, i, j):
 
 
 def dense_reach(seg, x_init, x_ref, u_scale):
-    """The reach bound of nodes 0..N-1 from explicit products of the maps:
+    """The reach bound of nodes 0..N from explicit products of the maps:
     free response distance plus u_scale times the row norms of
     A_{i-1}...A_{j+1} B_j summed over j < i."""
     N = len(seg.A)
-    reach, x = np.empty((N, 6)), np.asarray(x_init, float)
-    for i in range(N):
+    reach, x = np.empty((N + 1, 6)), np.asarray(x_init, float)
+    for i in range(N + 1):
         reach[i] = np.abs(x - x_ref[i])
         for j in range(i):
             reach[i] += u_scale * np.linalg.norm(phi_b(seg, i, j), axis=1)
-        x = seg.A[i] @ x + seg.c[i]
+        if i < N:
+            x = seg.A[i] @ x + seg.c[i]
     return reach
 
 
@@ -521,7 +522,7 @@ class TestAssembly:
         # with a nonzero ratio, node by node
         on = seg.xi[:, :6] > 1e-14
         binds = nu_bar / seg.xi[:, :6] <= dense_reach(seg, x_ref[0], x_ref,
-                                                      u_scale)
+                                                      u_scale)[:N]
         dropped = np.zeros(full.dims.nonneg, bool)
         dropped[N:N + 2 * on.sum()] = np.repeat(~binds[on], 2)
         assert dropped[N:N + 12].all()  # node 0's 12 rows
@@ -571,7 +572,7 @@ class TestStateReach:
         seg, x_init, x_ref, _ = self.model(1)
         got = convexify.state_reach(seg, x_init, x_ref, self.u_scale)
         ref = dense_reach(seg, x_init, x_ref, self.u_scale)
-        assert got.shape == (self.N, 6)
+        assert got.shape == (self.N + 1, 6)
         assert np.max(np.abs(got - ref) / ref) <= 1e-13
         assert np.array_equal(got[0], np.abs(x_init - x_ref[0]))
         at_ref = convexify.state_reach(seg, x_ref[0], x_ref, self.u_scale)
@@ -587,11 +588,11 @@ class TestStateReach:
                 u /= np.linalg.norm(u, axis=1)[:, None]
                 if not vertex:
                     u *= rng.uniform(0.0, 1.0, (N, 1))
-                dev = np.abs(fly(seg, x_init, u, us)[:N] - x_ref[:N])
+                dev = np.abs(fly(seg, x_init, u, us) - x_ref)
                 assert np.all(dev <= reach * (1.0 + 1e-12))
         # the controls along row k of each Phi(i, j+1) B_j, signed as the
         # free response's offset, reach the bound
-        i, k = N - 1, 2
+        i, k = N, 2
         free = fly(seg, x_init, np.zeros((N, 3)), us)
         u = np.zeros((N, 3))
         for j in range(i):
@@ -611,13 +612,13 @@ class TestStateReach:
         grid = NodeGrid(times=np.arange(N + 1.0))
         seg = double_integrator_segment(1.0, N)
         reach = dense_reach(seg, np.zeros(6), np.zeros((N + 1, 6)), 1.0)
-        seg.xi[:, :6] = 1e-2 / (10.0 * np.maximum(reach, 1.0))
+        seg.xi[:, :6] = 1e-2 / (10.0 * np.maximum(reach[:N], 1.0))
         seg.xi[1, 1], seg.xi[2, 4] = 1e-2 / 0.1, 1e-2 / 0.5
         risk = RiskRows(halfspaces=[(N, np.array([0.0, 1.0, 0.0]), 2.0)])
         build = functools.partial(assemble, seg, grid, np.zeros((N + 1, 6)),
                                   np.zeros(6), risk, nu_bar=1e-2)
         lean = build()
-        every = build(reach=np.full((N, 6), np.inf))
+        every = build(reach=np.full((N + 1, 6), np.inf))
         loose = build(nu_bar=1e9)
         # sigma rows, the half-space, and 2 of the 24 state pairs
         assert lean.dims.nonneg == N + 1 + 4
@@ -628,3 +629,26 @@ class TestStateReach:
         assert got.obj == pytest.approx(ref.obj, rel=1e-8)
         # the kept rows are the ones that bind
         assert got.obj > free.obj * (1.0 + 1e-3)
+
+    def test_risk_trust_rows_beyond_the_reach_go(self):
+        # the same four segments and a total at the last node that demands
+        # y >= 2 there, whose trust rows are about ref = (2, 0, 0): the x
+        # pair is wider than the position reach r of that node but not
+        # than r + |ref - x_ref| = r + 2 and stays, the y pair is wider
+        # than r and goes, the z pair is r / 2 wide and stays
+        N = 4
+        grid = NodeGrid(times=np.arange(N + 1.0))
+        seg = double_integrator_segment(1.0, N)
+        r = dense_reach(seg, np.zeros(6), np.zeros((N + 1, 6)), 1.0)[N, 0]
+        xi = 1.0 / np.array([[r + 1.0, r + 1.0, r / 2]])
+        risk = RiskRows(totals=[([N], np.array([[0.0, -1.0, 0.0]]), -2.0,
+                                 np.array([[2.0, 0.0, 0.0]]), xi, 1.0)])
+        build = functools.partial(assemble, seg, grid, np.zeros((N + 1, 6)),
+                                  np.zeros(6), risk)
+        lean, every = build(), build(reach=np.inf)
+        # sigma rows, the total, and its trust pairs
+        assert lean.dims.nonneg == N + 1 + 2 * 2
+        assert every.dims.nonneg == N + 1 + 2 * 3
+        got, ref = (solve(p.to_socp()) for p in (lean, every))
+        assert got.status == ref.status == "optimal"
+        assert got.obj == pytest.approx(ref.obj, rel=1e-8)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +372,33 @@ def assert_tangent(a, rhs, centre, z, P):
     assert a @ n > 0.0
 
 
+class TestPlanes:
+    def test_unit_normal_and_the_same_half_space(self):
+        # each cut is cut_normal's tangent half-space divided by the norm
+        # of its normal
+        rng = np.random.default_rng(11)
+        basis = bplane_basis(rng.standard_normal(3), rng.standard_normal(3))
+        P2, P3 = spd(rng, 2), spd(rng, 3)
+        st = ShortChannel(conj=0, mix=0, enc=0, weight=1.0, epoch=0.0,
+                          xs=rng.standard_normal(6), P3=np.eye(3),
+                          basis=basis, P2=P2, u_chan=0.01, hbr=0.1)
+        lt = LongChannel(conj=0, mix=0, weight=1.0, hbr=0.1,
+                         r_s=rng.standard_normal((2, 3)),
+                         P3=np.array([np.eye(3), P3]))
+        z2 = on_ellipse(P2, 9.0, 1.0, rng.standard_normal(2))
+        z3 = on_ellipse(P3, 9.0, 1.0, rng.standard_normal(3))
+        n2, n3 = cut_normal(z2, P2), cut_normal(z3, P3)
+        a2 = basis.T @ n2
+        for (a, rhs), a_raw, rhs_raw in (
+                (st.plane(z2, 0), a2, n2 @ z2 + a2 @ st.xs[:3]),
+                (lt.plane(z3, 1), n3, n3 @ (z3 + lt.r_s[1]))):
+            assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
+            scale = np.linalg.norm(a_raw)
+            assert scale > 1.0  # the raw normals were not unit
+            np.testing.assert_allclose(a * scale, a_raw, rtol=1e-13)
+            assert rhs * scale == pytest.approx(rhs_raw, rel=1e-13)
+
+
 class TestImpulseResponses:
     def test_double_integrator_closed_form(self):
         # Phi_c Phi_{i+1}^{-1} B_i has position block dt^2 (c - i - 1/2) I,
@@ -469,6 +499,53 @@ class TestSolve:
         assert res.status == "converged"
         assert res.dv_mm_s <= 1e-3
         assert res.tpoc_final <= 0.05
+
+    def test_zero_maneuver_polish_ends_in_few_cone_solves(self):
+        # case2's ballistic TPoC, 1.15e-8, already meets the budget: the
+        # objectives are zero to the cone solver's floor, so the polish's
+        # minor loop sees them repeat instead of wandering for 30 solves
+        res = solve(load_scenario("scenarios/case2.json"),
+                    Config(refine_mode="tpoc"))
+        assert res.status == "converged"
+        assert sum(len(rec.cone_solves) for rec in res.log) <= 3
+        assert res.dv_mm_s < 1e-9
+
+    def test_late_start_polish_converges(self, tmp_path):
+        # with one BLAS thread the KKT solves' error raises the residual of
+        # a polish subproblem of this run out of FEASTOL before its gap
+        # meets RELTOL; the iterate before, within 100 RELTOL, is the answer
+        doc = json.loads(Path(CASE1).read_text())
+        doc["conjunctions"] = doc["conjunctions"][:3]
+        doc["horizon_s"] = [2000.0, doc["conjunctions"][2]["tca_s"]]
+        path = tmp_path / "late_start_three.json"
+        path.write_text(json.dumps(doc))
+        code = ("from camopt.scenario import Config, load_scenario\n"
+                "from camopt.scp import solve\n"
+                f"res = solve(load_scenario({str(path)!r}),"
+                " Config(refine_mode='tpoc'))\n"
+                "print(res.status, res.tpoc_final)")
+        src = str(Path(scp.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=300, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+                 "OMP_NUM_THREADS": "1"}).stdout.split()
+        assert out[0] == "converged" and float(out[1]) <= 1.05e-6
+
+    def test_late_start_two_polish_converges(self, tmp_path):
+        # case1's first two conjunctions from 3500 s: its polish trust rows
+        # on the risk total reach bounds near 1e11 where xi is near 1e-13,
+        # and with them ||h|| set the gap floor at 7% of the objective, so
+        # the majors wandered to MAX_MAJOR; rows the controls cannot reach
+        # are left out
+        doc = json.loads(Path(CASE1).read_text())
+        doc["conjunctions"] = doc["conjunctions"][:2]
+        doc["horizon_s"] = [3500.0, doc["conjunctions"][1]["tca_s"]]
+        path = tmp_path / "late_start_two.json"
+        path.write_text(json.dumps(doc))
+        res = solve(load_scenario(str(path)), Config(refine_mode="tpoc"))
+        assert res.status == "converged"
+        assert res.tpoc_final <= 1.05e-6
 
     def test_converges_and_respects_budget(self, sol2):
         assert sol2.status == "converged"
@@ -813,7 +890,7 @@ class TestXiScreen:
         sc = two_cdm()
         args, kwargs = first_subproblem(monkeypatch, sc)
         bound, measured = first_major_ratios(sc, args)
-        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"].max(axis=1)
+        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"][:-1].max(axis=1)
         assert 0 < flagged.sum() < len(flagged)
         xi = args[0].xi
         assert np.array_equal(xi[flagged], measured[flagged])
@@ -870,7 +947,7 @@ class TestXiScreen:
         assert np.all(bound >= measured)
         # the segments whose bounded rows the controls could reach carry
         # the measured ratios
-        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"].max(axis=1)
+        flagged = scp.NU_BAR / bound[:, 0] <= kwargs["reach"][:-1].max(axis=1)
         assert 0 < flagged.sum() < len(flagged) // 4
         assert np.array_equal(args[0].xi[flagged], measured[flagged])
 
