@@ -203,15 +203,23 @@ class TestValidate:
         ("e_validation_mm", lambda d: d.__setitem__("e_validation_mm", "x")),
         ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", None)),
         ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", "x")),
+        ("'states_km'", lambda d: d.pop("states_km")),
+        # a string is the whole document
+        ("times_s: list indices", "[]"),
+        ("Expecting property name", "{bad"),
     ], ids=["non_numeric_time", "short_states", "short_controls",
             "ragged_control", "empty_times", "null_e_validation",
-            "string_e_validation", "null_dv", "string_dv"])
+            "string_e_validation", "null_dv", "string_dv", "missing_states",
+            "not_an_object", "invalid_json"])
     def test_malformed_solution_fails_cleanly(self, two_cdm_file, solved_dir,
                                               tmp_path, capsys, field, mutate):
-        doc = json.load(open(solved_dir / "summary.json"))
-        mutate(doc)
         path = tmp_path / "summary.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(mutate, str):
+            path.write_text(mutate)
+        else:
+            doc = json.load(open(solved_dir / "summary.json"))
+            mutate(doc)
+            path.write_text(json.dumps(doc))
         assert cli.main(["validate", two_cdm_file, str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
@@ -247,9 +255,8 @@ class TestRisk:
         path = tmp_path / "still.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["risk", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == \
+            "error: zero relative velocity, B-plane undefined\n"
 
 
 class TestBadInput:
@@ -261,6 +268,23 @@ class TestBadInput:
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mu_km3_s2" in err
+
+    @pytest.mark.parametrize("argv, line", [
+        ("solve {empty} --out {tmp}", "error: empty horizon"),
+        (f"solve {CASE1} --nmix 3 --out {{tmp}}",
+         "error: mixture splitting needs a velocity covariance"),
+        (f"split {CASE2} --nmix 2", "error: no split library for n_mix=2"),
+    ], ids=["empty_horizon", "position_only_mixture", "no_split_library"])
+    def test_failure_prints_one_error_line(self, tmp_path, capsys, argv,
+                                           line):
+        # the fixture's primary with no conjunctions, on a reversed horizon
+        doc = json.load(open(CASE1))
+        doc["conjunctions"], doc["horizon_s"] = [], [100.0, 0.0]
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(doc))
+        argv = argv.format(empty=empty, tmp=tmp_path / "out").split()
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == line + "\n"
 
 
 class TestUnreachableBudget:
