@@ -4,4 +4,5 @@ __version__ = "0.1.0"
 
 
 class CamoptError(Exception):
-    """Base class of every error camopt raises on purpose."""
+    """Every failure camopt reports, as one ``error:`` line and exit code 3.
+    camopt itself catches only DegenerateEncounterError and SolverError."""

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import CamoptError
-from . import dajet
-from .dajet import DomainError, jet_space
+from . import CamoptError, dajet
+from .dajet import jet_space
 
 GM_EARTH = 398600.4418  # km^3/s^2
 R_EARTH = 6378.137  # km
@@ -25,20 +24,8 @@ TCA_TOL = 1e-6  # Newton step at which refine_tca stops
 TCA_MAX_ITER = 12
 
 
-class PropagationError(CamoptError):
-    pass
-
-
-class StiffnessError(PropagationError):
-    pass
-
-
-class ScenarioError(CamoptError):
-    pass
-
-
 class DegenerateEncounterError(CamoptError):
-    pass
+    """An encounter ``refine_tca`` cannot refine; ``scp`` catches it."""
 
 
 # ---------------------------------------------------------------------
@@ -77,7 +64,7 @@ def eom(y, u, dyn: Dynamics):
     rx, ry, rz, vx, vy, vz = y
     r2 = rx * rx + ry * ry + rz * rz
     if r2 <= 0.0:
-        raise DomainError("zero radius in equations of motion")
+        raise CamoptError("zero radius in equations of motion")
     rn = math.sqrt(r2)
     r3 = r2 * rn
     ir3 = 1.0 / r3 if r3 else math.inf  # r^3 underflows to 0 below |r| = 1.4e-108
@@ -103,7 +90,7 @@ def _eom_jets(space, y, u, dyn: Dynamics):
     sq = dajet.mul(space, r, r)
     r2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
     if (r2[:, 0] <= 0.0).any():
-        raise DomainError("zero radius in equations of motion")
+        raise CamoptError("zero radius in equations of motion")
     rn = dajet.sqrt(space, r2)
     ir3 = dajet.reciprocal(space, dajet.mul(space, r2, rn))
     k = ir3 * -dyn.mu
@@ -183,9 +170,9 @@ def _rkf78(y, t, t_end, u, dyn: Dynamics, tol: float):
     whole interval.
     """
     if t_end < t:
-        raise PropagationError("backward integration not supported; flip the velocity")
+        raise CamoptError("backward integration not supported; flip the velocity")
     if tol <= 0:
-        raise PropagationError("tolerance must be positive")
+        raise CamoptError("tolerance must be positive")
     span = t_end - t
     if span == 0.0:
         return y
@@ -204,18 +191,18 @@ def _rkf78(y, t, t_end, u, dyn: Dynamics, tol: float):
             # a NaN or inf comes from the state, not the step size: fail at
             # once rather than crawl at the step-size floor
             if not math.isfinite(sum(e)):
-                raise StiffnessError(f"non-finite step error at t={t}")
+                raise CamoptError(f"non-finite step error at t={t}")
             err = max(e) * abs(_ERR_W * h)
             if err <= tol or h <= 1e-14 * max(abs(t), 1.0):
                 break
             h *= max(0.2, 0.8 * (tol / err) ** 0.125)
             if h < 1e-13 * max(span, 1.0):
-                raise StiffnessError(f"step size underflow at t={t}")
+                raise CamoptError(f"step size underflow at t={t}")
         y = _combine(y, h, _C8, f)
         t += h
         if err > 0:
             h *= min(5.0, 0.8 * (tol / err) ** 0.125)
-    raise StiffnessError("maximum number of steps exceeded")
+    raise CamoptError("maximum number of steps exceeded")
 
 
 def flow(y0, t0, t1, u, dyn: Dynamics, tol: float = INTEG_TOL):
@@ -256,7 +243,7 @@ def flow_jets(space, y, t0, t1, dyn: Dynamics, u=None, tol: float = INTEG_TOL):
     velocity flipped, as in :func:`flow`.
     """
     if tol <= 0:
-        raise PropagationError("tolerance must be positive")
+        raise CamoptError("tolerance must be positive")
     y = np.array(y, dtype=float)
     n = len(y)
     t0 = np.broadcast_to(np.asarray(t0, dtype=float), (n,))
@@ -309,7 +296,7 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
         ecomb = f[0] + f[10] - f[11] - f[12]
         # a NaN or inf in any coefficient, derivatives included, fails at once
         if not np.isfinite(ecomb).all():
-            raise StiffnessError(f"non-finite step error at t={t.min()}")
+            raise CamoptError(f"non-finite step error at t={t.min()}")
         # the step is controlled by the state alone, as in _rkf78
         err = np.abs(ecomb[..., 0]).max(axis=1) * np.abs(_ERR_W * h)
         ok = (err <= tol) | (h <= 1e-14 * np.maximum(np.abs(t), 1.0))
@@ -318,7 +305,7 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
         if rej.any():
             h[rej] *= [max(0.2, 0.8 * (tol / e) ** 0.125) for e in err[rej].tolist()]
             if np.any(h[rej] < 1e-13 * np.maximum(span[rej], 1.0)):
-                raise StiffnessError(f"step size underflow at t={t[rej].min()}")
+                raise CamoptError(f"step size underflow at t={t[rej].min()}")
         if ok.any():
             ha = h[ok]
             ynew = y[ok]
@@ -330,7 +317,7 @@ def _rkf78_jets(space, y, t, t_end, u, dyn: Dynamics, tol: float):
                           for e in err[ok].tolist()]
             steps[ok] += 1
             if np.any(steps >= _MAX_STEPS):
-                raise StiffnessError("maximum number of steps exceeded")
+                raise CamoptError("maximum number of steps exceeded")
         fresh = ok
         done = t >= t_end
         if done.any():
@@ -385,11 +372,11 @@ def linearize_segment(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     u = np.asarray(u, dtype=float)
     dt = np.asarray(dt, dtype=float)
     if dt.ndim != 1 or x.shape != (len(dt), 6) or u.shape != (len(dt), 3):
-        raise PropagationError("need x (N, 6), u (N, 3) and dt (N,)")
+        raise CamoptError("need x (N, 6), u (N, 3) and dt (N,)")
     if order not in (1, 2):
-        raise PropagationError("need order 1 or 2")
+        raise CamoptError("need order 1 or 2")
     if np.any(dt <= 0):
-        raise PropagationError("segment duration must be positive")
+        raise CamoptError("segment duration must be positive")
     sp = jet_space(9, order)
     xu = dajet.identity(sp, np.concatenate([x, u], axis=1))
     yend = flow_jets(sp, xu[:, :6], 0.0, dt, dyn, u=xu[:, 6:], tol=tol)
@@ -497,13 +484,13 @@ def build_grid(t0: float, tf: float, period: float, nodes_per_orbit: int,
                ) -> NodeGrid:
     """Uniform grid at period/nodes_per_orbit with nodes inserted at TCAs."""
     if nodes_per_orbit < 8:
-        raise ScenarioError("nodes_per_orbit must be >= 8")
+        raise CamoptError("nodes_per_orbit must be >= 8")
     if tf <= t0:
-        raise ScenarioError("empty horizon")
+        raise CamoptError("empty horizon")
     tca_epochs = tca_epochs or {}
     for key, tca in tca_epochs.items():
         if not (t0 <= tca <= tf):
-            raise ScenarioError(f"TCA of {key} at {tca} outside horizon [{t0}, {tf}]")
+            raise CamoptError(f"TCA of {key} at {tca} outside horizon [{t0}, {tf}]")
     step = period / nodes_per_orbit
     n = int(math.ceil((tf - t0) / step - 1e-9))
     times = list(t0 + np.arange(n + 1) * (tf - t0) / n)

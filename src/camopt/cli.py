@@ -27,11 +27,12 @@ from .astro import flow
 from .risk import equivalent_bplane
 from .scenario import (
     Config,
+    load_object,
     load_scenario,
     rtn_matrix,
     scaled_dynamics,
 )
-from .scp import ScpError, ballistic, solve, tca_states
+from .scp import ballistic, solve, tca_states
 from .uncert import split_along_flow
 
 
@@ -198,8 +199,8 @@ def _cmd_split(args):
     out = {"scenario": scn.name, "n_mix": K, "conjunctions": []}
     for ci, conj in enumerate(scn.conjunctions):
         if K > 1 and conj.cov.shape != (6, 6):
-            raise ScpError(f"conjunction {ci}: mixture splitting needs a "
-                           "velocity covariance")
+            raise CamoptError(f"conjunction {ci}: mixture splitting needs a "
+                              "velocity covariance")
         _, _, xs, P, _ = tca_states(conj, scl)
         # a position-only covariance scales by the position units alone
         Dc = D[:len(conj.cov)]
@@ -216,10 +217,6 @@ def _cmd_split(args):
     return 0
 
 
-class SolutionFormatError(CamoptError):
-    """An emitted solution document that cannot be re-propagated."""
-
-
 def _floats(val):
     """A number, a numeric string or nested lists of them, as floats."""
     return [_floats(v) for v in val] if isinstance(val, list) else float(val)
@@ -230,20 +227,21 @@ def _solution(doc):
     solution, with T >= 2, and its emitted validation error [mm] and
     delta-v [mm/s], all finite numbers."""
     def numbers(name, shape=None):
+        if name not in doc:
+            raise CamoptError(f"missing field {name}")
         try:
             arr = np.array(_floats(doc[name]))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SolutionFormatError(f"{name}: {exc}") from None
+            raise CamoptError(f"{name}: {exc}") from None
         if shape is not None and arr.shape != shape:
-            raise SolutionFormatError(f"{name}: shape {arr.shape}, "
-                                      f"need {shape}")
+            raise CamoptError(f"{name}: shape {arr.shape}, need {shape}")
         if not np.all(np.isfinite(arr)):
-            raise SolutionFormatError(f"{name}: values must be finite")
+            raise CamoptError(f"{name}: values must be finite")
         return arr
 
     times = numbers("times_s")
     if times.ndim != 1 or len(times) < 2:
-        raise SolutionFormatError("times_s: need a list of at least 2 epochs")
+        raise CamoptError("times_s: need a list of at least 2 epochs")
     n = len(times)
     return (times, numbers("states_km", (n, 6)),
             numbers("controls_km_s2", (n - 1, 3)),
@@ -256,9 +254,8 @@ def _cmd_validate(args):
     path = args.solution
     if os.path.isdir(path):
         path = os.path.join(path, "summary.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    times, states, controls, e_emitted, dv_emitted = _solution(doc)
+    times, states, controls, e_emitted, dv_emitted = _solution(
+        load_object(path, "solution"))
     x = scn.primary_at(times[0])
     err = float(np.linalg.norm(x[:3] - states[0, :3]))
     for i in range(len(times) - 1):
@@ -322,7 +319,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CamoptError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CamoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

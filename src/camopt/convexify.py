@@ -24,10 +24,6 @@ from .risk import chan_series, ipoc_peak
 from .socp import ConeDims, SocpProblem
 
 
-class AssemblyError(CamoptError):
-    pass
-
-
 # ---------------------------------------------------------------------
 # keep-out zone geometry
 
@@ -51,7 +47,7 @@ def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarra
     p = np.asarray(p, float)
     evals, V = np.linalg.eigh(np.asarray(P, float))
     if np.any(evals <= 0) or d2 <= 0:
-        raise AssemblyError("keep-out ellipsoid is degenerate")
+        raise CamoptError("keep-out ellipsoid is degenerate")
     q = evals * d2  # squared semiaxes
     pc = V.T @ p
 
@@ -78,7 +74,7 @@ def project_onto_ellipsoid(p: np.ndarray, P: np.ndarray, d2: float) -> np.ndarra
         if step <= 1e-15 + 4e-16 * abs(nu):
             break
     else:
-        raise AssemblyError("projection multiplier failed to converge")
+        raise CamoptError("projection multiplier failed to converge")
     return V @ (pc * q / (q + nu))
 
 
@@ -164,12 +160,12 @@ def linearize_tpoc(items: list[ShortTermItem]) -> RiskLinearization:
     """Second-order expansion of the product-form total PoC w.r.t. the
     primary position at each conjunction node."""
     if not items:
-        raise AssemblyError("no conjunctions to linearize")
+        raise CamoptError("no conjunctions to linearize")
     factors = []
     for it in items:
         det = np.linalg.det(it.P2)
         if det <= 0:
-            raise AssemblyError("projected covariance is singular")
+            raise CamoptError("projected covariance is singular")
         Q = np.linalg.inv(np.asarray(it.P2, float))
         y = it.basis @ it.dr_ref
         v = (Q[0, 0] * y[0] * y[0] + Q[1, 1] * y[1] * y[1]
@@ -184,7 +180,7 @@ def linearize_tpoc(items: list[ShortTermItem]) -> RiskLinearization:
 def linearize_tipoc(items: list[LongTermItem]) -> RiskLinearization:
     """Same expansion for the node-wise total instantaneous PoC."""
     if not items:
-        raise AssemblyError("no secondaries to linearize")
+        raise CamoptError("no secondaries to linearize")
     factors = []
     for it in items:
         peak = ipoc_peak(it.P3, it.hbr)
@@ -287,7 +283,7 @@ def assemble(segments, grid, x_ref: np.ndarray, x_init: np.ndarray,
     """
     N = grid.n_segments
     if len(segments.A) != N:
-        raise AssemblyError("one segment map needed per grid interval")
+        raise CamoptError("one segment map needed per grid interval")
     dts = grid.dt
 
     with_prox = u_prev is not None and prox > 0.0

@@ -25,14 +25,6 @@ import numpy as np
 from . import CamoptError
 
 
-class DimensionError(CamoptError):
-    pass
-
-
-class DomainError(CamoptError):
-    pass
-
-
 @lru_cache(maxsize=None)
 def _space(n_vars: int, order: int) -> "JetSpace":
     return JetSpace(n_vars, order)
@@ -48,7 +40,7 @@ class JetSpace:
 
     def __init__(self, n_vars: int, order: int):
         if n_vars < 1 or order < 0:
-            raise DimensionError("need n_vars >= 1 and order >= 0")
+            raise CamoptError("need n_vars >= 1 and order >= 0")
         self.n_vars = n_vars
         self.order = order
 
@@ -150,7 +142,7 @@ def compose_series(space: JetSpace, x: np.ndarray, derivs) -> np.ndarray:
 def reciprocal(space: JetSpace, x: np.ndarray) -> np.ndarray:
     a = x[..., 0]
     if (a == 0.0).any():
-        raise DomainError("reciprocal of jet with zero constant part")
+        raise CamoptError("reciprocal of jet with zero constant part")
     consts = a.ravel().tolist()
     derivs = []
     for k in range(space.order + 1):
@@ -162,7 +154,7 @@ def reciprocal(space: JetSpace, x: np.ndarray) -> np.ndarray:
 def sqrt(space: JetSpace, x: np.ndarray) -> np.ndarray:
     a = x[..., 0]
     if (a <= 0.0).any():
-        raise DomainError("sqrt of jet with non-positive constant part")
+        raise CamoptError("sqrt of jet with non-positive constant part")
     consts = a.ravel().tolist()
     # the value by math.sqrt, correctly rounded like the float equations of
     # motion; pow(c, 0.5) is off by an ulp for about 1 in 1,000 arguments
@@ -196,9 +188,9 @@ def identity(space: JetSpace, points) -> np.ndarray:
     coefficients of shape ``points.shape + (size,)``."""
     points = np.asarray(points, dtype=float)
     if points.shape[-1:] != (space.n_vars,):
-        raise DimensionError("need one expansion point per variable")
+        raise CamoptError("need one expansion point per variable")
     if space.order < 1:
-        raise DimensionError("order-0 space has no variables")
+        raise CamoptError("order-0 space has no variables")
     out = np.zeros(points.shape + (space.size,))
     out[..., 0] = points
     out[..., np.arange(space.n_vars), space.lin_index] = 1.0

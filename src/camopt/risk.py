@@ -14,10 +14,6 @@ from scipy import special
 from . import CamoptError
 
 
-class RiskError(CamoptError):
-    pass
-
-
 # ---------------------------------------------------------------------
 # B-plane
 
@@ -32,7 +28,7 @@ def bplane_basis(vp: np.ndarray, vs: np.ndarray) -> np.ndarray:
     dv = np.asarray(vp, float) - np.asarray(vs, float)
     ndv = np.linalg.norm(dv)
     if ndv == 0.0:
-        raise RiskError("zero relative velocity, B-plane undefined")
+        raise CamoptError("zero relative velocity, B-plane undefined")
     eta = dv / ndv
     xi = np.cross(vs, vp)
     nxi = np.linalg.norm(xi)
@@ -64,7 +60,7 @@ def chan_uv(dr2: np.ndarray, P2: np.ndarray, hbr: float) -> tuple[float, float]:
     P2 = np.asarray(P2, float)
     det = np.linalg.det(P2)
     if det <= 0.0:
-        raise RiskError("projected covariance is singular")
+        raise CamoptError("projected covariance is singular")
     u = hbr * hbr / math.sqrt(det)
     dr2 = np.asarray(dr2, float)
     v = float(dr2 @ np.linalg.solve(P2, dr2))
@@ -100,7 +96,7 @@ def chan_series(u: float, v, order: int = 2) -> list:
     """
     v_arr = np.asarray(v, float)
     if u < 0 or not np.all(v_arr >= 0.0):
-        raise RiskError("need non-negative u and v")
+        raise CamoptError("need non-negative u and v")
     half_v = 0.5 * v_arr.ravel()
     if u == 0.0:
         out = [np.zeros(half_v.shape)] * (order + 1)
@@ -180,7 +176,7 @@ def invert_chan(p_target, u: float):
     """
     p = np.asarray(p_target, float)
     if not np.all((0.0 < p) & (p < 1.0)):
-        raise RiskError("target probability must be in (0, 1)")
+        raise CamoptError("target probability must be in (0, 1)")
     target = p.ravel()
     v_out = np.zeros(target.shape)
     p0 = chan_poc(u, 0.0)
@@ -197,7 +193,7 @@ def invert_chan(p_target, u: float):
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
         if np.any(lo > V_MAX):
-            raise RiskError("could not bracket the miss-distance limit")
+            raise CamoptError("could not bracket the miss-distance limit")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x - (np.log(P) - np.log(t)) * P / dP
         ok = np.isfinite(x_new) & (lo <= x_new) & (x_new <= hi)
@@ -210,7 +206,7 @@ def invert_chan(p_target, u: float):
         idx, t, x = idx[keep], t[keep], x_new[keep]
         lo, hi = lo[keep], hi[keep]
     if len(idx):
-        raise RiskError("Chan inversion did not converge")
+        raise CamoptError("Chan inversion did not converge")
     return float(v_out[0]) if p.ndim == 0 else v_out.reshape(p.shape)
 
 
@@ -223,7 +219,7 @@ def ipoc_peak(P3: np.ndarray, hbr: float) -> float:
     mean times the volume of the hard-body sphere."""
     det = np.linalg.det(np.asarray(P3, float))
     if det <= 0.0:
-        raise RiskError("relative position covariance is singular")
+        raise CamoptError("relative position covariance is singular")
     return math.sqrt(2.0 / (math.pi * det)) * hbr ** 3 / 3.0
 
 
@@ -244,7 +240,7 @@ def invert_ipoc(p_target, P3: np.ndarray, hbr: float):
     scalar target (a float) or an array of targets."""
     p = np.asarray(p_target, float)
     if not np.all((0.0 < p) & (p < 1.0)):
-        raise RiskError("target probability must be in (0, 1)")
+        raise CamoptError("target probability must be in (0, 1)")
     ratio = np.minimum(p.ravel() / ipoc_peak(P3, hbr), 1.0)
     d2 = np.where(ratio < 1.0, -2.0 * _log(ratio), 0.0)
     return float(d2[0]) if p.ndim == 0 else d2.reshape(p.shape)
@@ -264,7 +260,7 @@ def equivalent_bplane(points: np.ndarray, P2: np.ndarray,
     """
     evals, V = np.linalg.eigh(np.asarray(P2, float))
     if np.any(evals <= 0.0) or d2_limit <= 0.0:
-        raise RiskError("degenerate keep-out ellipse")
+        raise CamoptError("degenerate keep-out ellipse")
     semiaxes = np.sqrt(evals * d2_limit)
     pts = np.atleast_2d(np.asarray(points, float))
     return (pts @ V) / semiaxes

@@ -24,10 +24,6 @@ from . import CamoptError
 from .astro import Dynamics, GM_EARTH, flow
 
 
-class ScenarioFormatError(CamoptError):
-    """Raised for schema violations; message carries the JSON field path."""
-
-
 SCHEMA_VERSION = 1
 
 # keys of the lower-triangular position covariance block; the off-diagonal
@@ -108,7 +104,7 @@ class Scaling:
     @classmethod
     def from_sma(cls, a_p: float, mu: float = GM_EARTH) -> "Scaling":
         if a_p <= 0:
-            raise ScenarioFormatError("semi-major axis must be positive")
+            raise CamoptError("semi-major axis must be positive")
         return cls(length=a_p, velocity=math.sqrt(mu / a_p),
                    time=math.sqrt(a_p ** 3 / mu), acceleration=mu / a_p ** 2)
 
@@ -173,9 +169,9 @@ class Config:
 
     def validated(self) -> "Config":
         if self.total_limit <= 0:
-            raise ScenarioFormatError("config.total_limit must be positive")
+            raise CamoptError("config.total_limit must be positive")
         if self.refine_mode not in ("smd", "tpoc"):
-            raise ScenarioFormatError("refine_mode must be 'smd' or 'tpoc'")
+            raise CamoptError("refine_mode must be 'smd' or 'tpoc'")
         return self
 
 
@@ -195,10 +191,10 @@ def _typed(val, typ) -> bool:
 
 def _get(obj, key, path, typ=None):
     if key not in obj:
-        raise ScenarioFormatError(f"missing field {path}.{key}")
+        raise CamoptError(f"missing field {path}.{key}")
     val = obj[key]
     if typ is not None and not _typed(val, typ):
-        raise ScenarioFormatError(f"field {path}.{key} has wrong type")
+        raise CamoptError(f"field {path}.{key} has wrong type")
     return val
 
 
@@ -209,7 +205,7 @@ def _opt(obj, key, path, typ, default):
 def _vector(obj, key, path, n):
     v = _get(obj, key, path, list)
     if len(v) != n or not all(_typed(x, _NUMBER) for x in v):
-        raise ScenarioFormatError(f"field {path}.{key} must be {n} numbers")
+        raise CamoptError(f"field {path}.{key} must be {n} numbers")
     return np.array(v, float)
 
 
@@ -233,7 +229,7 @@ def _covariance(entry, path):
     evals, vecs = np.linalg.eigh(P)
     scale = max(1e-300, np.max(np.abs(evals)))
     if evals[0] < -1e-6 * scale:
-        raise ScenarioFormatError(f"covariance at {path} is not PSD")
+        raise CamoptError(f"covariance at {path} is not PSD")
     if evals[0] < 0.0:
         P = (vecs * np.clip(evals, 0.0, None)) @ vecs.T
     return P
@@ -249,37 +245,42 @@ def _primary_state(prim, mu):
         path = "primary.elements"
         a, e = _get(el, "a_km", path, _NUMBER), _get(el, "e", path, _NUMBER)
         if a <= 0 or not 0 <= e < 1:
-            raise ScenarioFormatError(f"{path} must be an ellipse: a_km > 0, "
-                                      "0 <= e < 1")
+            raise CamoptError(f"{path} must be an ellipse: a_km > 0, "
+                              "0 <= e < 1")
         return elements_to_state(
             a, e, math.radians(_get(el, "i_deg", path, _NUMBER)),
             math.radians(_opt(el, "raan_deg", path, _NUMBER, 0.0)),
             math.radians(_opt(el, "argp_deg", path, _NUMBER, 0.0)),
             math.radians(_opt(el, "nu_deg", path, _NUMBER, 0.0)), mu)
-    raise ScenarioFormatError("primary needs either 'state' or 'elements'")
+    raise CamoptError("primary needs either 'state' or 'elements'")
 
 
-def load_scenario(path) -> Scenario:
+def load_object(path, what):
+    """The JSON object in the file at ``path``; errors call it a ``what``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # bad syntax, encoding or integer length
+            raise CamoptError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ScenarioFormatError("a scenario must be a JSON object")
+        raise CamoptError(f"a {what} must be a JSON object")
+    return doc
 
+
+def load_scenario(path) -> Scenario:
+    doc = load_object(path, "scenario")
     if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ScenarioFormatError("unsupported schema version")
+        raise CamoptError("unsupported schema version")
     mu = float(_opt(doc, "mu_km3_s2", "$", _NUMBER, GM_EARTH))
     if mu <= 0:
-        raise ScenarioFormatError("mu_km3_s2 must be positive")
+        raise CamoptError("mu_km3_s2 must be positive")
     dyn_name = doc.get("dynamics", "two_body")
     if dyn_name == "two_body":
         dynamics = Dynamics.two_body(mu)
     elif dyn_name == "j2":
         dynamics = Dynamics.two_body_j2(mu)
     else:
-        raise ScenarioFormatError(f"unknown dynamics model {dyn_name!r}")
+        raise CamoptError(f"unknown dynamics model {dyn_name!r}")
 
     prim = _get(doc, "primary", "$", dict)
     x_p = _primary_state(prim, mu)
@@ -295,23 +296,23 @@ def load_scenario(path) -> Scenario:
     long_term = _opt(mode, "long_term", "mode", bool, False)
     n_mix = _opt(mode, "n_mix", "mode", int, 1)
     if n_mix < 1 or n_mix % 2 == 0:
-        raise ScenarioFormatError("mode.n_mix must be odd and positive")
+        raise CamoptError("mode.n_mix must be odd and positive")
 
     raw = []
     for idx, entry in enumerate(_opt(doc, "conjunctions", "$", list, [])):
         path = f"conjunctions[{idx}]"
         if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{path} must be an object")
+            raise CamoptError(f"{path} must be an object")
         tca = _get(entry, "tca_s", path, _NUMBER)
         if not horizon[0] <= tca <= horizon[1]:
-            raise ScenarioFormatError(f"{path}.tca_s outside horizon")
+            raise CamoptError(f"{path}.tca_s outside horizon")
         dr = _vector(entry, "dr_m", path, 3) * 1e-3
         dv = _vector(entry, "dv_km_s", path, 3)
         cov = _covariance(_get(entry, "cov_rtn_km2", path, dict),
                           f"{path}.cov_rtn_km2")
         hbr = _get(entry, "hbr_m", path, _NUMBER) * 1e-3
         if hbr <= 0:
-            raise ScenarioFormatError(f"{path}.hbr_m must be positive")
+            raise CamoptError(f"{path}.hbr_m must be positive")
         raw.append((idx, float(tca), dr, dv, cov, float(hbr)))
 
     # rotate each record from the primary's RTN at its TCA into ECI,

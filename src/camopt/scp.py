@@ -50,10 +50,6 @@ from .socp import solve as socp_solve
 from .uncert import split_along_flow
 
 
-class ScpError(CamoptError):
-    pass
-
-
 NODES_PER_ORBIT = 60  # grid step of one orbital period (2 pi scaled)
 MAJOR_TOL = 1e-3  # scaled acceleration
 MINOR_TOL = 1e-6  # scaled position
@@ -401,7 +397,7 @@ def _make_short_channel(ci, mi, ei, weight, xp, xs, P3, hbr):
     P2 = basis @ P3 @ basis.T
     det = np.linalg.det(P2)
     if det <= 0.0:
-        raise ScpError(f"conjunction {ci}: singular encounter covariance")
+        raise CamoptError(f"conjunction {ci}: singular encounter covariance")
     return ShortChannel(conj=ci, mix=mi, enc=ei, weight=weight, epoch=math.nan,
                         xs=np.array(xs), P3=np.array(P3), basis=basis, P2=P2,
                         u_chan=hbr ** 2 / math.sqrt(det), hbr=hbr,
@@ -433,7 +429,8 @@ def _build_short_channels(scn: Scenario, scl, dyn, t0, tf):
 
         if P.shape == (3, 3):
             if scn.n_mix > 1:
-                raise ScpError("mixture splitting needs a velocity covariance")
+                raise CamoptError("mixture splitting needs a velocity "
+                                  "covariance")
             ch = _make_short_channel(ci, 0, 0, 1.0, xp, xs, P, hbr)
             ch.epoch = tca
             channels.append(ch)
@@ -466,7 +463,7 @@ def _build_long_channels(scn: Scenario, scl, dyn, grid, x_ref):
     for ci, conj in enumerate(scn.conjunctions):
         tca, _, xs, P, hbr = tca_states(conj, scl)
         if P.shape != (6, 6):
-            raise ScpError("long-term mode needs a velocity covariance")
+            raise CamoptError("long-term mode needs a velocity covariance")
         gmm = split_along_flow(xs, P, grid.times[-1] - tca, dyn, scn.n_mix)
         for mi in range(gmm.n_mix):
             means, stms = _stm_track(gmm.means[mi], [tca] + list(grid.times),
@@ -636,7 +633,7 @@ def adapt_limits(p0, rho_fns, total_limit, guesses=None):
         return np.zeros(0)
     hi = 1.0 - (1.0 - total_limit) / (1.0 - floor) ** (n - 1)
     if hi <= floor:
-        raise ScpError("probability floor too large for the channel count")
+        raise CamoptError("probability floor too large for the channel count")
     if n == 1:
         return np.array([total_limit])
 
@@ -688,7 +685,7 @@ def adapt_limits(p0, rho_fns, total_limit, guesses=None):
             break
         q[k] = min(max(qk, floor), hi)
     if abs(float(np.prod(1.0 - q)) - one_minus) > 1e-10:
-        raise ScpError("could not restore the probability budget identity")
+        raise CamoptError("could not restore the probability budget identity")
     return q
 
 
@@ -888,8 +885,8 @@ class _Run:
 
     def __init__(self, scenario: Scenario, total_limit: float):
         if not (scenario.short_term or scenario.long_term):
-            raise ScpError("scenario enables neither short- nor long-term "
-                           "mode")
+            raise CamoptError("scenario enables neither short- nor long-term "
+                              "mode")
         self.scenario, self.total_limit = scenario, total_limit
         self.scl = scl = scenario.scaling()
         self.dyn = dyn = scaled_dynamics(scenario)
@@ -897,7 +894,7 @@ class _Run:
         t0, tf = scenario.horizon[0] / T, scenario.horizon[1] / T
         self.u_scale = scenario.u_max / scl.acceleration
         if self.u_scale <= 0.0:
-            raise ScpError("maximum acceleration must be positive")
+            raise CamoptError("maximum acceleration must be positive")
         self.x_init = _scale_state(scenario.primary_at(scenario.horizon[0]),
                                    L, V)
 
@@ -1059,8 +1056,8 @@ class _Run:
                         minors += 1
                         if minors < MAX_MINOR:
                             continue
-                    raise ScpError(f"conic subproblem ended {res.status} "
-                                   f"at major {self.major}")
+                    raise CamoptError(f"conic subproblem ended {res.status} "
+                                      f"at major {self.major}")
                 self.last_optimal = res
                 xsol = res.x
                 self.states = states = \

@@ -80,7 +80,7 @@ from . import CamoptError
 
 
 class SolverError(CamoptError):
-    pass
+    """A failed factorization or NT scaling; ``solve`` ends ``numerical``."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ class SocpProblem:
     def validate(self):
         n = len(self.c)
         if self.A.shape != (len(self.b), n):
-            raise SolverError("equality block dimensions inconsistent")
+            raise CamoptError("equality block dimensions inconsistent")
         if self.G.shape != (len(self.h), n):
-            raise SolverError("cone block dimensions inconsistent")
+            raise CamoptError("cone block dimensions inconsistent")
         if self.dims.total != self.G.shape[0]:
-            raise SolverError("cone sizes do not cover the inequality rows")
+            raise CamoptError("cone sizes do not cover the inequality rows")
 
 
 # stopping tolerances: the duality gap relative to the objective (above the
@@ -429,7 +429,7 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
     A, G = _canonical(prob.A), _canonical(prob.G)
     n, p, m = len(c), len(b), len(h)
     if m == 0:
-        raise SolverError("need at least one cone row")
+        raise CamoptError("need at least one cone row")
     cone = _Cone(prob.dims)
     e = cone.identity()
     deg = prob.dims.degree
@@ -479,9 +479,8 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
     # "numerical" marks a stop before the limit: the iterate left the cone,
     # a factorization failed, the step or tau/kappa degenerated
     status = "numerical"
-    pres = dres = gap = np.inf
     kept = None  # the last iterate, while it is within FEASTOL
-    for it in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):  # MAX_ITER steps, each iterate tested
         # residuals of the embedding, stacked as (rx, ry, rz)
         r = kkt.M @ xyz - tau * const
         r[iz] += s
@@ -523,6 +522,9 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
             if collapse or unb <= -FEASTOL * cx:
                 return result(status="unbounded", x=None, obj=-np.inf,
                               iterations=it, pres=pres, dres=dres, gap=gap)
+        if it == MAX_ITER:
+            status = "max_iter"
+            break
 
         try:
             Wsc = _Scaling(cone, s, z)
@@ -572,18 +574,16 @@ def solve(prob: SocpProblem, start: SolveResult | None = None) -> SolveResult:
                                          -dta * dka)
 
         a = min(1.0, STEP_FRAC * a)
-        if not np.isfinite(a) or a <= 0:
+        if not np.isfinite(a) or a <= 0 or tau + a * dtau <= 0 or \
+                kappa + a * dkappa <= 0:
             break
         xyz += a * d
         s = s + a * ds
         tau += a * dtau
         kappa += a * dkappa
-        if tau <= 0 or kappa <= 0:
-            break
-    else:
-        status = "max_iter"
 
     xs = x / tau
-    return result(status=status, x=xs, obj=float(c @ xs), iterations=it + 1,
+    return result(status=status, x=xs, obj=float(c @ xs),
+                  iterations=it + (status != "max_iter"),
                   pres=pres, dres=dres, gap=gap / tau ** 2, y=y / tau,
                   z=z / tau, s=s / tau)

@@ -10,12 +10,8 @@ from importlib import resources
 import numpy as np
 
 from . import CamoptError
-from .astro import Dynamics, PropagationError, flow_jets
+from .astro import Dynamics, flow_jets
 from .dajet import identity, jet_space, second_order_ratio
-
-
-class UncertaintyError(CamoptError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ def load_split_library(n_mix: int) -> SplitLibrary:
     try:
         raw = resources.files("camopt").joinpath(f"data/split_n{n_mix}.txt").read_text()
     except FileNotFoundError:
-        raise UncertaintyError(f"no split library for n_mix={n_mix}") from None
+        raise CamoptError(f"no split library for n_mix={n_mix}") from None
     rows = np.array([[float(v) for v in line.split()]
                      for line in raw.splitlines() if line and not line.startswith("#")])
     return SplitLibrary(weights=rows[:, 0], means=rows[:, 1], sigma=float(rows[0, 2]))
@@ -79,7 +75,7 @@ def nonlinearity_index(x: np.ndarray, dt: float, dyn: Dynamics,
     the propagated state over the norm of the first-order map.
     """
     if dt < 0:
-        raise PropagationError("nonlinearity index needs a forward span")
+        raise CamoptError("nonlinearity index needs a forward span")
     sp = jet_space(6, 2)
     yend = flow_jets(sp, identity(sp, np.asarray(x, float)[None]), 0.0, dt,
                      dyn, tol=tol)
@@ -95,7 +91,7 @@ def split_direction(nli: np.ndarray, P: np.ndarray) -> np.ndarray:
     a = np.asarray(nli, float) * np.linalg.norm(P, axis=0)
     na = np.linalg.norm(a)
     if na == 0.0:
-        raise UncertaintyError("degenerate splitting direction")
+        raise CamoptError("degenerate splitting direction")
     return a / na
 
 
@@ -116,12 +112,12 @@ def split_gaussian(mean: np.ndarray, P: np.ndarray, direction: np.ndarray,
     try:
         S = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
-        raise UncertaintyError("covariance is not positive definite") from None
+        raise CamoptError("covariance is not positive definite") from None
     a = np.asarray(direction, float)
     astar = np.linalg.solve(S, a)
     na = np.linalg.norm(astar)
     if na == 0.0:
-        raise UncertaintyError("splitting direction collapses under whitening")
+        raise CamoptError("splitting direction collapses under whitening")
     astar /= na
     Sa = S @ astar
     Pc = S @ (np.eye(len(mean)) + (lib.sigma ** 2 - 1.0) * np.outer(astar, astar)) @ S.T

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import camopt
 from camopt import cli, scp, selftest
 from camopt.scenario import Scenario, load_scenario
 from test_scenario import mutated_docs
@@ -203,10 +206,10 @@ class TestValidate:
         ("e_validation_mm", lambda d: d.__setitem__("e_validation_mm", "x")),
         ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", None)),
         ("dv_mm_s", lambda d: d.__setitem__("dv_mm_s", "x")),
-        ("'states_km'", lambda d: d.pop("states_km")),
+        ("missing field states_km", lambda d: d.pop("states_km")),
         # a string is the whole document
-        ("times_s: list indices", "[]"),
-        ("Expecting property name", "{bad"),
+        ("a solution must be a JSON object", "[]"),
+        ("invalid JSON: Expecting property name", "{bad"),
     ], ids=["non_numeric_time", "short_states", "short_controls",
             "ragged_control", "empty_times", "null_e_validation",
             "string_e_validation", "null_dv", "string_dv", "missing_states",
@@ -285,6 +288,23 @@ class TestBadInput:
         argv = argv.format(empty=empty, tmp=tmp_path / "out").split()
         assert cli.main(argv) == 3
         assert capsys.readouterr().err == line + "\n"
+
+
+class TestErrorClasses:
+    def test_one_class_reported_and_two_caught(self):
+        # CamoptError is every failure the command line reports; its two
+        # subclasses are the failures the program catches itself
+        modules = [camopt] + [importlib.import_module(f"camopt.{m.name}")
+                              for m in pkgutil.iter_modules(camopt.__path__)]
+        found = {f"{mod.__name__}.{name}": cls for mod in modules
+                 for name, cls in vars(mod).items()
+                 if isinstance(cls, type) and issubclass(cls, BaseException)
+                 and cls.__module__ == mod.__name__}
+        assert sorted(found) == ["camopt.CamoptError",
+                                 "camopt.astro.DegenerateEncounterError",
+                                 "camopt.socp.SolverError"]
+        assert all(issubclass(cls, camopt.CamoptError)
+                   for cls in found.values())
 
 
 class TestUnreachableBudget:

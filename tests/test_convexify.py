@@ -5,10 +5,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from camopt import convexify
+from camopt import CamoptError, convexify
 from camopt.astro import NodeGrid, SegmentMaps
 from camopt.convexify import (
-    AssemblyError,
     LongTermItem,
     RiskRows,
     ShortTermItem,
@@ -78,7 +77,7 @@ class TestProjection:
         assert np.min(np.linalg.norm(pts - p, axis=1)) >= np.linalg.norm(z - p) - 1e-6
 
     def test_degenerate_rejected(self):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(CamoptError, match="ellipsoid is degenerate"):
             project_onto_ellipsoid(np.ones(2), np.zeros((2, 2)), 1.0)
 
     def test_vanishing_component_on_short_axis(self):
@@ -223,7 +222,7 @@ class TestRiskLinearization:
             assert lin.grads[0, k] == pytest.approx(fd, rel=1e-5)
 
     def test_empty_rejected(self):
-        with pytest.raises(AssemblyError):
+        with pytest.raises(CamoptError, match="no conjunctions to linear"):
             linearize_tpoc([])
 
 
@@ -544,7 +543,7 @@ class TestAssembly:
 
     def test_segment_count_mismatch_rejected(self):
         grid = NodeGrid(times=np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(AssemblyError):
+        with pytest.raises(CamoptError, match="one segment map needed"):
             assemble(double_integrator_segment(1.0), grid,
                      x_ref=np.zeros((3, 6)), x_init=np.zeros(6), risk=RiskRows())
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from camopt import CamoptError
 from camopt.dajet import (
-    DimensionError,
-    DomainError,
     gradient,
     hessian,
     identity,
@@ -39,11 +38,11 @@ class TestSpaces:
         assert jet_space(4, 2) is jet_space(4, 2)
 
     def test_bad_dims(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(CamoptError, match="need n_vars >= 1"):
             jet_space(0, 2)
 
     def test_identity_needs_one_point_per_variable(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(CamoptError, match="one expansion point per"):
             identity(jet_space(2, 2), [1.0, 2.0, 3.0])
 
 
@@ -102,9 +101,9 @@ class TestArithmetic:
 
     def test_domain_errors(self):
         sp = jet_space(1, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(CamoptError, match="sqrt of jet with non-pos"):
             sqrt(sp, constant(sp, -1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(CamoptError, match="reciprocal of jet with zero"):
             reciprocal(sp, constant(sp, 0.0))
 
 

@@ -6,9 +6,8 @@ import pytest
 from scipy import integrate, special
 from scipy.optimize import brentq
 
-from camopt import risk
+from camopt import CamoptError, risk
 from camopt.risk import (
-    RiskError,
     bplane_basis,
     chan_poc,
     chan_series,
@@ -85,7 +84,7 @@ class TestBPlane:
 
     def test_zero_relative_velocity_rejected(self):
         v = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(RiskError):
+        with pytest.raises(CamoptError, match="zero relative velocity"):
             bplane_basis(v, v)
 
 
@@ -159,7 +158,7 @@ class TestChanPoc:
         assert 0.0 <= p < 1e-100
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(RiskError):
+        with pytest.raises(CamoptError, match="need non-negative u and v"):
             chan_poc(-1.0, 1.0)
 
     @pytest.mark.parametrize("u", [1e-4, 0.05, 2.0])
@@ -178,7 +177,7 @@ class TestChanPoc:
                 chan_series(u, 1e-9), rel=1e-6)
 
     def test_singular_covariance_rejected(self):
-        with pytest.raises(RiskError):
+        with pytest.raises(CamoptError, match="projected covariance is sing"):
             chan_uv(np.zeros(2), np.zeros((2, 2)), 1.0)
 
     @pytest.mark.parametrize("u", [1e-4, 0.05, 2.0])
@@ -267,7 +266,7 @@ class TestInvertChan:
 
     def test_failed_bracket_raises(self, monkeypatch):
         monkeypatch.setattr(risk, "V_MAX", 10.0)
-        with pytest.raises(RiskError, match="bracket"):
+        with pytest.raises(CamoptError, match="bracket"):
             invert_chan(1e-12, 2.0)
 
     def test_unattainable_limit_clamps_to_zero(self):
@@ -276,7 +275,7 @@ class TestInvertChan:
         assert invert_chan(min(p_head_on * 2, 0.9), u) == 0.0
 
     def test_bad_target_rejected(self):
-        with pytest.raises(RiskError):
+        with pytest.raises(CamoptError, match=r"must be in \(0, 1\)"):
             invert_chan(0.0, 1e-3)
 
     def test_matches_quadrature_bisection_small_u(self):

@@ -13,7 +13,6 @@ from camopt.scenario import (
     Config,
     Scaling,
     Scenario,
-    ScenarioFormatError,
     elements_to_state,
     load_scenario,
     rotate_cov,
@@ -143,7 +142,7 @@ class TestScaling:
                                                           rel=1e-14)
 
     def test_nonpositive_sma(self):
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(CamoptError, match="semi-major axis must be"):
             Scaling.from_sma(-1.0)
 
 
@@ -206,57 +205,77 @@ class TestLoader:
     def test_indefinite_covariance_rejected(self, tmp_path):
         doc = minimal_doc()
         doc["conjunctions"][0]["cov_rtn_km2"]["P_rt"] = 1.0
-        with pytest.raises(ScenarioFormatError, match="not PSD"):
+        with pytest.raises(CamoptError, match="not PSD"):
             load_scenario(write_doc(tmp_path, doc))
 
     def test_missing_field_path_in_message(self, tmp_path):
         doc = minimal_doc()
         del doc["conjunctions"][0]["hbr_m"]
-        with pytest.raises(ScenarioFormatError, match=r"conjunctions\[0\]"):
+        with pytest.raises(CamoptError, match=r"conjunctions\[0\]"):
             load_scenario(write_doc(tmp_path, doc))
 
     def test_tca_outside_horizon(self, tmp_path):
         doc = minimal_doc()
         doc["conjunctions"][0]["tca_s"] = 9000.0
-        with pytest.raises(ScenarioFormatError, match="horizon"):
+        with pytest.raises(CamoptError, match="horizon"):
             load_scenario(write_doc(tmp_path, doc))
 
     def test_even_mixture_rejected(self, tmp_path):
         doc = minimal_doc(mode={"short_term": True, "long_term": False,
                                 "n_mix": 2})
-        with pytest.raises(ScenarioFormatError, match="n_mix"):
+        with pytest.raises(CamoptError, match="n_mix"):
             load_scenario(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("text", [
+        b"{bad", b"\xff{}", b'{"schema": ' + b"1" * 5000 + b"}",
+    ], ids=["syntax", "not_utf8", "overlong_integer"])
+    def test_unparsable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "sc.json"
+        path.write_bytes(text)
+        with pytest.raises(CamoptError, match="invalid JSON: "):
+            load_scenario(path)
+
     def test_bad_dynamics_name(self, tmp_path):
-        with pytest.raises(ScenarioFormatError, match="dynamics"):
+        with pytest.raises(CamoptError, match="dynamics"):
             load_scenario(write_doc(tmp_path, minimal_doc(dynamics="drag")))
 
     # each edit changes the document in place or returns a replacement
-    @pytest.mark.parametrize("edit", [
-        lambda d: [d],
-        lambda d: d.update(mu_km3_s2="abc"),
-        lambda d: d.update(mode={"n_mix": "x"}),
-        lambda d: d.update(mode=[1]),
-        lambda d: d["primary"].update(state_epoch_s="z"),
-        lambda d: d["primary"]["elements"].update(raan_deg="r"),
-        lambda d: d["primary"]["elements"].update(argp_deg=None),
-        lambda d: d["primary"]["elements"].update(nu_deg=[0.0]),
-        lambda d: d.update(conjunctions=[7]),
-        lambda d: d["primary"]["elements"].update(e=1.5),
-        lambda d: d["primary"]["elements"].update(a_km=-7000.0),
-        lambda d: d["primary"]["elements"].update(a_km=True),
-        lambda d: d.update(mode={"n_mix": True}),
-        lambda d: d["conjunctions"][0]["dr_m"].__setitem__(0, math.inf),
-        lambda d: d["primary"].update(u_max_mm_s2=10 ** 400),
-        lambda d: d["primary"].update(mass_kg="heavy"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "a scenario must be a JSON object"),
+        (lambda d: d.update(mu_km3_s2="abc"), r"\$\.mu_km3_s2 has wrong"),
+        (lambda d: d.update(mode={"n_mix": "x"}), "mode.n_mix has wrong"),
+        (lambda d: d.update(mode=[1]), r"\$\.mode has wrong type"),
+        (lambda d: d["primary"].update(state_epoch_s="z"),
+         "primary.state_epoch_s has wrong type"),
+        (lambda d: d["primary"]["elements"].update(raan_deg="r"),
+         "elements.raan_deg has wrong type"),
+        (lambda d: d["primary"]["elements"].update(argp_deg=None),
+         "elements.argp_deg has wrong type"),
+        (lambda d: d["primary"]["elements"].update(nu_deg=[0.0]),
+         "elements.nu_deg has wrong type"),
+        (lambda d: d.update(conjunctions=[7]),
+         r"conjunctions\[0\] must be an object"),
+        (lambda d: d["primary"]["elements"].update(e=1.5),
+         "elements must be an ellipse"),
+        (lambda d: d["primary"]["elements"].update(a_km=-7000.0),
+         "elements must be an ellipse"),
+        (lambda d: d["primary"]["elements"].update(a_km=True),
+         "elements.a_km has wrong type"),
+        (lambda d: d.update(mode={"n_mix": True}), "mode.n_mix has wrong"),
+        (lambda d: d["conjunctions"][0]["dr_m"].__setitem__(0, math.inf),
+         r"conjunctions\[0\]\.dr_m must be 3 numbers"),
+        (lambda d: d["primary"].update(u_max_mm_s2=10 ** 400),
+         "primary.u_max_mm_s2 has wrong type"),
+        (lambda d: d["primary"].update(mass_kg="heavy"),
+         "primary.mass_kg has wrong type"),
     ], ids=["top_level_array", "mu", "n_mix", "mode", "state_epoch", "raan",
             "argp", "nu", "conjunction", "hyperbolic", "negative_sma",
             "boolean_sma", "boolean_n_mix", "infinite_miss", "huge_int",
             "mass"])
-    def test_bad_field_rejected(self, tmp_path, edit):
+    def test_bad_field_rejected(self, tmp_path, edit, message):
         doc = minimal_doc()
         doc = edit(doc) or doc
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(CamoptError, match=message):
             load_scenario(write_doc(tmp_path, doc))
 
     def test_empty_conjunction_list_ok(self, tmp_path):
@@ -338,11 +357,11 @@ class TestConfig:
         Config().validated()
 
     def test_bad_refine_mode(self):
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(CamoptError, match="refine_mode must be"):
             Config(refine_mode="exact").validated()
 
     def test_nonpositive_limit(self):
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(CamoptError, match="total_limit must be pos"):
             Config(total_limit=0.0).validated()
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camopt import astro, cli, scp
+from camopt import CamoptError, astro, cli, scp
 from camopt.astro import J2_EARTH, R_EARTH, Dynamics, NodeGrid, flow, flow_jets
 from camopt.dajet import gradient, identity, jet_space
 from camopt.convexify import RiskRows, assemble, cut_normal, \
@@ -21,7 +21,6 @@ from camopt.scenario import Config, Scenario, load_scenario, scaled_dynamics
 from camopt.socp import solve as socp_solve
 from camopt.scp import (
     LongChannel,
-    ScpError,
     ShortChannel,
     _cheapest_exit,
     _detect_encounters,
@@ -270,7 +269,7 @@ class TestAdaptLimits:
 
     def test_floor_too_large_rejected(self):
         fns = [log_rho(1.0)] * 3
-        with pytest.raises(ScpError):
+        with pytest.raises(CamoptError, match="probability floor too large"):
             adapt_limits(np.full(3, 1e-5), fns, 1e-9)
 
 
@@ -728,7 +727,7 @@ class TestDriverLimits:
         # the risk trust region widens fourfold per retry until it passes
         # 1e6 times its start, then the solve gives up
         nu_risk = polish_infeasible(monkeypatch, first_only=False)
-        with pytest.raises(ScpError, match="conic subproblem ended "
+        with pytest.raises(CamoptError, match="conic subproblem ended "
                                            "infeasible at major"):
             solve(two_cdm(), Config(refine_mode="tpoc"))
         assert nu_risk == [scp.NU_BAR * 4.0 ** k for k in range(11)]

@@ -14,7 +14,7 @@ import scipy.sparse.csgraph as csgraph
 from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
-from camopt import scp, socp
+from camopt import CamoptError, scp, socp
 from camopt.astro import NodeGrid
 from camopt.convexify import RiskRows, assemble
 from camopt.scenario import Config, load_scenario
@@ -234,14 +234,14 @@ class TestValidation:
     def test_dimension_mismatch(self):
         prob = lp_ge([1.0], [[1.0]], [1.0])
         prob.h = np.zeros(3)
-        with pytest.raises(SolverError):
+        with pytest.raises(CamoptError, match="cone block dimensions"):
             solve(prob)
 
     def test_no_cone_rows_rejected(self):
         prob = SocpProblem(c=np.ones(1), A=sp.csc_matrix((0, 1)), b=np.zeros(0),
                            G=sp.csc_matrix((0, 1)), h=np.zeros(0),
                            dims=ConeDims())
-        with pytest.raises(SolverError):
+        with pytest.raises(CamoptError, match="need at least one cone row"):
             solve(prob)
 
     @pytest.mark.parametrize("split", ["A", "G"])
@@ -354,6 +354,28 @@ class TestEarlyStop:
         r = solve(random_feasible(rng, 12, 3, 4, [3, 4]))
         assert r.status == "max_iter"
         assert r.iterations == 2
+
+    @pytest.mark.parametrize("limit, status", [(5, "max_iter"),
+                                               (6, "max_iter"),
+                                               (7, "optimal")])
+    def test_iteration_limit_reports_the_returned_iterate(self, monkeypatch,
+                                                          limit, status):
+        # TestInvariants' problem ends optimal at iterate 7: a limit of 7
+        # steps reaches it and must test it, and the residuals and gap
+        # reported at any limit are those of the iterate returned
+        prob = random_feasible(np.random.default_rng(3), 12, 3, 4, [3, 4])
+        monkeypatch.setattr(socp, "MAX_ITER", limit)
+        r = solve(prob)
+        assert r.status == status
+        A, G = prob.A.toarray(), prob.G.toarray()
+        unit = [max(1.0, np.linalg.norm(v)) for v in (prob.c, prob.b, prob.h)]
+        pres = max(np.linalg.norm(A @ r.x - prob.b) / unit[1],
+                   np.linalg.norm(G @ r.x + r.s - prob.h) / unit[2])
+        dres = np.linalg.norm(A.T @ r.y + G.T @ r.z + prob.c) / unit[0]
+        # a mixed report is 100 times off (the iterate before the last step)
+        assert r.gap == pytest.approx(r.s @ r.z, rel=1e-12)
+        assert r.pres == pytest.approx(pres, rel=1e-5)
+        assert r.dres == pytest.approx(dres, rel=1e-5)
 
 
 # ---------------------------------------------------------------------

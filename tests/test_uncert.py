@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from camopt import CamoptError
 from camopt.astro import (
     GM_EARTH,
     J2_EARTH,
@@ -13,7 +14,6 @@ from camopt.astro import (
 )
 from camopt.uncert import (
     GaussianMixture,
-    UncertaintyError,
     load_split_library,
     nonlinearity_index,
     split_direction,
@@ -52,7 +52,7 @@ class TestSplitLibraries:
         assert lib.sigma == 1.0 and lib.weights[0] == 1.0
 
     def test_unknown_size_rejected(self):
-        with pytest.raises(UncertaintyError):
+        with pytest.raises(CamoptError, match="no split library for n_mix=4"):
             load_split_library(4)
 
 
@@ -92,7 +92,7 @@ class TestMultivariateSplit:
         assert np.allclose(gmm.covs[0], P)
 
     def test_non_spd_rejected(self):
-        with pytest.raises(UncertaintyError):
+        with pytest.raises(CamoptError, match="not positive definite"):
             split_gaussian(np.zeros(6), -np.eye(6), np.eye(6)[0], 3)
 
 
@@ -107,7 +107,7 @@ class TestDirection:
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
     def test_degenerate_rejected(self):
-        with pytest.raises(UncertaintyError):
+        with pytest.raises(CamoptError, match="degenerate splitting dir"):
             split_direction(np.zeros(6), np.eye(6))
 
 
